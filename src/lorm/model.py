@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import erf
 
 from .sequence import PatchSequence
 from .signal_io import ChannelStats
@@ -105,6 +104,9 @@ class BackboneConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BackboneConfig":
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         return cls(**doc)
 
 
@@ -266,16 +268,130 @@ def partition_parameters(params: ModelParameters) -> ParameterPartition:
     return ParameterPartition(trainable=trainable, frozen=frozen)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-CDF GELU (not the tanh approximation)."""
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(x.dtype.type(2.0))))
+# erf(x) = x + x * r(x^2) for |x| < 1, with r(z) = erf(sqrt(z)) / sqrt(z) - 1
+# fitted on z in [0, 1] by mpmath.chebyfit at 50 digits (12 coefficients,
+# highest degree first). The fit is within 7.4e-18 of r, far below float64
+# rounding.
+_ERF_SMALL = (
+    -7.795898827002142e-10, 1.3720064546777686e-08, -1.6208483801871705e-07,
+    1.6447424703317362e-06, -1.492473690741966e-05, 0.00012055294904839707,
+    -0.0008548325975389692, 0.0052239776071164225, -0.02686617064323777,
+    0.11283791670945006, -0.37612638903183543, 0.12837916709551256,
+)
+
+# erf(x) = 1 - exp(-x^2) * erfcx(x) for 1 <= x <= 6, where erfcx(x) =
+# exp(x^2) * erfc(x) is fitted on each [k, k + 1] as a polynomial in
+# t = 2 (x - k) - 1 by mpmath.chebyfit at 50 digits (highest degree first).
+# Each piece has the fewest coefficients that keep erfc within 1e-18
+# absolute. Beyond 6, erfc < 2.2e-17 and erf rounds to 1 in float64.
+_ERFCX_PIECES = (
+    (  # [1, 2]
+        2.0206514750441873e-13, -1.512018061489917e-12, 1.0201594788774491e-11,
+        -7.257032617086992e-11, 5.04654734183512e-10, -3.405938587821499e-09,
+        2.2328417586062252e-08, -1.4191186135917107e-07, 8.72304473829848e-07,
+        -5.171328672722121e-06, 2.947085745299996e-05, -0.0001608111733699307,
+        0.0008360838095667121, -0.004116363162445659, 0.01903775996386935,
+        -0.08181145886628002, 0.3215854164543175,
+    ),
+    (  # [2, 3]
+        -2.0708147078071605e-12, 1.723024076899895e-11, -1.33143101900905e-10,
+        1.0586241265313587e-09, -8.231138927663064e-09, 6.235178565185672e-08,
+        -4.5991375435346844e-07, 3.2971844748816603e-06, -2.292471679099313e-05,
+        0.00015418980102799784, -0.0010001961727623635, 0.006234499271661308,
+        -0.03717367339489734, 0.21080636406114361,
+    ),
+    (  # [3, 4]
+        8.677394833461469e-11, -8.095126220242712e-10, 7.173925175362221e-09,
+        -6.433425732192288e-08, 5.653402667147934e-07, -4.858414667578579e-06,
+        4.079289522679516e-05, -0.00033413430299333543, 0.0026652832981378057,
+        -0.020661788916724405, 0.1552936556088943,
+    ),
+    (  # [4, 5]
+        -1.2762800853119695e-08, 1.3408694473554682e-07, -1.3608255039253535e-06,
+        1.3827660550755668e-05, -0.00013807204221457956, 0.001353281657648864,
+        -0.013007964314606692, 0.12248480426449534,
+    ),
+    (  # [5, 6]
+        5.640901480414343e-06, -6.677002415504479e-05, 0.0007727410283540222,
+        -0.008897235342121676, 0.10096221839949909,
+    ),
+)
+# one row per power of t (highest first), one column per piece; shorter pieces
+# are zero-padded at the high-degree end, which leaves their Horner sums exact
+_ERFCX = np.array([(0.0,) * (17 - len(c)) + c for c in _ERFCX_PIECES]).T.copy()
+
+# elements per block: the three float64 scratch buffers (768 KB) stay in a
+# 2 MB L2 cache, and a block is large enough to amortise numpy's per-call cost
+_ERF_BLOCK = 32768
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d gelu / dx = Phi(x) + x * phi(x)."""
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf computed in float64 and returned in x's dtype.
+
+    Float64 results are within one ulp of the exact erf; a float32 result is
+    that value rounded to float32, which is the correctly rounded erf for
+    every float32 input. The array is worked through in blocks so that every
+    Horner pass runs in cache; elements with |x| >= 1 (or NaN) are gathered
+    and finished by :func:`_erf_tail`.
+    """
+    flat = x.reshape(-1)
+    out = np.empty(flat.size, x.dtype)
+    size = min(flat.size, _ERF_BLOCK)
+    a, z, r = np.empty(size), np.empty(size), np.empty(size)
+    tail = []
+    # |x| >= 1 overflows or meets inf - inf in the polynomial; _erf_tail
+    # overwrites those elements
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, flat.size, _ERF_BLOCK):
+            stop = min(start + _ERF_BLOCK, flat.size)
+            a_, z_, r_ = a[: stop - start], z[: stop - start], r[: stop - start]
+            a_[...] = flat[start:stop]
+            np.multiply(a_, a_, out=z_)
+            np.multiply(z_, _ERF_SMALL[0], out=r_)
+            for c in _ERF_SMALL[1:-1]:
+                np.add(r_, c, out=r_)
+                np.multiply(r_, z_, out=r_)
+            np.add(r_, _ERF_SMALL[-1], out=r_)
+            np.multiply(r_, a_, out=r_)
+            np.add(r_, a_, out=r_)
+            out[start:stop] = r_
+            if not z_.max() < 1.0:  # also taken for NaN
+                tail.append(start + np.flatnonzero(~(z_ < 1.0)))
+    if tail:
+        idx = np.concatenate(tail)
+        out[idx] = _erf_tail(flat[idx].astype(np.float64))
+    return out.reshape(x.shape)
+
+
+def _erf_tail(a: np.ndarray) -> np.ndarray:
+    """erf of float64 values with |a| >= 1 or NaN, as 1 - exp(-a^2) erfcx(|a|)."""
+    ax = np.fmin(np.abs(a), 6.0)  # NaN becomes 6 here and is restored below
+    k = np.minimum(ax.astype(np.intp), 5)  # piece [k, k + 1]
+    t = 2.0 * (ax - k) - 1.0
+    piece = k - 1
+    erfcx = np.zeros_like(ax)
+    for coef in _ERFCX:
+        erfcx *= t
+        erfcx += coef.take(piece)
+    result = 1.0 - np.exp(-ax * ax) * erfcx
+    result[np.isnan(a)] = np.nan
+    return np.copysign(result, a)
+
+
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Gaussian-CDF GELU (not the tanh approximation).
+
+    Returns (x * Phi(x), Phi(x)); pass Phi on to :func:`gelu_grad` so that
+    the backward pass does not evaluate erf again.
+    """
+    cdf = 0.5 * (1.0 + _erf(x / np.sqrt(x.dtype.type(2.0))))
+    return x * cdf, cdf
+
+
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d gelu / dx = Phi(x) + x * phi(x), with cdf = Phi(x) as from gelu."""
     dt = x.dtype.type
     phi = np.exp(-0.5 * x * x) / np.sqrt(dt(2.0) * dt(np.pi))
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(dt(2.0))))
     return cdf + x * phi
 
 
@@ -361,7 +477,7 @@ def forward_batch(
             x_mid, params[f"{pre}.ln2.gain"], params[f"{pre}.ln2.bias"]
         )
         h_pre = f_in @ params[f"{pre}.ffn.w1"] + params[f"{pre}.ffn.b1"]
-        h_act = gelu(h_pre)
+        h_act, h_cdf = gelu(h_pre)
         ffn_out = h_act @ params[f"{pre}.ffn.w2"] + params[f"{pre}.ffn.b2"]
         x_next = x_mid + ffn_out
 
@@ -370,14 +486,14 @@ def forward_batch(
                 dict(
                     x=x, xhat1=xhat1, inv1=inv1, a_in=a_in, q=q, k=k, v=v,
                     attn=attn, heads=heads, x_mid=x_mid, xhat2=xhat2, inv2=inv2,
-                    f_in=f_in, h_pre=h_pre, h_act=h_act,
+                    f_in=f_in, h_pre=h_pre, h_act=h_act, h_cdf=h_cdf,
                 )
             )
         x = x_next
 
     z, xhat_f, inv_f = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     g = z.mean(axis=1)
-    g_act = gelu(g)
+    g_act, g_cdf = gelu(g)
     u, xhat_h, inv_h = _layer_norm(g_act, params["head_ln.gain"], params["head_ln.bias"])
     v_scores = u @ params["head.w_c"]
 
@@ -389,7 +505,7 @@ def forward_batch(
     if want_cache:
         cache = dict(
             cfg=cfg, params=params, p=x_in, e_tilde=e_tilde, layers=layers_cache,
-            x_last=x, xhat_f=xhat_f, inv_f=inv_f, z=z, g=g, g_act=g_act,
+            x_last=x, xhat_f=xhat_f, inv_f=inv_f, z=z, g=g, g_act=g_act, g_cdf=g_cdf,
             xhat_h=xhat_h, inv_h=inv_h, u=u, v=v_scores, dists=dists,
         )
     return dists, cache
@@ -416,7 +532,7 @@ def backward_from_scores(cache: dict, d_scores: np.ndarray) -> dict[str, np.ndar
     dg_act, grads["head_ln.gain"], grads["head_ln.bias"] = _layer_norm_backward(
         du, cache["xhat_h"], cache["inv_h"], params["head_ln.gain"]
     )
-    dg = dg_act * gelu_grad(cache["g"])
+    dg = dg_act * gelu_grad(cache["g"], cache["g_cdf"])
     dz = np.repeat(dg[:, None, :], t, axis=1) / dtype(t)
     dx, grads["final_ln.gain"], grads["final_ln.bias"] = _layer_norm_backward(
         dz, cache["xhat_f"], cache["inv_f"], params["final_ln.gain"]
@@ -433,7 +549,7 @@ def backward_from_scores(cache: dict, d_scores: np.ndarray) -> dict[str, np.ndar
         grads[f"{pre}.ffn.w2"] = flat_h.T @ flat_dffn
         grads[f"{pre}.ffn.b2"] = flat_dffn.sum(axis=0)
         dh_act = d_ffn_out @ params[f"{pre}.ffn.w2"].T
-        dh_pre = dh_act * gelu_grad(lc["h_pre"])
+        dh_pre = dh_act * gelu_grad(lc["h_pre"], lc["h_cdf"])
         flat_fin = lc["f_in"].reshape(b * t, -1)
         flat_dhpre = dh_pre.reshape(b * t, -1)
         grads[f"{pre}.ffn.w1"] = flat_fin.T @ flat_dhpre
@@ -526,7 +642,7 @@ def encode_context(e_tilde: np.ndarray, params: ModelParameters, cfg: BackboneCo
         heads = _merge_heads(_softmax_last(scores) @ v)
         x = x + heads @ params[f"{pre}.attn.w_o"] + params[f"{pre}.attn.b_o"]
         f_in, _, _ = _layer_norm(x, params[f"{pre}.ln2.gain"], params[f"{pre}.ln2.bias"])
-        h_act = gelu(f_in @ params[f"{pre}.ffn.w1"] + params[f"{pre}.ffn.b1"])
+        h_act, _ = gelu(f_in @ params[f"{pre}.ffn.w1"] + params[f"{pre}.ffn.b1"])
         x = x + h_act @ params[f"{pre}.ffn.w2"] + params[f"{pre}.ffn.b2"]
     z, _, _ = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     return z[0]
@@ -538,7 +654,7 @@ def pool_and_predict(
     """Mean-pool Z, run the head, and split scores into per-channel softmaxes."""
     z = np.asarray(z, dtype=params.dtype)
     g = z.mean(axis=0)
-    u, _, _ = _layer_norm(gelu(g), params["head_ln.gain"], params["head_ln.bias"])
+    u, _, _ = _layer_norm(gelu(g)[0], params["head_ln.gain"], params["head_ln.bias"])
     v = u @ params["head.w_c"]
     blocks = v.astype(np.float64).reshape(cfg.num_channels, cfg.num_tokens)
     return g, TokenDistributions(per_channel=_softmax_last(blocks))
@@ -615,20 +731,35 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; load(save(x)) is byte-equivalent to x for float32
-    parameters."""
+    parameters. Any malformed file raises CheckpointError naming ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", data, 4)
+    if len(data) < 12:
+        raise CheckpointError(f"{path}: truncated header ({len(data)} of 12 bytes)")
+    version, meta_len = struct.unpack_from("<II", data, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<I", data, 8)
     try:
         meta = json.loads(data[12 : 12 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt metadata block ({exc})") from None
-    cfg = BackboneConfig.from_dict(meta["config"])
+    try:
+        cfg = BackboneConfig.from_dict(meta["config"])
+        window_len = meta["windowing"]["window_len"]
+        context_len = meta["windowing"]["context_len"]
+        stats = ChannelStats(
+            mean=np.asarray(meta["stats"]["mean"]),
+            std=np.asarray(meta["stats"]["std"]),
+            epsilon=meta["stats"]["epsilon"],
+        )
+        channel_names = list(meta["channel_names"])
+        codebook_hash = meta["codebook_hash"]
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: metadata lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: invalid metadata ({exc})") from None
     shapes = param_shapes(cfg)
     total = sum(int(np.prod(s)) for _, s in shapes)
     raw = data[12 + meta_len :]
@@ -643,17 +774,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         size = int(np.prod(shape))
         tensors[name] = flat[offset : offset + size].reshape(shape).copy()
         offset += size
-    stats = ChannelStats(
-        mean=np.asarray(meta["stats"]["mean"]),
-        std=np.asarray(meta["stats"]["std"]),
-        epsilon=meta["stats"]["epsilon"],
-    )
     return Checkpoint(
         params=ModelParameters(tensors),
         config=cfg,
         stats=stats,
-        window_len=meta["windowing"]["window_len"],
-        context_len=meta["windowing"]["context_len"],
-        channel_names=list(meta["channel_names"]),
-        codebook_hash=meta["codebook_hash"],
+        window_len=window_len,
+        context_len=context_len,
+        channel_names=channel_names,
+        codebook_hash=codebook_hash,
     )

@@ -4,10 +4,13 @@ import argparse
 import json
 import os
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import lorm
 from lorm.cli import ConfigError, load_run_config, main
 
 PIPELINE_CONFIG = {
@@ -275,6 +278,14 @@ class TestExitCodes:
         assert rc == 2
         assert "paths.checkpoint: no such file" in capsys.readouterr().err
 
+    def test_malformed_checkpoint_names_file(self, capsys, tmp_path):
+        ckpt = tmp_path / "checkpoint.lorm"
+        ckpt.write_bytes(b"LORM\x01")
+        (tmp_path / "codebooks.json").write_text("{}")
+        assert main(["monitor", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "Traceback" not in err
+
     def test_unknown_config_file_key(self, capsys, tmp_path):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({"windowingg": {"window_len": 3}}))
@@ -291,3 +302,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    """Importing scipy.special would add about 0.3 s to every command's start."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(lorm.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import lorm.cli, sys; assert 'scipy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=60,
+    )

@@ -1,9 +1,12 @@
 """Backbone correctness: parameter registry, initialisation, forward pass
 against an independent double-precision reference, masking, and checkpoints."""
 
+import json
+import math
+import struct
+
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from lorm.model import (
     BackboneConfig,
@@ -13,12 +16,15 @@ from lorm.model import (
     encode_context,
     forward_batch,
     forward_trace,
+    gelu,
+    gelu_grad,
     init_model,
     load_checkpoint,
     param_shapes,
     partition_parameters,
     pool_and_predict,
     save_checkpoint,
+    _erf,
 )
 from lorm.signal_io import ChannelStats
 
@@ -50,8 +56,11 @@ def ref_layer_norm_rows(x, gain, bias, eps=1e-5):
     return out
 
 
+ref_erf = np.vectorize(math.erf, otypes=[np.float64])
+
+
 def ref_gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    return 0.5 * x * (1.0 + ref_erf(x / np.sqrt(2.0)))
 
 
 def ref_forward(rows, params, cfg):
@@ -265,6 +274,52 @@ class TestForward:
             embed_and_position(np.zeros((6, 4)), params)
 
 
+class TestErf:
+    """lorm's own erf against the C library's (math.erf)."""
+
+    @staticmethod
+    def _boundaries():
+        # +-0, +-inf and both float32 neighbours of every branch boundary
+        edges = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], dtype=np.float32)
+        pts = [edges, np.nextafter(edges, np.float32(-np.inf)), np.nextafter(edges, np.float32(np.inf))]
+        pts = np.concatenate(pts + [np.array([np.inf], dtype=np.float32)])
+        return np.concatenate([pts, -pts])
+
+    def test_float32_is_rounded_float64_erf(self):
+        grid = np.linspace(-6.0, 6.0, 2_000_001).astype(np.float32)
+        x = np.concatenate([grid, self._boundaries()])
+        expected = ref_erf(x.astype(np.float64)).astype(np.float32)
+        got = _erf(x)
+        assert got.dtype == np.float32
+        assert np.count_nonzero(got != expected) == 0
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_float64_within_4e_16(self):
+        x = np.concatenate([np.linspace(-8.0, 8.0, 400_001), self._boundaries().astype(np.float64)])
+        got = _erf(x)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - ref_erf(x))) <= 4e-16
+
+    def test_nan_and_shape(self):
+        got = _erf(np.array([[np.nan, 0.5], [-7.0, 1.0]], dtype=np.float32))
+        assert got.shape == (2, 2) and np.isnan(got[0, 0]) and got[1, 0] == -1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_cdf_reuse_is_bitwise(self, dtype):
+        """gelu's cached Phi gives bit for bit the values of the formulas that
+        evaluated erf once in gelu and again in gelu_grad."""
+        x = np.random.default_rng(3).normal(0.0, 2.0, size=(7, 300)).astype(dtype)
+        dt = x.dtype.type
+        phi = np.exp(-0.5 * x * x) / np.sqrt(dt(2.0) * dt(np.pi))
+        old_act = 0.5 * x * (1.0 + _erf(x / np.sqrt(dt(2.0))))
+        old_grad = 0.5 * (1.0 + _erf(x / np.sqrt(dt(2.0)))) + x * phi
+        act, cdf = gelu(x)
+        grad = gelu_grad(x, cdf)
+        assert act.dtype == grad.dtype == dtype
+        assert act.tobytes() == old_act.tobytes()
+        assert grad.tobytes() == old_grad.tobytes()
+
+
 class TestMasking:
     def test_causal_rows_bitwise_stable(self):
         # perturbing row j must leave Z rows < j bit-identical
@@ -368,3 +423,38 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(str(path))
+
+    def _rewrite_meta(self, path, edit):
+        """Apply ``edit`` to the JSON metadata of the checkpoint at ``path``."""
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", data, 8)
+        meta = json.loads(data[12 : 12 + meta_len])
+        edit(meta)
+        blob = json.dumps(meta).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + meta_len :])
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.lorm"
+        path.write_bytes(b"LORM\x01\x00\x00")
+        with pytest.raises(CheckpointError, match="truncated header") as exc:
+            load_checkpoint(str(path))
+        assert str(path) in str(exc.value)
+
+    def test_unknown_config_key(self, tmp_path):
+        path = tmp_path / "m.lorm"
+        self._save(path, tiny_params(dtype=np.float32))
+        self._rewrite_meta(path, lambda meta: meta["config"].update(dropout=0.1))
+        with pytest.raises(CheckpointError, match="unknown config key.*dropout") as exc:
+            load_checkpoint(str(path))
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "key", ["config", "windowing", "stats", "channel_names", "codebook_hash"]
+    )
+    def test_missing_metadata_key(self, tmp_path, key):
+        path = tmp_path / "m.lorm"
+        self._save(path, tiny_params(dtype=np.float32))
+        self._rewrite_meta(path, lambda meta: meta.pop(key))
+        with pytest.raises(CheckpointError, match=f"lacks key '{key}'") as exc:
+            load_checkpoint(str(path))
+        assert str(path) in str(exc.value)
