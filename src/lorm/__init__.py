@@ -68,6 +68,7 @@ from .signal_io import (
     stream_windows,
     train_val_split,
     write_signal_csv,
+    zscore,
 )
 from .synth import Harmonic, SynthConfig, SynthRun, default_harmonics, generate_run
 from .tokenizer import (
@@ -76,6 +77,7 @@ from .tokenizer import (
     KMeansResult,
     TokenVector,
     assign_token,
+    assign_tokens,
     codebook_file_hash,
     fit_codebook,
     fit_codebook_set,
@@ -93,6 +95,7 @@ from .train import (
     dataset_loss,
     gradient_check,
     loss_and_grad,
+    model_inputs,
     train_model,
     window_loss,
     write_train_report_csv,

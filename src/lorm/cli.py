@@ -454,6 +454,13 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     alarms = sum(1 for r in records if r.alarm)
     print(f"monitored {len(records)} windows, {alarms} alarms")
+    if len(records) < cfg.monitor.buffer_len:
+        print(
+            f"warning: the stream ended after {len(records)} windows, before the baseline of "
+            f"monitor.buffer_len={cfg.monitor.buffer_len} windows filled, so hi is empty for "
+            "every window",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -471,7 +478,14 @@ def _group_hi_by_cut(records, cut_ids, wear: WearTable) -> dict[int, list[float 
 
 
 def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    records, cut_ids = read_health_csv(_require_file(cfg.resolve("hi"), "hi"))
+    hi_path = _require_file(cfg.resolve("hi"), "hi")
+    records, cut_ids = read_health_csv(hi_path)
+    if records and all(r.hi is None for r in records):
+        raise ValueError(
+            f"{hi_path}: no window has a health index: all {len(records)} windows fell in "
+            "the baseline, so monitor.buffer_len was at least the run's window count; "
+            "monitor again with a smaller monitor.buffer_len"
+        )
     wear = WearTable.from_csv(_require_file(cfg.resolve("wear"), "wear"))
     calibration = calibrate_threshold(
         _group_hi_by_cut(records, cut_ids, wear),

@@ -23,6 +23,7 @@ shared parameters are safe; training mutates them and must be exclusive.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -397,10 +398,12 @@ def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """LayerNorm over the last axis; returns (y, xhat, inv_std) for backward."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    # the population variance exactly as np.var computes it, without its
+    # second pass for the mean
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + x.dtype.type(LN_EPS))
-    xhat = (x - mu) * inv_std
+    xhat *= inv_std
     return gain * xhat + bias, xhat, inv_std
 
 
@@ -415,9 +418,18 @@ def _layer_norm_backward(dy, xhat, inv_std, gain):
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+@functools.lru_cache(maxsize=8)
+def _causal_mask(t: int) -> np.ndarray:
+    """Read-only (t, t) mask, True above the diagonal: the future positions."""
+    mask = np.triu(np.ones((t, t), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -456,7 +468,7 @@ def forward_batch(
 
     causal = cfg.attention_mode == "causal"
     if causal:
-        neg_mask = np.triu(np.ones((t, t), dtype=bool), k=1)
+        neg_mask = _causal_mask(t)
 
     layers_cache = []
     for l in range(cfg.num_layers):
@@ -467,7 +479,7 @@ def forward_batch(
         v = _split_heads(a_in @ params[f"{pre}.attn.w_v"] + params[f"{pre}.attn.b_v"], nh)
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
         if causal:
-            scores = np.where(neg_mask, dtype(-np.inf), scores)
+            np.copyto(scores, dtype(-np.inf), where=neg_mask)
         attn = _softmax_last(scores)
         heads = _merge_heads(attn @ v)
         attn_out = heads @ params[f"{pre}.attn.w_o"] + params[f"{pre}.attn.b_o"]
@@ -629,7 +641,7 @@ def encode_context(e_tilde: np.ndarray, params: ModelParameters, cfg: BackboneCo
     t = cfg.max_seq_len
     causal = cfg.attention_mode == "causal"
     if causal:
-        neg_mask = np.triu(np.ones((t, t), dtype=bool), k=1)
+        neg_mask = _causal_mask(t)
     for l in range(cfg.num_layers):
         pre = f"layers.{l}"
         a_in, _, _ = _layer_norm(x, params[f"{pre}.ln1.gain"], params[f"{pre}.ln1.bias"])
@@ -638,7 +650,7 @@ def encode_context(e_tilde: np.ndarray, params: ModelParameters, cfg: BackboneCo
         v = _split_heads(a_in @ params[f"{pre}.attn.w_v"] + params[f"{pre}.attn.b_v"], nh)
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
         if causal:
-            scores = np.where(neg_mask, dtype(-np.inf), scores)
+            np.copyto(scores, dtype(-np.inf), where=neg_mask)
         heads = _merge_heads(_softmax_last(scores) @ v)
         x = x + heads @ params[f"{pre}.attn.w_o"] + params[f"{pre}.attn.b_o"]
         f_in, _, _ = _layer_norm(x, params[f"{pre}.ln2.gain"], params[f"{pre}.ln2.bias"])

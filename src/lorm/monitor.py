@@ -23,10 +23,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .model import Checkpoint, forward_batch, load_checkpoint
-from .sequence import build_mcps
-from .signal_io import SignalWindow, normalize_window, split_context_target
-from .tokenizer import CodebookSet, codebook_file_hash, load_codebooks, tokenize_window
-from .train import window_loss
+from .signal_io import SignalWindow
+from .tokenizer import CodebookSet, codebook_file_hash, load_codebooks
+from .train import model_inputs, window_loss
 
 __all__ = [
     "MonitorConfig",
@@ -166,12 +165,11 @@ def score_window(window: SignalWindow, deployed: DeployedModel) -> float:
             f"window length {window.window_len} differs from training configuration "
             f"({ckpt.window_len})"
         )
-    norm = normalize_window(window, ckpt.stats)
-    context, target = split_context_target(norm, ckpt.context_len)
-    ps = build_mcps(context, ckpt.config.patch_len)
-    dists, _ = forward_batch(ps.rows[None, :, :], ckpt.params, ckpt.config)
-    tokens = tokenize_window(target, deployed.codebooks)
-    return window_loss(dists[0], tokens)
+    p, y = model_inputs(
+        window.data[None], ckpt.stats, ckpt.context_len, deployed.codebooks, ckpt.config.patch_len
+    )
+    dists, _ = forward_batch(p, ckpt.params, ckpt.config)
+    return window_loss(dists[0], y[0])
 
 
 def monitor_stream(

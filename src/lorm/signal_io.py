@@ -20,6 +20,7 @@ __all__ = [
     "SignalWindow",
     "StreamFormatError",
     "compute_channel_stats",
+    "zscore",
     "normalize_series",
     "normalize_window",
     "normalize_windows",
@@ -129,7 +130,7 @@ class SignalWindow:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise ValueError(f"window data must be 2-D (W, C), got shape {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise ValueError("window contains non-finite values")
 
     @property
@@ -142,7 +143,11 @@ class SignalWindow:
 
 
 class StreamFormatError(ValueError):
-    """A malformed record was encountered while streaming samples."""
+    """A malformed record was encountered while streaming samples.
+
+    ``record_index`` is the 0-based position of the record among the
+    non-blank data records of the source (a CSV header is not a record).
+    """
 
     def __init__(self, record_index: int, message: str):
         self.record_index = record_index
@@ -171,10 +176,15 @@ def _check_channel_match(stats: ChannelStats, c: int) -> None:
         )
 
 
+def zscore(data: np.ndarray, stats: ChannelStats) -> np.ndarray:
+    """Channel-wise z-score of any (..., C) array: (x - mean) / (std + epsilon)."""
+    _check_channel_match(stats, data.shape[-1])
+    return (data - stats.mean) / (stats.std + stats.epsilon)
+
+
 def normalize_series(series: MultiChannelSeries, stats: ChannelStats) -> MultiChannelSeries:
     """Channel-wise z-score: (x - mean) / (std + epsilon)."""
-    _check_channel_match(stats, series.num_channels)
-    out = (series.samples - stats.mean) / (stats.std + stats.epsilon)
+    out = zscore(series.samples, stats)
     return MultiChannelSeries(
         samples=out,
         channel_names=list(series.channel_names),
@@ -184,9 +194,7 @@ def normalize_series(series: MultiChannelSeries, stats: ChannelStats) -> MultiCh
 
 def normalize_window(window: SignalWindow, stats: ChannelStats) -> SignalWindow:
     """Apply the series normalisation to a single window."""
-    _check_channel_match(stats, window.num_channels)
-    out = (window.data - stats.mean) / (stats.std + stats.epsilon)
-    return SignalWindow(data=out, start_index=window.start_index)
+    return SignalWindow(data=zscore(window.data, stats), start_index=window.start_index)
 
 
 def normalize_windows(
@@ -249,7 +257,9 @@ def stream_windows(
 
     Yields the same window sequence as :func:`segment_windows` on the fully
     loaded series, regardless of how the source chunks its samples. A
-    trailing partial window is never emitted.
+    trailing partial window is never emitted. Every row is validated when
+    it arrives, so a bad row raises before any later window is yielded, and
+    each yielded window owns its data (an independent copy).
 
     Args:
         samples: iterable of per-sample rows, each with C values.
@@ -262,7 +272,11 @@ def stream_windows(
     """
     w = cfg.window_len
     stride = cfg.stride
-    buf: list[np.ndarray] = []
+    # every row is written twice, at pos and pos + w, so the newest w rows
+    # are always the one contiguous slice ring[pos : pos + w]
+    ring: np.ndarray | None = None
+    pos = 0
+    filled = 0  # rows of the next window already in the ring
     start = 0
     drop = 0  # samples still to discard when stride > W
     expected = channel_count
@@ -279,19 +293,24 @@ def stream_windows(
             raise StreamFormatError(
                 index, f"expected {expected} fields, got {vec.shape[0]}"
             )
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise StreamFormatError(index, "non-finite value")
         if drop > 0:
             drop -= 1
             continue
-        buf.append(vec)
-        if len(buf) == w:
-            yield SignalWindow(data=np.stack(buf), start_index=start)
+        if ring is None:
+            ring = np.empty((2 * w, expected), dtype=np.float64)
+        ring[pos] = vec
+        ring[pos + w] = vec
+        pos = pos + 1 if pos + 1 < w else 0
+        filled += 1
+        if filled == w:
+            yield SignalWindow(data=ring[pos : pos + w].copy(), start_index=start)
             if stride >= w:
-                buf = []
+                filled = 0
                 drop = stride - w
             else:
-                buf = buf[stride:]
+                filled = w - stride
             start += stride
 
 
@@ -322,7 +341,8 @@ def _read_csv_rows(path: str) -> tuple[list[str], list[list[float]]]:
             raise ValueError(f"{path}: empty file")
         names = [n.strip() for n in header.rstrip("\n").split(",")]
         rows = []
-        for index, line in enumerate(fh):
+        index = 0  # among non-blank records, as in the stream sources
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
@@ -333,6 +353,7 @@ def _read_csv_rows(path: str) -> tuple[list[str], list[list[float]]]:
                 rows.append([float(f) for f in fields])
             except ValueError as exc:
                 raise StreamFormatError(index, f"non-numeric value ({exc})") from None
+            index += 1
     return names, rows
 
 
@@ -343,7 +364,8 @@ def csv_sample_source(path: str) -> Iterator[np.ndarray]:
         if not header:
             raise ValueError(f"{path}: empty file")
         n_fields = len(header.rstrip("\n").split(","))
-        for index, line in enumerate(fh):
+        index = 0  # among non-blank records, as in socket_sample_source
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
@@ -354,6 +376,7 @@ def csv_sample_source(path: str) -> Iterator[np.ndarray]:
                 yield np.asarray([float(f) for f in fields], dtype=np.float64)
             except ValueError as exc:
                 raise StreamFormatError(index, f"non-numeric value ({exc})") from None
+            index += 1
 
 
 def socket_sample_source(host: str, port: int) -> Iterator[np.ndarray]:

@@ -25,6 +25,7 @@ __all__ = [
     "fit_codebook",
     "fit_codebook_set",
     "assign_token",
+    "assign_tokens",
     "tokenize_window",
     "save_codebooks",
     "load_codebooks",
@@ -67,6 +68,8 @@ class CodebookSet:
 
     codebooks: list[Codebook]
     channel_names: list[str] = field(default_factory=list)
+    # (C, K, target_dim) stack of every channel's centroids, read-only
+    centroids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.codebooks:
@@ -80,6 +83,8 @@ class CodebookSet:
             self.channel_names = [f"ch{i}" for i in range(len(self.codebooks))]
         if len(self.channel_names) != len(self.codebooks):
             raise ValueError("one channel name per codebook required")
+        self.centroids = np.stack([cb.centroids for cb in self.codebooks])
+        self.centroids.flags.writeable = False
 
     @property
     def num_channels(self) -> int:
@@ -268,18 +273,31 @@ def assign_token(target: np.ndarray, codebook: Codebook) -> int:
     return int(np.argmin(d2))
 
 
+def assign_tokens(targets: np.ndarray, codebooks: CodebookSet) -> np.ndarray:
+    """Tokens (n, C) for n target segments of shape (n, target_dim, C).
+
+    Same rule as :func:`assign_token` on every channel: squared Euclidean
+    distance to each centroid, ties to the lowest index.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    _, dim, c = targets.shape
+    if c != codebooks.num_channels:
+        raise ValueError(
+            f"target has {c} channels, codebooks have {codebooks.num_channels}"
+        )
+    if dim != codebooks.target_dim:
+        raise ValueError(
+            f"target has dimension {dim}, codebook expects {codebooks.target_dim}"
+        )
+    # (n, C, K, dim) differences against the (C, K, dim) centroid stack
+    diff = codebooks.centroids[None, :, :, :] - targets.transpose(0, 2, 1)[:, :, None, :]
+    return np.argmin(np.sum(diff**2, axis=-1), axis=-1)
+
+
 def tokenize_window(target: np.ndarray, codebooks: CodebookSet) -> TokenVector:
     """Assign one token per channel to a (target_dim, C) target segment."""
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    if target.shape[1] != codebooks.num_channels:
-        raise ValueError(
-            f"target has {target.shape[1]} channels, codebooks have {codebooks.num_channels}"
-        )
-    tokens = [
-        assign_token(target[:, c], codebooks.codebooks[c])
-        for c in range(codebooks.num_channels)
-    ]
-    return TokenVector(tokens=np.asarray(tokens, dtype=np.int64))
+    return TokenVector(tokens=assign_tokens(target[None], codebooks)[0])
 
 
 def save_codebooks(codebooks: CodebookSet, path: str) -> None:
@@ -301,16 +319,39 @@ def save_codebooks(codebooks: CodebookSet, path: str) -> None:
 
 
 def load_codebooks(path: str) -> CodebookSet:
+    """Read a codebook JSON document.
+
+    Raises:
+        ValueError: naming ``path``, for malformed JSON, an unsupported
+            version, a missing field, or centroids of the wrong shape.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{path}: not a codebooks JSON document ({exc})") from None
+    try:
+        return _codebooks_from_doc(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: codebooks file lacks the {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _codebooks_from_doc(doc) -> CodebookSet:
+    if not isinstance(doc, dict):
+        raise ValueError("codebooks file must hold a JSON object")
     if doc.get("version") != CODEBOOK_FORMAT_VERSION:
         raise ValueError(f"unsupported codebook file version: {doc.get('version')}")
+    shape = (doc["K"], doc["target_dim"])
     books = []
     names = []
     for i, ch in enumerate(doc["channels"]):
         centroids = np.asarray(ch["centroids"], dtype=np.float64)
-        if centroids.shape != (doc["K"], doc["target_dim"]):
-            raise ValueError(f"channel {i}: centroid shape mismatch")
+        if centroids.shape != shape:
+            raise ValueError(
+                f"channel {i}: centroid shape mismatch, {centroids.shape} != {shape}"
+            )
         books.append(Codebook(channel_index=i, centroids=centroids))
         names.append(ch["name"])
     return CodebookSet(codebooks=books, channel_names=names)

@@ -25,9 +25,9 @@ from .model import (
     forward_batch,
     partition_parameters,
 )
-from .sequence import build_mcps
-from .signal_io import ChannelStats, SignalWindow, normalize_window, split_context_target
-from .tokenizer import CodebookSet, TokenVector, tokenize_window
+from .sequence import num_patches
+from .signal_io import ChannelStats, SignalWindow, zscore
+from .tokenizer import CodebookSet, TokenVector, assign_tokens
 
 __all__ = [
     "PROB_FLOOR",
@@ -35,6 +35,7 @@ __all__ = [
     "TrainReport",
     "Adam",
     "window_loss",
+    "model_inputs",
     "build_examples",
     "loss_and_grad",
     "dataset_loss",
@@ -126,6 +127,36 @@ def window_loss(dists, tokens) -> float:
     return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
 
 
+def model_inputs(
+    windows: np.ndarray,
+    stats: ChannelStats,
+    context_len: int,
+    codebooks: CodebookSet,
+    patch_len: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Turn n raw windows, an (n, W, C) array, into model inputs.
+
+    z-scores every window with the training stats, flattens each context
+    into the channel-major MCPS rows of :func:`lorm.sequence.build_mcps`
+    (final patch zero-padded), and tokenizes each target per channel.
+    Returns p of shape (n, N*C, patch_len) and y of shape (n, C).
+    """
+    windows = np.asarray(windows, dtype=np.float64)
+    n, w, c = windows.shape
+    if not 0 < context_len < w:
+        raise ValueError(f"context_len must satisfy 0 < S < W, got S={context_len} W={w}")
+    if patch_len < 1:
+        raise ValueError("patch_len must be >= 1")
+    norm = zscore(windows, stats)
+    if not np.isfinite(norm).all():
+        raise ValueError("normalised window contains non-finite values")
+    n_patches = num_patches(context_len, patch_len)
+    rows = np.zeros((n, c, n_patches * patch_len), dtype=np.float64)
+    rows[:, :, :context_len] = norm[:, :context_len, :].transpose(0, 2, 1)
+    p = rows.reshape(n, c * n_patches, patch_len)
+    return p, assign_tokens(norm[:, context_len:, :], codebooks)
+
+
 def build_examples(
     windows: Sequence[SignalWindow],
     stats: ChannelStats,
@@ -141,14 +172,8 @@ def build_examples(
     """
     if not windows:
         raise ValueError("training set is empty")
-    p_rows = []
-    y_rows = []
-    for w in windows:
-        norm = normalize_window(w, stats)
-        context, target = split_context_target(norm, context_len)
-        p_rows.append(build_mcps(context, patch_len).rows)
-        y_rows.append(tokenize_window(target, codebooks).tokens)
-    return np.stack(p_rows), np.stack(y_rows)
+    data = np.stack([w.data for w in windows])
+    return model_inputs(data, stats, context_len, codebooks, patch_len)
 
 
 def _batch_ce(dists: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

@@ -167,6 +167,39 @@ class TestPipeline:
         header = (rerun / "hi.csv").read_text().split("\n", 1)[0]
         assert header == "window_index,wlf,hi,alarm,hi_ma"
 
+    def test_unfilled_baseline_is_explained(self, pipeline, tmp_path_factory, capsys):
+        """A run shorter than monitor.buffer_len leaves hi empty: monitor says
+        so on stderr, and calibrate names the setting instead of failing on
+        an empty cut list."""
+        out = pipeline["out"]
+        rerun = tmp_path_factory.mktemp("unfilled")
+        args = ["--config", str(pipeline["config_path"]), "--out", str(rerun)]
+        for key, name in [("signal", "signal.csv"), ("wear", "wear.csv"),
+                          ("codebooks", "codebooks.json"), ("checkpoint", "checkpoint.lorm")]:
+            args += ["--set", f"paths.{key}={out / name}"]
+        args += ["--set", "monitor.buffer_len=100000"]
+        assert main(["monitor"] + args) == 0
+        err = capsys.readouterr().err
+        windows = len((rerun / "hi.csv").read_text().splitlines()) - 1
+        assert f"the stream ended after {windows} windows" in err
+        assert "monitor.buffer_len=100000" in err and "hi is empty for every window" in err
+
+        assert main(["calibrate"] + args) == 1
+        err = capsys.readouterr().err
+        assert str(rerun / "hi.csv") in err and "monitor.buffer_len" in err
+        assert "Traceback" not in err
+
+    def test_codebooks_without_channels_names_file(self, pipeline, tmp_path, capsys):
+        doc = json.loads((pipeline["out"] / "codebooks.json").read_text())
+        del doc["channels"]
+        broken = tmp_path / "codebooks.json"
+        broken.write_text(json.dumps(doc))
+        args = ["train", "--config", str(pipeline["config_path"]), "--out", str(tmp_path),
+                "--set", f"paths.signal={pipeline['out'] / 'signal.csv'}"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert str(broken) in err and "'channels'" in err and "Traceback" not in err
+
     def test_tcp_stream_matches_file(self, pipeline, tmp_path_factory):
         out = pipeline["out"]
 

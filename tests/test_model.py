@@ -24,7 +24,10 @@ from lorm.model import (
     partition_parameters,
     pool_and_predict,
     save_checkpoint,
+    _causal_mask,
     _erf,
+    _layer_norm,
+    _softmax_last,
 )
 from lorm.signal_io import ChannelStats
 
@@ -318,6 +321,63 @@ class TestErf:
         assert act.dtype == grad.dtype == dtype
         assert act.tobytes() == old_act.tobytes()
         assert grad.tobytes() == old_grad.tobytes()
+
+
+def old_layer_norm(x, gain, bias, eps=1e-5):
+    """The two-pass formula _layer_norm replaced."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = (x - mu) * inv_std
+    return gain * xhat + bias, xhat, inv_std
+
+
+def old_softmax_last(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestInPlaceKernels:
+    """The in-place layer norm and softmax give the bytes of their old
+    out-of-place formulas."""
+
+    @pytest.mark.parametrize("shape", [(64,), (3, 60, 64), (37, 48, 16), (2, 5, 257)])
+    def test_layer_norm_bitwise(self, dtype, shape):
+        rng = np.random.default_rng(shape[-1])
+        x = rng.normal(0.5, 3.0, size=shape).astype(dtype)
+        gain = rng.normal(1.0, 0.1, size=shape[-1]).astype(dtype)
+        bias = rng.normal(0.0, 0.1, size=shape[-1]).astype(dtype)
+        before = x.copy()
+        got = _layer_norm(x, gain, bias)
+        want = old_layer_norm(x, gain, bias)
+        assert np.array_equal(x, before)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 8), (2, 4, 60, 60), (5, 3, 10)])
+    def test_softmax_bitwise(self, dtype, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(0.0, 4.0, size=shape).astype(dtype)
+        if len(shape) == 4:
+            np.copyto(x, dtype(-np.inf), where=_causal_mask(shape[-1]))
+        before = x.copy()
+        got = _softmax_last(x)
+        want = old_softmax_last(x)
+        assert np.array_equal(x, before)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+class TestCausalMask:
+    def test_cached_read_only_upper_triangle(self):
+        mask = _causal_mask(6)
+        assert mask is _causal_mask(6)
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, np.triu(np.ones((6, 6), dtype=bool), k=1))
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
 
 
 class TestMasking:

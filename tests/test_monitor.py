@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lorm.model import BackboneConfig, Checkpoint, init_model, save_checkpoint
+from lorm.model import BackboneConfig, Checkpoint, forward_batch, init_model, save_checkpoint
 from lorm.monitor import (
     BaselineBuffer,
     DeployedModel,
@@ -17,8 +17,10 @@ from lorm.monitor import (
     score_window,
     write_health_csv,
 )
-from lorm.signal_io import ChannelStats, SignalWindow
-from lorm.tokenizer import Codebook, CodebookSet, save_codebooks
+from lorm.sequence import build_mcps
+from lorm.signal_io import ChannelStats, SignalWindow, normalize_window, split_context_target
+from lorm.tokenizer import Codebook, CodebookSet, save_codebooks, tokenize_window
+from lorm.train import window_loss
 
 
 def tiny_cfg(**kw):
@@ -172,6 +174,68 @@ class TestScoreWindow:
         deployed = tiny_deployed(seed=5)
         w = make_window(seed=6)
         assert score_window(w, deployed) == score_window(w, deployed)
+
+
+def reference_score(window, deployed):
+    """The per-window composition score_window replaced."""
+    ckpt = deployed.checkpoint
+    norm = normalize_window(window, ckpt.stats)
+    context, target = split_context_target(norm, ckpt.context_len)
+    ps = build_mcps(context, ckpt.config.patch_len)
+    dists, _ = forward_batch(ps.rows[None, :, :], ckpt.params, ckpt.config)
+    return window_loss(dists[0], tokenize_window(target, deployed.codebooks))
+
+
+def geometry_deployed(context_len, target_len, patch_len, seed=0):
+    """A deployed model for any window geometry, with non-trivial stats."""
+    channels, num_tokens = 3, 5
+    patches = -(-context_len // patch_len)
+    cfg = tiny_cfg(
+        max_seq_len=patches * channels,
+        num_channels=channels,
+        num_tokens=num_tokens,
+        patch_len=patch_len,
+    )
+    rng = np.random.default_rng(seed)
+    books = CodebookSet(
+        codebooks=[
+            Codebook(channel_index=c, centroids=rng.normal(size=(num_tokens, target_len)))
+            for c in range(channels)
+        ]
+    )
+    ckpt = Checkpoint(
+        params=init_model(cfg, seed=seed),
+        config=cfg,
+        stats=ChannelStats(mean=rng.normal(size=channels), std=rng.uniform(0.5, 2.0, channels)),
+        window_len=context_len + target_len,
+        context_len=context_len,
+        channel_names=["a", "b", "c"],
+        codebook_hash="",
+    )
+    return DeployedModel(checkpoint=ckpt, codebooks=books)
+
+
+class TestScoreWindowReference:
+    """score_window's array path gives bit for bit the WLF of the old
+    normalise -> split -> build_mcps -> forward -> tokenize -> loss chain."""
+
+    @pytest.mark.parametrize(
+        "context_len, target_len, patch_len",
+        [(20, 1, 5), (18, 1, 5), (17, 3, 4), (30, 4, 7), (9, 2, 16)],
+    )
+    def test_bitwise_equal_to_reference(self, context_len, target_len, patch_len):
+        deployed = geometry_deployed(context_len, target_len, patch_len, seed=context_len)
+        for seed in range(6):
+            window = make_window(seed=seed, rows=context_len + target_len, cols=3)
+            got = score_window(window, deployed)
+            assert got.hex() == reference_score(window, deployed).hex()
+
+    def test_does_not_modify_window(self):
+        deployed = geometry_deployed(18, 2, 5)
+        window = make_window(seed=3, rows=20, cols=3)
+        before = window.data.copy()
+        score_window(window, deployed)
+        assert np.array_equal(window.data, before)
 
 
 class TestMonitorStream:

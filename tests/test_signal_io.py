@@ -186,6 +186,113 @@ class TestTrainValSplit:
             train_val_split(windows, 0.2)
 
 
+def reference_stream_windows(samples, cfg, channel_count=None):
+    """The list-of-rows window assembly that the ring buffer replaced."""
+    w, stride = cfg.window_len, cfg.stride
+    buf, start, drop, expected = [], 0, 0, channel_count
+    for index, row in enumerate(samples):
+        try:
+            vec = np.asarray(row, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise StreamFormatError(index, f"non-numeric value ({exc})") from None
+        if vec.ndim != 1:
+            raise StreamFormatError(index, f"expected a flat row, got shape {vec.shape}")
+        if expected is None:
+            expected = vec.shape[0]
+        if vec.shape[0] != expected:
+            raise StreamFormatError(index, f"expected {expected} fields, got {vec.shape[0]}")
+        if not np.all(np.isfinite(vec)):
+            raise StreamFormatError(index, "non-finite value")
+        if drop > 0:
+            drop -= 1
+            continue
+        buf.append(vec)
+        if len(buf) == w:
+            yield SignalWindow(data=np.stack(buf), start_index=start)
+            if stride >= w:
+                buf = []
+                drop = stride - w
+            else:
+                buf = buf[stride:]
+            start += stride
+
+
+def collect_until_error(windows):
+    """Windows yielded before the stream raised, and the error it raised."""
+    got = []
+    try:
+        for window in windows:
+            got.append(window)
+    except StreamFormatError as exc:
+        return got, exc
+    return got, None
+
+
+def assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.start_index == b.start_index
+        assert a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+class TestStreamWindowsRing:
+    """The ring buffer yields bit for bit the windows of the list-of-rows
+    assembly, for every stride regime and row type."""
+
+    @pytest.mark.parametrize("stride", [1, 7, 33, 60, 100, 150, 257])
+    @pytest.mark.parametrize("channel_count", [None, 3])
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_matches_reference(self, stride, channel_count, as_list):
+        series = make_series(t=700, c=3, seed=41)
+        cfg = WindowingConfig(window_len=100, context_len=97, stride=stride)
+        rows = [r.tolist() for r in series.samples] if as_list else list(series.samples)
+        got = list(stream_windows(iter(rows), cfg, channel_count=channel_count))
+        want = list(reference_stream_windows(iter(rows), cfg, channel_count=channel_count))
+        assert len(want) == len(segment_windows(series, cfg)) > 0
+        assert_same_windows(got, want)
+
+    def test_single_row_windows(self):
+        rows = [[float(i), -float(i)] for i in range(9)]
+        cfg = WindowingConfig(window_len=2, context_len=1, stride=1)
+        got = list(stream_windows(iter(rows), cfg))
+        assert_same_windows(got, list(reference_stream_windows(iter(rows), cfg)))
+
+    def test_windows_are_independent_copies(self):
+        series = make_series(t=300, c=2, seed=42)
+        cfg = WindowingConfig(window_len=50, context_len=49, stride=10)
+        got = list(stream_windows(iter(series.samples), cfg))
+        for i, a in enumerate(got):
+            assert a.data.flags.owndata and a.data.flags.writeable
+            assert not np.shares_memory(a.data, series.samples)
+            for b in got[i + 1 :]:
+                assert not np.shares_memory(a.data, b.data)
+        before = [w.data.copy() for w in got]
+        got[0].data[:] = 0.0
+        for w, saved in zip(got[1:], before[1:]):
+            assert np.array_equal(w.data, saved)
+
+    @pytest.mark.parametrize("stride", [10, 50, 80])
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [([1.0], "expected 2 fields"), (["x", "1"], "non-numeric"), ([np.inf, 0.0], "non-finite")],
+    )
+    def test_bad_row_midway(self, stride, bad_row, message):
+        """A bad row raises with its index after exactly the windows that
+        completed before it, in the ring and the reference alike."""
+        rows = [list(r) for r in make_series(t=400, c=2, seed=43).samples]
+        bad_index = 237
+        rows[bad_index] = bad_row
+        cfg = WindowingConfig(window_len=50, context_len=49, stride=stride)
+        got, err = collect_until_error(stream_windows(iter(rows), cfg))
+        want, want_err = collect_until_error(reference_stream_windows(iter(rows), cfg))
+        assert err is not None and want_err is not None
+        assert err.record_index == want_err.record_index == bad_index
+        assert str(err) == str(want_err) and message in str(err)
+        assert_same_windows(got, want)
+        assert got and all(w.start_index + 50 <= bad_index for w in got)
+
+
 class TestStreamWindows:
     @pytest.mark.parametrize("stride", [60, 100, 150])
     def test_matches_batch_segmentation(self, stride):
@@ -280,6 +387,57 @@ class TestSocketReplay:
         assert len(streamed) == len(batch)
         for a, b in zip(streamed, batch):
             assert np.array_equal(a.data, b.data)
+
+
+def serve_once(payload: bytes):
+    """A loopback server that sends payload to its first client, then closes."""
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+
+    def serve():
+        conn, _ = server.accept()
+        conn.sendall(payload)
+        conn.close()
+        server.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return server.getsockname()[1], thread
+
+
+class TestRecordIndex:
+    """record_index is the 0-based position among non-blank records in every
+    source, so a CSV file and a socket feed of the same lines agree."""
+
+    LINES = ["1.0,2.0", "", "3.0,4.0", "   ", "", "5.0,6.0", "7.0", "8.0,9.0"]
+    SHORT_RECORD = 3  # "7.0" is the fourth non-blank line
+
+    def test_csv_and_socket_agree(self, tmp_path):
+        payload = "\n".join(self.LINES) + "\n"
+        path = tmp_path / "sig.csv"
+        path.write_text("a,b\n" + payload)
+        cfg = WindowingConfig(window_len=2, context_len=1)
+        with pytest.raises(StreamFormatError) as from_csv:
+            list(stream_windows(csv_sample_source(str(path)), cfg, channel_count=2))
+
+        port, thread = serve_once(payload.encode("utf-8"))
+        with pytest.raises(StreamFormatError) as from_socket:
+            list(stream_windows(socket_sample_source("127.0.0.1", port), cfg, channel_count=2))
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+        assert from_csv.value.record_index == self.SHORT_RECORD
+        assert from_socket.value.record_index == self.SHORT_RECORD
+        assert "expected 2 fields, got 1" in str(from_csv.value)
+        assert "expected 2 fields, got 1" in str(from_socket.value)
+
+    def test_read_signal_csv_counts_the_same(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("a,b\n" + "\n".join(self.LINES) + "\n")
+        with pytest.raises(StreamFormatError) as err:
+            read_signal_csv(str(path), sample_rate_hz=1.0)
+        assert err.value.record_index == self.SHORT_RECORD
 
 
 class TestValidation:

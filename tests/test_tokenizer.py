@@ -11,6 +11,7 @@ from lorm.tokenizer import (
     Codebook,
     CodebookSet,
     assign_token,
+    assign_tokens,
     codebook_file_hash,
     fit_codebook,
     fit_codebook_set,
@@ -139,6 +140,37 @@ class TestAssignment:
         tv = tokenize_window(target, books)
         assert tv.tokens.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("dim", [1, 3, 9, 20])
+    def test_assign_tokens_matches_per_channel_loop(self, dim):
+        """The batched (n, C, K, dim) distances give the per-channel
+        assign_token result for every window, ties included."""
+        rng = np.random.default_rng(dim)
+        books = CodebookSet(
+            codebooks=[
+                Codebook(channel_index=c, centroids=rng.normal(size=(6, dim)))
+                for c in range(3)
+            ]
+        )
+        targets = rng.normal(size=(40, dim, 3))
+        targets[0] = books.codebooks[0].centroids[2][:, None]  # exact hit
+        targets[1, :, 1] = 0.5 * (books.codebooks[1].centroids[0] + books.codebooks[1].centroids[3])
+        got = assign_tokens(targets, books)
+        want = np.array(
+            [[assign_token(t[:, c], books.codebooks[c]) for c in range(3)] for t in targets]
+        )
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_assign_tokens_tie_goes_to_lowest_index(self):
+        books = CodebookSet(codebooks=[Codebook(channel_index=0, centroids=np.array([[0.0], [2.0]]))])
+        assert assign_tokens(np.ones((2, 1, 1)), books).tolist() == [[0], [0]]
+
+    def test_assign_tokens_shape_checks(self):
+        books = CodebookSet(codebooks=[Codebook(channel_index=0, centroids=np.zeros((2, 3)))])
+        with pytest.raises(ValueError, match="dimension"):
+            assign_tokens(np.zeros((4, 2, 1)), books)
+        with pytest.raises(ValueError, match="channels"):
+            assign_tokens(np.zeros((4, 3, 2)), books)
+
     def test_tokens_in_range_property(self):
         pts = blob_points(13, n=100, dim=1, k=4)
         cb = fit_codebook(pts, 4, seed=1)
@@ -188,6 +220,59 @@ class TestCodebookFiles:
         path.write_text(json.dumps({"version": 99, "K": 1, "target_dim": 1, "channels": []}))
         with pytest.raises(ValueError, match="version"):
             load_codebooks(str(path))
+
+    def _doc(self):
+        return {
+            "version": 1,
+            "K": 2,
+            "target_dim": 1,
+            "channels": [
+                {"name": "left", "centroids": [[0.0], [1.0]]},
+                {"name": "right", "centroids": [[-1.0], [2.0]]},
+            ],
+        }
+
+    def _load_broken(self, tmp_path, text):
+        path = tmp_path / "codebooks.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_codebooks(str(path))
+        assert str(path) in str(err.value)
+        return str(err.value)
+
+    def test_valid_doc_loads(self, tmp_path):
+        path = tmp_path / "codebooks.json"
+        path.write_text(json.dumps(self._doc()))
+        assert load_codebooks(str(path)).channel_names == ["left", "right"]
+
+    def test_malformed_json_names_file(self, tmp_path):
+        assert "not a codebooks JSON document" in self._load_broken(tmp_path, '{"version": 1,')
+
+    def test_not_an_object_names_file(self, tmp_path):
+        assert "JSON object" in self._load_broken(tmp_path, "[1, 2]")
+
+    def test_wrong_version_names_file(self, tmp_path):
+        doc = self._doc()
+        doc["version"] = 2
+        assert "version: 2" in self._load_broken(tmp_path, json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["channels", "K", "target_dim"])
+    def test_missing_top_level_key_names_file(self, tmp_path, key):
+        doc = self._doc()
+        del doc[key]
+        assert f"'{key}'" in self._load_broken(tmp_path, json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["name", "centroids"])
+    def test_missing_channel_key_names_file(self, tmp_path, key):
+        doc = self._doc()
+        del doc["channels"][1][key]
+        assert f"'{key}'" in self._load_broken(tmp_path, json.dumps(doc))
+
+    def test_centroid_shape_mismatch_names_file(self, tmp_path):
+        doc = self._doc()
+        doc["channels"][0]["centroids"] = [[0.0, 1.0], [1.0, 2.0]]
+        message = self._load_broken(tmp_path, json.dumps(doc))
+        assert "channel 0: centroid shape mismatch" in message
 
     def test_file_hash_is_sha256(self, tmp_path):
         books = self._books()

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from lorm.model import BackboneConfig, init_model, partition_parameters
+from lorm.sequence import build_mcps
 from lorm.signal_io import (
     ChannelStats,
     MultiChannelSeries,
+    SignalWindow,
     WindowingConfig,
     compute_channel_stats,
+    normalize_window,
     segment_windows,
+    split_context_target,
 )
-from lorm.tokenizer import Codebook, CodebookSet
+from lorm.tokenizer import Codebook, CodebookSet, tokenize_window
 from lorm.train import (
     PROB_FLOOR,
     Adam,
@@ -269,6 +273,49 @@ class TestBuildExamples:
         assert p.shape == (n, 2 * 5, 7)  # ceil(30/7)=5 patches per channel
         assert y.shape == (n, 2)
         assert set(np.unique(y)) <= {0, 1}
+
+    @pytest.mark.parametrize(
+        "window_len, context_len, patch_len, stride",
+        [(31, 30, 7, 31), (21, 20, 5, 4), (25, 21, 4, 9), (40, 33, 16, 13)],
+    )
+    def test_bitwise_equal_to_per_window_loop(self, window_len, context_len, patch_len, stride):
+        """The array path returns the (p, y) of the per-window
+        normalise -> split -> build_mcps / tokenize_window loop it replaced."""
+        rng = np.random.default_rng(window_len + stride)
+        series = MultiChannelSeries(
+            samples=rng.normal(3.0, 2.0, size=(300, 3)),
+            channel_names=["a", "b", "c"],
+            sample_rate_hz=10.0,
+        )
+        windows = segment_windows(
+            series, WindowingConfig(window_len=window_len, context_len=context_len, stride=stride)
+        )
+        stats = compute_channel_stats(series)
+        target_len = window_len - context_len
+        books = CodebookSet(
+            codebooks=[
+                Codebook(channel_index=c, centroids=rng.normal(size=(5, target_len)))
+                for c in range(3)
+            ]
+        )
+        p, y = build_examples(windows, stats, context_len, books, patch_len)
+
+        p_rows, y_rows = [], []
+        for w in windows:
+            context, target = split_context_target(normalize_window(w, stats), context_len)
+            p_rows.append(build_mcps(context, patch_len).rows)
+            y_rows.append(tokenize_window(target, books).tokens)
+        want_p, want_y = np.stack(p_rows), np.stack(y_rows)
+        assert p.dtype == want_p.dtype and p.shape == want_p.shape
+        assert p.tobytes() == want_p.tobytes()
+        assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
+
+    def test_non_finite_after_normalisation_rejected(self):
+        windows = [SignalWindow(data=np.full((11, 1), 1e308))]
+        stats = ChannelStats(mean=np.array([-1e308]), std=np.ones(1))
+        books = CodebookSet(codebooks=[Codebook(channel_index=0, centroids=np.zeros((2, 1)))])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            build_examples(windows, stats, 10, books, patch_len=4)
 
     def test_empty_rejected(self):
         stats = ChannelStats(mean=np.zeros(1), std=np.ones(1))
