@@ -21,18 +21,13 @@ from .model import (
     BackboneConfig,
     Checkpoint,
     CheckpointError,
-    ForwardTrace,
     ModelParameters,
     ParameterPartition,
     TokenDistributions,
-    embed_and_position,
-    encode_context,
     forward_batch,
-    forward_trace,
     init_model,
     load_checkpoint,
     partition_parameters,
-    pool_and_predict,
     save_checkpoint,
 )
 from .monitor import (

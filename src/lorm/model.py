@@ -31,7 +31,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .sequence import PatchSequence
 from .signal_io import ChannelStats
 
 __all__ = [
@@ -39,17 +38,12 @@ __all__ = [
     "ModelParameters",
     "ParameterPartition",
     "TokenDistributions",
-    "ForwardTrace",
     "Checkpoint",
     "CheckpointError",
     "param_shapes",
     "init_model",
     "gelu",
     "gelu_grad",
-    "embed_and_position",
-    "encode_context",
-    "pool_and_predict",
-    "forward_trace",
     "forward_batch",
     "backward_from_scores",
     "partition_parameters",
@@ -222,19 +216,6 @@ class TokenDistributions:
         return self.per_channel.shape[1]
 
 
-@dataclass
-class ForwardTrace:
-    """Every named intermediate of one window's forward pass."""
-
-    E: np.ndarray
-    E_tilde: np.ndarray
-    Z: np.ndarray
-    g: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    distributions: TokenDistributions
-
-
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """normal(0, std) with resampling outside +-2 std."""
     x = rng.normal(0.0, std, size=shape)
@@ -326,20 +307,43 @@ _ERFCX = np.array([(0.0,) * (17 - len(c)) + c for c in _ERFCX_PIECES]).T.copy()
 _ERF_BLOCK = 32768
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
+def _buffer(work: dict | None, key: str, shape: tuple[int, ...], dtype) -> np.ndarray | None:
+    """A C-contiguous ``shape`` array lent by the workspace ``work``, or None
+    without one, so that ``out=_buffer(...)`` allocates as usual.
+
+    A buffer is reallocated only when a call needs more leading rows, other
+    trailing dimensions or another dtype; a smaller batch gets a leading
+    slice of it.
+    """
+    if work is None:
+        return None
+    buf = work.get(key)
+    if buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]:
+        buf = work[key] = np.empty(shape, dtype)
+    return buf[: shape[0]]
+
+
+def _erf(x: np.ndarray, out: np.ndarray | None = None, work: dict | None = None) -> np.ndarray:
     """erf computed in float64 and returned in x's dtype.
 
     Float64 results are within one ulp of the exact erf; a float32 result is
     that value rounded to float32, which is the correctly rounded erf for
     every float32 input. The array is worked through in blocks so that every
-    Horner pass runs in cache; elements with |x| >= 1 (or NaN) are gathered
-    and finished by :func:`_erf_tail`.
+    Horner pass runs in cache; elements with |x| >= 1 (or NaN) are finished
+    by :func:`_erf_tail`. ``out`` (C-contiguous, x's shape and dtype) may be
+    x itself; a workspace ``work`` lends the float64 scratch.
     """
     flat = x.reshape(-1)
-    out = np.empty(flat.size, x.dtype)
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
+    dest = out.reshape(-1)
     size = min(flat.size, _ERF_BLOCK)
-    a, z, r = np.empty(size), np.empty(size), np.empty(size)
-    tail = []
+    if work is None:
+        # three arrays as before: at B=1 each stays under glibc's 128 KB
+        # mmap threshold, where one 3n block would not
+        a, z, r = np.empty(size), np.empty(size), np.empty(size)
+    else:
+        a, z, r = _buffer(work, "erf", (3 * size,), np.float64).reshape(3, size)
     # |x| >= 1 overflows or meets inf - inf in the polynomial; _erf_tail
     # overwrites those elements
     with np.errstate(over="ignore", invalid="ignore"):
@@ -355,13 +359,11 @@ def _erf(x: np.ndarray) -> np.ndarray:
             np.add(r_, _ERF_SMALL[-1], out=r_)
             np.multiply(r_, a_, out=r_)
             np.add(r_, a_, out=r_)
-            out[start:stop] = r_
             if not z_.max() < 1.0:  # also taken for NaN
-                tail.append(start + np.flatnonzero(~(z_ < 1.0)))
-    if tail:
-        idx = np.concatenate(tail)
-        out[idx] = _erf_tail(flat[idx].astype(np.float64))
-    return out.reshape(x.shape)
+                idx = np.flatnonzero(~(z_ < 1.0))
+                r_[idx] = _erf_tail(a_[idx])
+            dest[start:stop] = r_
+    return out
 
 
 def _erf_tail(a: np.ndarray) -> np.ndarray:
@@ -379,21 +381,33 @@ def _erf_tail(a: np.ndarray) -> np.ndarray:
     return np.copysign(result, a)
 
 
-def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu(
+    x: np.ndarray, work: dict | None = None, key: str = "gelu"
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gaussian-CDF GELU (not the tanh approximation).
 
     Returns (x * Phi(x), Phi(x)); pass Phi on to :func:`gelu_grad` so that
-    the backward pass does not evaluate erf again.
+    the backward pass does not evaluate erf again. With a workspace ``work``
+    both are its buffers ``key + ".act"`` and ``key + ".cdf"``.
     """
-    cdf = 0.5 * (1.0 + _erf(x / np.sqrt(x.dtype.type(2.0))))
-    return x * cdf, cdf
+    act = _buffer(work, key + ".act", x.shape, x.dtype)
+    cdf = np.divide(x, np.sqrt(x.dtype.type(2.0)), out=_buffer(work, key + ".cdf", x.shape, x.dtype))
+    _erf(cdf, out=cdf, work=work)
+    cdf += 1.0
+    cdf *= 0.5
+    return np.multiply(x, cdf, out=act), cdf
 
 
-def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+def gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """d gelu / dx = Phi(x) + x * phi(x), with cdf = Phi(x) as from gelu."""
     dt = x.dtype.type
-    phi = np.exp(-0.5 * x * x) / np.sqrt(dt(2.0) * dt(np.pi))
-    return cdf + x * phi
+    grad = np.multiply(-0.5, x, out=out)
+    grad *= x
+    np.exp(grad, out=grad)
+    grad /= np.sqrt(dt(2.0) * dt(np.pi))  # phi(x)
+    grad *= x
+    grad += cdf
+    return grad
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -417,8 +431,8 @@ def _layer_norm_backward(dy, xhat, inv_std, gain):
     return dx, dgain, dbias
 
 
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    e = x - x.max(axis=-1, keepdims=True)
+def _softmax_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -447,12 +461,20 @@ def forward_batch(
     params: ModelParameters,
     cfg: BackboneConfig,
     want_cache: bool = False,
+    work: dict | None = None,
 ):
     """Run the full network on a (B, NC, h) batch of patch sequences.
 
     Returns (distributions (B, C, K) float64, cache); the cache holds every
     intermediate needed by :func:`backward_from_scores` and is None unless
     requested.
+
+    ``work`` is an optional workspace, a plain dict that lends the large
+    activations (attention probabilities, FFN pre-activations, GELU outputs
+    and scratch) their buffers, so that repeated calls with one batch shape
+    allocate none of them again. Results are the same bits with or without
+    it. A cache built on a workspace stays valid only until that workspace
+    is next used, and concurrent calls must not share one.
     """
     dtype = params.dtype.type
     x_in = np.ascontiguousarray(p_batch, dtype=dtype)
@@ -477,10 +499,13 @@ def forward_batch(
         q = _split_heads(a_in @ params[f"{pre}.attn.w_q"] + params[f"{pre}.attn.b_q"], nh)
         k = _split_heads(a_in @ params[f"{pre}.attn.w_k"] + params[f"{pre}.attn.b_k"], nh)
         v = _split_heads(a_in @ params[f"{pre}.attn.w_v"] + params[f"{pre}.attn.b_v"], nh)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+        scores = np.matmul(
+            q, k.transpose(0, 1, 3, 2), out=_buffer(work, pre + ".attn", (b, nh, t, t), dtype)
+        )
+        scores *= scale
         if causal:
             np.copyto(scores, dtype(-np.inf), where=neg_mask)
-        attn = _softmax_last(scores)
+        attn = _softmax_last(scores, out=scores)
         heads = _merge_heads(attn @ v)
         attn_out = heads @ params[f"{pre}.attn.w_o"] + params[f"{pre}.attn.b_o"]
         x_mid = x + attn_out
@@ -488,8 +513,12 @@ def forward_batch(
         f_in, xhat2, inv2 = _layer_norm(
             x_mid, params[f"{pre}.ln2.gain"], params[f"{pre}.ln2.bias"]
         )
-        h_pre = f_in @ params[f"{pre}.ffn.w1"] + params[f"{pre}.ffn.b1"]
-        h_act, h_cdf = gelu(h_pre)
+        h_pre = np.matmul(
+            f_in, params[f"{pre}.ffn.w1"],
+            out=_buffer(work, pre + ".h_pre", (b, t, cfg.ffn_dim), dtype),
+        )
+        h_pre += params[f"{pre}.ffn.b1"]
+        h_act, h_cdf = gelu(h_pre, work, pre + ".gelu")
         ffn_out = h_act @ params[f"{pre}.ffn.w2"] + params[f"{pre}.ffn.b2"]
         x_next = x_mid + ffn_out
 
@@ -516,30 +545,45 @@ def forward_batch(
     cache = None
     if want_cache:
         cache = dict(
-            cfg=cfg, params=params, p=x_in, e_tilde=e_tilde, layers=layers_cache,
+            cfg=cfg, params=params, work=work, p=x_in, e_tilde=e_tilde, layers=layers_cache,
             x_last=x, xhat_f=xhat_f, inv_f=inv_f, z=z, g=g, g_act=g_act, g_cdf=g_cdf,
             xhat_h=xhat_h, inv_h=inv_h, u=u, v=v_scores, dists=dists,
         )
     return dists, cache
 
 
-def backward_from_scores(cache: dict, d_scores: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate d loss / d v (shape (B, K*C) or (B, C, K)) to every parameter.
+def backward_from_scores(
+    cache: dict, d_scores: np.ndarray, trainable: Iterable[str] | None = None
+) -> dict[str, np.ndarray]:
+    """Backpropagate d loss / d v (shape (B, K*C) or (B, C, K)) to the parameters.
 
-    Gradients are returned for all parameters; the optimiser decides which
-    subset to apply.
+    Returns the gradients of the names in ``trainable``, or of every
+    parameter when it is None. Weight-gradient products of the other tensors
+    are skipped, while d loss / dx still flows through every layer down to
+    the embedding. Large temporaries come from the workspace the forward
+    pass used, if any.
     """
     cfg: BackboneConfig = cache["cfg"]
     params: ModelParameters = cache["params"]
+    work = cache["work"]
     dtype = params.dtype.type
     b, t = cache["p"].shape[0], cfg.max_seq_len
     nh, dh = cfg.num_heads, cfg.head_dim
     scale = dtype(1.0 / np.sqrt(dh))
+    keep = None if trainable is None else list(trainable)
+    skip = frozenset() if keep is None else frozenset(params.names()).difference(keep)
     grads: dict[str, np.ndarray] = {}
+
+    def dense(w_name: str, b_name: str | None, x_rows: np.ndarray, dy_rows: np.ndarray) -> None:
+        """Gradients of w and b in y = x @ w + b, unless skipped."""
+        if w_name not in skip:
+            grads[w_name] = x_rows.T @ dy_rows
+        if b_name is not None and b_name not in skip:
+            grads[b_name] = dy_rows.sum(axis=0)
 
     dv = np.ascontiguousarray(d_scores, dtype=dtype).reshape(b, -1)
 
-    grads["head.w_c"] = cache["u"].T @ dv
+    dense("head.w_c", None, cache["u"], dv)
     du = dv @ params["head.w_c"].T
     dg_act, grads["head_ln.gain"], grads["head_ln.bias"] = _layer_norm_backward(
         du, cache["xhat_h"], cache["inv_h"], params["head_ln.gain"]
@@ -556,16 +600,17 @@ def backward_from_scores(cache: dict, d_scores: np.ndarray) -> dict[str, np.ndar
 
         # feed-forward branch
         d_ffn_out = dx
-        flat_h = lc["h_act"].reshape(b * t, -1)
         flat_dffn = d_ffn_out.reshape(b * t, -1)
-        grads[f"{pre}.ffn.w2"] = flat_h.T @ flat_dffn
-        grads[f"{pre}.ffn.b2"] = flat_dffn.sum(axis=0)
-        dh_act = d_ffn_out @ params[f"{pre}.ffn.w2"].T
-        dh_pre = dh_act * gelu_grad(lc["h_pre"], lc["h_cdf"])
-        flat_fin = lc["f_in"].reshape(b * t, -1)
-        flat_dhpre = dh_pre.reshape(b * t, -1)
-        grads[f"{pre}.ffn.w1"] = flat_fin.T @ flat_dhpre
-        grads[f"{pre}.ffn.b1"] = flat_dhpre.sum(axis=0)
+        dense(f"{pre}.ffn.w2", f"{pre}.ffn.b2", lc["h_act"].reshape(b * t, -1), flat_dffn)
+        ffn_shape = (b, t, cfg.ffn_dim)
+        dh_pre = np.matmul(
+            d_ffn_out, params[f"{pre}.ffn.w2"].T, out=_buffer(work, "dh_pre", ffn_shape, dtype)
+        )
+        dh_pre *= gelu_grad(
+            lc["h_pre"], lc["h_cdf"], out=_buffer(work, "gelu_grad", ffn_shape, dtype)
+        )
+        dense(f"{pre}.ffn.w1", f"{pre}.ffn.b1", lc["f_in"].reshape(b * t, -1),
+              dh_pre.reshape(b * t, -1))
         df_in = dh_pre @ params[f"{pre}.ffn.w1"].T
         dx_mid_ln, grads[f"{pre}.ln2.gain"], grads[f"{pre}.ln2.bias"] = _layer_norm_backward(
             df_in, lc["xhat2"], lc["inv2"], params[f"{pre}.ln2.gain"]
@@ -574,16 +619,18 @@ def backward_from_scores(cache: dict, d_scores: np.ndarray) -> dict[str, np.ndar
 
         # attention branch
         d_attn_out = dx_mid
-        flat_heads = lc["heads"].reshape(b * t, -1)
-        flat_dao = d_attn_out.reshape(b * t, -1)
-        grads[f"{pre}.attn.w_o"] = flat_heads.T @ flat_dao
-        grads[f"{pre}.attn.b_o"] = flat_dao.sum(axis=0)
+        dense(f"{pre}.attn.w_o", f"{pre}.attn.b_o", lc["heads"].reshape(b * t, -1),
+              d_attn_out.reshape(b * t, -1))
         d_heads = _split_heads(d_attn_out @ params[f"{pre}.attn.w_o"].T, nh)
 
-        d_attn = d_heads @ lc["v"].transpose(0, 1, 3, 2)
-        dv_h = lc["attn"].transpose(0, 1, 3, 2) @ d_heads
         a = lc["attn"]
-        d_scores_attn = a * (d_attn - np.sum(d_attn * a, axis=-1, keepdims=True))
+        d_scores_attn = np.matmul(
+            d_heads, lc["v"].transpose(0, 1, 3, 2), out=_buffer(work, "d_attn", a.shape, dtype)
+        )
+        dv_h = a.transpose(0, 1, 3, 2) @ d_heads
+        d_attn_a = np.multiply(d_scores_attn, a, out=_buffer(work, "d_attn_a", a.shape, dtype))
+        d_scores_attn -= np.sum(d_attn_a, axis=-1, keepdims=True)
+        d_scores_attn *= a
         dq = (d_scores_attn @ lc["k"]) * scale
         dk = (d_scores_attn.transpose(0, 1, 3, 2) @ lc["q"]) * scale
 
@@ -591,12 +638,8 @@ def backward_from_scores(cache: dict, d_scores: np.ndarray) -> dict[str, np.ndar
         dk_f = _merge_heads(dk).reshape(b * t, -1)
         dv_f = _merge_heads(dv_h).reshape(b * t, -1)
         flat_ain = lc["a_in"].reshape(b * t, -1)
-        grads[f"{pre}.attn.w_q"] = flat_ain.T @ dq_f
-        grads[f"{pre}.attn.b_q"] = dq_f.sum(axis=0)
-        grads[f"{pre}.attn.w_k"] = flat_ain.T @ dk_f
-        grads[f"{pre}.attn.b_k"] = dk_f.sum(axis=0)
-        grads[f"{pre}.attn.w_v"] = flat_ain.T @ dv_f
-        grads[f"{pre}.attn.b_v"] = dv_f.sum(axis=0)
+        for name, d_rows in (("q", dq_f), ("k", dk_f), ("v", dv_f)):
+            dense(f"{pre}.attn.w_{name}", f"{pre}.attn.b_{name}", flat_ain, d_rows)
 
         da_in = (
             dq_f @ params[f"{pre}.attn.w_q"].T
@@ -608,83 +651,10 @@ def backward_from_scores(cache: dict, d_scores: np.ndarray) -> dict[str, np.ndar
         )
         dx = dx_mid + dx_ln
 
-    grads["pos.p_pos"] = dx.sum(axis=0)
-    flat_p = cache["p"].reshape(b * t, -1)
-    grads["embed.w_e"] = flat_p.T @ dx.reshape(b * t, -1)
-    return grads
-
-
-def _as_rows(mcps) -> np.ndarray:
-    if isinstance(mcps, PatchSequence):
-        return mcps.rows
-    return np.asarray(mcps)
-
-
-def embed_and_position(mcps, params: ModelParameters) -> tuple[np.ndarray, np.ndarray]:
-    """E = P @ W_E and E~ = E + P_pos for one window."""
-    rows = _as_rows(mcps).astype(params.dtype)
-    pos = params["pos.p_pos"]
-    if rows.shape != (pos.shape[0], params["embed.w_e"].shape[0]):
-        raise ValueError("window shape differs from training configuration")
-    e = rows @ params["embed.w_e"]
-    return e, e + pos
-
-
-def encode_context(e_tilde: np.ndarray, params: ModelParameters, cfg: BackboneConfig) -> np.ndarray:
-    """Contextualise one window's E~ through the Transformer blocks."""
-    dtype = params.dtype.type
-    x = np.asarray(e_tilde, dtype=dtype)[None, :, :]
-    if x.shape[1] != cfg.max_seq_len or x.shape[2] != cfg.hidden_dim:
-        raise ValueError("window shape differs from training configuration")
-    nh, dh = cfg.num_heads, cfg.head_dim
-    scale = dtype(1.0 / np.sqrt(dh))
-    t = cfg.max_seq_len
-    causal = cfg.attention_mode == "causal"
-    if causal:
-        neg_mask = _causal_mask(t)
-    for l in range(cfg.num_layers):
-        pre = f"layers.{l}"
-        a_in, _, _ = _layer_norm(x, params[f"{pre}.ln1.gain"], params[f"{pre}.ln1.bias"])
-        q = _split_heads(a_in @ params[f"{pre}.attn.w_q"] + params[f"{pre}.attn.b_q"], nh)
-        k = _split_heads(a_in @ params[f"{pre}.attn.w_k"] + params[f"{pre}.attn.b_k"], nh)
-        v = _split_heads(a_in @ params[f"{pre}.attn.w_v"] + params[f"{pre}.attn.b_v"], nh)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        if causal:
-            np.copyto(scores, dtype(-np.inf), where=neg_mask)
-        heads = _merge_heads(_softmax_last(scores) @ v)
-        x = x + heads @ params[f"{pre}.attn.w_o"] + params[f"{pre}.attn.b_o"]
-        f_in, _, _ = _layer_norm(x, params[f"{pre}.ln2.gain"], params[f"{pre}.ln2.bias"])
-        h_act, _ = gelu(f_in @ params[f"{pre}.ffn.w1"] + params[f"{pre}.ffn.b1"])
-        x = x + h_act @ params[f"{pre}.ffn.w2"] + params[f"{pre}.ffn.b2"]
-    z, _, _ = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
-    return z[0]
-
-
-def pool_and_predict(
-    z: np.ndarray, params: ModelParameters, cfg: BackboneConfig
-) -> tuple[np.ndarray, TokenDistributions]:
-    """Mean-pool Z, run the head, and split scores into per-channel softmaxes."""
-    z = np.asarray(z, dtype=params.dtype)
-    g = z.mean(axis=0)
-    u, _, _ = _layer_norm(gelu(g)[0], params["head_ln.gain"], params["head_ln.bias"])
-    v = u @ params["head.w_c"]
-    blocks = v.astype(np.float64).reshape(cfg.num_channels, cfg.num_tokens)
-    return g, TokenDistributions(per_channel=_softmax_last(blocks))
-
-
-def forward_trace(mcps, params: ModelParameters, cfg: BackboneConfig) -> ForwardTrace:
-    """Full single-window forward pass with every intermediate retained."""
-    rows = _as_rows(mcps)
-    dists, cache = forward_batch(rows[None, :, :], params, cfg, want_cache=True)
-    return ForwardTrace(
-        E=cache["p"][0] @ params["embed.w_e"],
-        E_tilde=cache["e_tilde"][0],
-        Z=cache["z"][0],
-        g=cache["g"][0],
-        u=cache["u"][0],
-        v=cache["v"][0],
-        distributions=TokenDistributions(per_channel=dists[0]),
-    )
+    if "pos.p_pos" not in skip:
+        grads["pos.p_pos"] = dx.sum(axis=0)
+    dense("embed.w_e", None, cache["p"].reshape(b * t, -1), dx.reshape(b * t, -1))
+    return grads if keep is None else {n: grads[n] for n in keep}
 
 
 class CheckpointError(ValueError):

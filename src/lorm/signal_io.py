@@ -23,7 +23,6 @@ __all__ = [
     "zscore",
     "normalize_series",
     "normalize_window",
-    "normalize_windows",
     "segment_windows",
     "split_context_target",
     "stream_windows",
@@ -195,12 +194,6 @@ def normalize_series(series: MultiChannelSeries, stats: ChannelStats) -> MultiCh
 def normalize_window(window: SignalWindow, stats: ChannelStats) -> SignalWindow:
     """Apply the series normalisation to a single window."""
     return SignalWindow(data=zscore(window.data, stats), start_index=window.start_index)
-
-
-def normalize_windows(
-    windows: Sequence[SignalWindow], stats: ChannelStats
-) -> list[SignalWindow]:
-    return [normalize_window(w, stats) for w in windows]
 
 
 def segment_windows(series: MultiChannelSeries, cfg: WindowingConfig) -> list[SignalWindow]:

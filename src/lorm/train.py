@@ -190,21 +190,26 @@ def loss_and_grad(
     y_batch: np.ndarray,
     params: ModelParameters,
     cfg: BackboneConfig,
+    trainable: Sequence[str] | None = None,
+    work: dict | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch loss and gradients for every parameter.
+    """Batch loss and the gradients of the names in ``trainable`` (every
+    parameter when None).
 
     The gradient at the scores is (pi - onehot(y)) / (B * C); channels whose
     picked probability sits below the clamp floor contribute no gradient.
+    ``work`` is an optional workspace for the large activations, see
+    :func:`lorm.model.forward_batch`.
     """
     y = np.asarray(y_batch, dtype=np.int64)
-    dists, cache = forward_batch(p_batch, params, cfg, want_cache=True)
+    dists, cache = forward_batch(p_batch, params, cfg, want_cache=True, work=work)
     b, c, _ = dists.shape
     loss, clamped = _batch_ce(dists, y)
     dv = dists.copy()
     dv[np.arange(b)[:, None], np.arange(c)[None, :], y] -= 1.0
     dv /= float(b * c)
     dv[clamped] = 0.0
-    return loss, backward_from_scores(cache, dv)
+    return loss, backward_from_scores(cache, dv, trainable)
 
 
 def dataset_loss(
@@ -213,6 +218,7 @@ def dataset_loss(
     params: ModelParameters,
     cfg: BackboneConfig,
     batch_size: int = 32,
+    work: dict | None = None,
 ) -> float:
     """Mean window loss over a whole dataset, evaluated without gradients."""
     n = p.shape[0]
@@ -222,7 +228,7 @@ def dataset_loss(
     y = np.asarray(y, dtype=np.int64)
     for start in range(0, n, batch_size):
         chunk = slice(start, min(start + batch_size, n))
-        dists, _ = forward_batch(p[chunk], params, cfg)
+        dists, _ = forward_batch(p[chunk], params, cfg, work=work)
         loss, _ = _batch_ce(dists, y[chunk])
         total += loss * (chunk.stop - chunk.start)
     return total / n
@@ -242,7 +248,9 @@ def train_model(
 
     Mutates params in place and leaves them at the best-validation epoch.
     With freeze=True only the embedding, position, norm, and head tensors are
-    updated; attention and feed-forward stay untouched.
+    updated, and the weight gradients of the frozen attention and
+    feed-forward tensors are not computed. Every step and validation pass
+    reuses one workspace of activation buffers for the length of the call.
     """
     train_cfg = train_cfg or TrainConfig()
     n = p_train.shape[0]
@@ -265,6 +273,7 @@ def train_model(
     )
 
     rng = np.random.default_rng(train_cfg.seed)
+    work: dict[str, np.ndarray] = {}
     report = TrainReport()
     best_state: ModelParameters | None = None
     since_best = 0
@@ -275,7 +284,7 @@ def train_model(
         epoch_loss = 0.0
         for start in range(0, n, train_cfg.batch_size):
             idx = order[start : start + train_cfg.batch_size]
-            loss, grads = loss_and_grad(p_train[idx], y_train[idx], params, cfg)
+            loss, grads = loss_and_grad(p_train[idx], y_train[idx], params, cfg, trainable, work)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite training loss {loss} at epoch {epoch}, "
@@ -285,7 +294,7 @@ def train_model(
             epoch_loss += loss * len(idx)
         epoch_loss /= n
 
-        val_loss = dataset_loss(p_val, y_val, params, cfg, train_cfg.batch_size)
+        val_loss = dataset_loss(p_val, y_val, params, cfg, train_cfg.batch_size, work)
         if not np.isfinite(val_loss):
             raise RuntimeError(f"non-finite validation loss {val_loss} at epoch {epoch}")
         report.epochs.append(epoch)

@@ -12,6 +12,7 @@ import pytest
 
 import lorm
 from lorm.cli import ConfigError, load_run_config, main
+from lorm.synth import SynthConfig
 
 PIPELINE_CONFIG = {
     "seed": 3,
@@ -246,6 +247,21 @@ class TestPipeline:
             thread.join(timeout=10)
             server.close()
         assert (tcp_dir / "hi.csv").read_bytes() == (file_dir / "hi.csv").read_bytes()
+
+
+def test_readme_degrading_run_wears_after_onset(tmp_path):
+    """The README quick start's second synth writes a degrading run: wear
+    holds at its start value until the onset cut, then rises past the
+    300 um limit."""
+    assert main(["synth", "--out", str(tmp_path), "--set", "synth.degradation_rate=0.00028"]) == 0
+    rows = (tmp_path / "wear.csv").read_text().splitlines()[1:]
+    wear = [float(row.split(",")[1]) for row in rows]
+    defaults = SynthConfig()
+    onset_cut = defaults.degradation_onset * defaults.cuts // defaults.duration_samples
+    assert len(wear) == defaults.cuts
+    assert wear[:onset_cut] == [wear[0]] * onset_cut
+    assert all(b > a for a, b in zip(wear[onset_cut - 1 :], wear[onset_cut:]))
+    assert wear[-1] > 300.0
 
 
 class TestConfigHandling:

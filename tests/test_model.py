@@ -12,22 +12,22 @@ from lorm.model import (
     BackboneConfig,
     CheckpointError,
     TokenDistributions,
-    embed_and_position,
-    encode_context,
+    backward_from_scores,
     forward_batch,
-    forward_trace,
     gelu,
     gelu_grad,
     init_model,
     load_checkpoint,
     param_shapes,
     partition_parameters,
-    pool_and_predict,
     save_checkpoint,
     _causal_mask,
     _erf,
     _layer_norm,
+    _layer_norm_backward,
+    _merge_heads,
     _softmax_last,
+    _split_heads,
 )
 from lorm.signal_io import ChannelStats
 
@@ -45,6 +45,12 @@ TINY = BackboneConfig(
 
 def tiny_params(seed=1, dtype=np.float64):
     return init_model(TINY, seed=seed, dtype=dtype)
+
+
+def one_window(rows, params, cfg):
+    """forward_batch on one window: (its (C, K) distributions, its cache)."""
+    dists, cache = forward_batch(rows[None, :, :], params, cfg, want_cache=True)
+    return dists[0], cache
 
 
 # --- independent reference implementation, plain loops and per-head slices ---
@@ -206,27 +212,26 @@ class TestForward:
         params = tiny_params()
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(6, 5))
-        e, e_tilde = embed_and_position(rows, params)
-        we = params["embed.w_e"]
+        _, cache = one_window(rows, params, TINY)
+        we, pos = params["embed.w_e"], params["pos.p_pos"]
         for t in range(6):
             for j in range(8):
                 acc = 0.0
                 for i in range(5):
                     acc += rows[t, i] * we[i, j]
-                assert e[t, j] == pytest.approx(acc, abs=1e-10)
-        assert np.allclose(e_tilde, e + params["pos.p_pos"], atol=1e-12)
+                assert cache["e_tilde"][0, t, j] == pytest.approx(acc + pos[t, j], abs=1e-10)
 
     def test_full_forward_matches_reference(self):
         params = tiny_params(seed=2)
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(6, 5))
-        trace = forward_trace(rows, params, TINY)
-        z, g, u, scores, dists = ref_forward(rows, params, TINY)
-        assert np.allclose(trace.Z, z, atol=1e-8)
-        assert np.allclose(trace.g, g, atol=1e-8)
-        assert np.allclose(trace.u, u, atol=1e-8)
-        assert np.allclose(trace.v, scores, atol=1e-8)
-        assert np.allclose(trace.distributions.per_channel, dists, atol=1e-8)
+        dists, cache = one_window(rows, params, TINY)
+        z, g, u, scores, ref_dists = ref_forward(rows, params, TINY)
+        assert np.allclose(cache["z"][0], z, atol=1e-8)
+        assert np.allclose(cache["g"][0], g, atol=1e-8)
+        assert np.allclose(cache["u"][0], u, atol=1e-8)
+        assert np.allclose(cache["v"][0], scores, atol=1e-8)
+        assert np.allclose(dists, ref_dists, atol=1e-8)
 
     def test_reference_match_bidirectional_two_layers(self):
         cfg = BackboneConfig(
@@ -237,44 +242,31 @@ class TestForward:
         params = init_model(cfg, seed=7, dtype=np.float64)
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(5, 4))
-        trace = forward_trace(rows, params, cfg)
-        *_, dists = ref_forward(rows, params, cfg)
-        assert np.allclose(trace.distributions.per_channel, dists, atol=1e-8)
-
-    def test_staged_ops_match_trace(self):
-        params = tiny_params(seed=9)
-        rng = np.random.default_rng(10)
-        rows = rng.normal(size=(6, 5))
-        trace = forward_trace(rows, params, TINY)
-        e, e_tilde = embed_and_position(rows, params)
-        z = encode_context(e_tilde, params, TINY)
-        g, dists = pool_and_predict(z, params, TINY)
-        assert np.allclose(z, trace.Z, atol=1e-12)
-        assert np.allclose(g, trace.g, atol=1e-12)
-        assert np.allclose(dists.per_channel, trace.distributions.per_channel, atol=1e-12)
+        dists, _ = one_window(rows, params, cfg)
+        *_, ref_dists = ref_forward(rows, params, cfg)
+        assert np.allclose(dists, ref_dists, atol=1e-8)
 
     def test_distributions_sum_to_one(self):
         params = tiny_params(dtype=np.float32)
         rng = np.random.default_rng(11)
         for _ in range(20):
             rows = rng.normal(size=(6, 5)) * 10
-            trace = forward_trace(rows, params, TINY)
-            sums = trace.distributions.per_channel.sum(axis=1)
-            assert np.all(np.abs(sums - 1.0) <= 1e-9)
+            dists, _ = one_window(rows, params, TINY)
+            assert np.all(np.abs(dists.sum(axis=1) - 1.0) <= 1e-9)
 
     def test_deterministic(self):
         params = tiny_params()
         rows = np.random.default_rng(12).normal(size=(6, 5))
-        a = forward_trace(rows, params, TINY)
-        b = forward_trace(rows, params, TINY)
-        assert np.array_equal(a.distributions.per_channel, b.distributions.per_channel)
+        a, _ = one_window(rows, params, TINY)
+        b, _ = one_window(rows, params, TINY)
+        assert np.array_equal(a, b)
 
     def test_shape_mismatch_error(self):
         params = tiny_params()
         with pytest.raises(ValueError, match="window shape differs from training configuration"):
             forward_batch(np.zeros((1, 7, 5)), params, TINY)
         with pytest.raises(ValueError, match="window shape differs from training configuration"):
-            embed_and_position(np.zeros((6, 4)), params)
+            forward_batch(np.zeros((1, 6, 4)), params, TINY)
 
 
 class TestErf:
@@ -321,6 +313,29 @@ class TestErf:
         assert act.dtype == grad.dtype == dtype
         assert act.tobytes() == old_act.tobytes()
         assert grad.tobytes() == old_grad.tobytes()
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_buffered_erf_and_gelu_are_bitwise(self, dtype):
+        """In place, with a workspace, or allocating: the same bytes,
+        including the |x| >= 1 tail, NaN and a second, smaller call."""
+        rng = np.random.default_rng(5)
+        work = {}
+        for shape in ((3, 12_000), (2, 12_000)):
+            x = rng.normal(0.0, 3.0, size=shape).astype(dtype)
+            x.flat[::997] = np.nan
+            want = _erf(x)
+            inplace = x.copy()
+            _erf(inplace, out=inplace, work=work)
+            assert inplace.tobytes() == want.tobytes()
+            want_act, want_cdf, want_grad = old_gelu(x)
+            for w in (None, work):
+                act, cdf = gelu(x, w, "g")
+                grad = gelu_grad(x, cdf, out=None if w is None else np.empty_like(x))
+                assert act.tobytes() == want_act.tobytes()
+                assert cdf.tobytes() == want_cdf.tobytes()
+                assert grad.tobytes() == want_grad.tobytes()
+        assert work["g.act"].shape == (3, 12_000) and act.base is work["g.act"]
 
 
 def old_layer_norm(x, gain, bias, eps=1e-5):
@@ -370,6 +385,163 @@ class TestInPlaceKernels:
         assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
+def old_gelu(x):
+    """The out-of-place GELU formulas the buffered gelu / gelu_grad replaced."""
+    dt = x.dtype.type
+    cdf = 0.5 * (1.0 + _erf(x / np.sqrt(dt(2.0))))
+    grad = cdf + x * (np.exp(-0.5 * x * x) / np.sqrt(dt(2.0) * dt(np.pi)))
+    return x * cdf, cdf, grad
+
+
+def old_forward_backward(p, params, cfg, d_scores):
+    """The allocating forward and backward passes that the workspace and the
+    frozen-gradient skip replaced, kept as the reference: (dists, z, grads)."""
+    dtype = params.dtype.type
+    x_in = np.ascontiguousarray(p, dtype=dtype)
+    b, t, _ = x_in.shape
+    nh = cfg.num_heads
+    scale = dtype(1.0 / np.sqrt(cfg.head_dim))
+    x = x_in @ params["embed.w_e"] + params["pos.p_pos"]
+    layers = []
+    for l in range(cfg.num_layers):
+        pre = f"layers.{l}"
+        a_in, xhat1, inv1 = _layer_norm(x, params[f"{pre}.ln1.gain"], params[f"{pre}.ln1.bias"])
+        q, k, v = (
+            _split_heads(a_in @ params[f"{pre}.attn.w_{n}"] + params[f"{pre}.attn.b_{n}"], nh)
+            for n in "qkv"
+        )
+        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+        if cfg.attention_mode == "causal":
+            scores = np.where(_causal_mask(t), dtype(-np.inf), scores)
+        attn = old_softmax_last(scores)
+        heads = _merge_heads(attn @ v)
+        x_mid = x + (heads @ params[f"{pre}.attn.w_o"] + params[f"{pre}.attn.b_o"])
+        f_in, xhat2, inv2 = _layer_norm(x_mid, params[f"{pre}.ln2.gain"], params[f"{pre}.ln2.bias"])
+        h_pre = f_in @ params[f"{pre}.ffn.w1"] + params[f"{pre}.ffn.b1"]
+        h_act, _, h_grad = old_gelu(h_pre)
+        layers.append((xhat1, inv1, a_in, q, k, v, attn, heads, xhat2, inv2, f_in, h_act, h_grad))
+        x = x_mid + (h_act @ params[f"{pre}.ffn.w2"] + params[f"{pre}.ffn.b2"])
+    z, xhat_f, inv_f = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
+    g = z.mean(axis=1)
+    g_act, _, g_grad = old_gelu(g)
+    u, xhat_h, inv_h = _layer_norm(g_act, params["head_ln.gain"], params["head_ln.bias"])
+    dists = old_softmax_last(
+        (u @ params["head.w_c"]).astype(np.float64).reshape(b, cfg.num_channels, cfg.num_tokens)
+    )
+
+    grads = {}
+    dv = np.ascontiguousarray(d_scores, dtype=dtype).reshape(b, -1)
+    grads["head.w_c"] = u.T @ dv
+    dg_act, grads["head_ln.gain"], grads["head_ln.bias"] = _layer_norm_backward(
+        dv @ params["head.w_c"].T, xhat_h, inv_h, params["head_ln.gain"]
+    )
+    dz = np.repeat((dg_act * g_grad)[:, None, :], t, axis=1) / dtype(t)
+    dx, grads["final_ln.gain"], grads["final_ln.bias"] = _layer_norm_backward(
+        dz, xhat_f, inv_f, params["final_ln.gain"]
+    )
+    for l in range(cfg.num_layers - 1, -1, -1):
+        pre = f"layers.{l}"
+        xhat1, inv1, a_in, q, k, v, a, heads, xhat2, inv2, f_in, h_act, h_grad = layers[l]
+        flat = lambda arr: arr.reshape(b * t, -1)
+        grads[f"{pre}.ffn.w2"] = flat(h_act).T @ flat(dx)
+        grads[f"{pre}.ffn.b2"] = flat(dx).sum(axis=0)
+        dh_pre = (dx @ params[f"{pre}.ffn.w2"].T) * h_grad
+        grads[f"{pre}.ffn.w1"] = flat(f_in).T @ flat(dh_pre)
+        grads[f"{pre}.ffn.b1"] = flat(dh_pre).sum(axis=0)
+        dx_mid_ln, grads[f"{pre}.ln2.gain"], grads[f"{pre}.ln2.bias"] = _layer_norm_backward(
+            dh_pre @ params[f"{pre}.ffn.w1"].T, xhat2, inv2, params[f"{pre}.ln2.gain"]
+        )
+        dx_mid = dx + dx_mid_ln
+        grads[f"{pre}.attn.w_o"] = flat(heads).T @ flat(dx_mid)
+        grads[f"{pre}.attn.b_o"] = flat(dx_mid).sum(axis=0)
+        d_heads = _split_heads(dx_mid @ params[f"{pre}.attn.w_o"].T, nh)
+        d_attn = d_heads @ v.transpose(0, 1, 3, 2)
+        d_s = a * (d_attn - np.sum(d_attn * a, axis=-1, keepdims=True))
+        d_rows = {
+            "q": flat(_merge_heads((d_s @ k) * scale)),
+            "k": flat(_merge_heads((d_s.transpose(0, 1, 3, 2) @ q) * scale)),
+            "v": flat(_merge_heads(a.transpose(0, 1, 3, 2) @ d_heads)),
+        }
+        for n in "qkv":
+            grads[f"{pre}.attn.w_{n}"] = flat(a_in).T @ d_rows[n]
+            grads[f"{pre}.attn.b_{n}"] = d_rows[n].sum(axis=0)
+        da_in = (
+            d_rows["q"] @ params[f"{pre}.attn.w_q"].T
+            + d_rows["k"] @ params[f"{pre}.attn.w_k"].T
+            + d_rows["v"] @ params[f"{pre}.attn.w_v"].T
+        ).reshape(b, t, -1)
+        dx_ln, grads[f"{pre}.ln1.gain"], grads[f"{pre}.ln1.bias"] = _layer_norm_backward(
+            da_in, xhat1, inv1, params[f"{pre}.ln1.gain"]
+        )
+        dx = dx_mid + dx_ln
+    grads["pos.p_pos"] = dx.sum(axis=0)
+    grads["embed.w_e"] = x_in.reshape(b * t, -1).T @ dx.reshape(b * t, -1)
+    return dists, z, grads
+
+
+SMALL = dict(hidden_dim=16, num_layers=2, num_heads=4, ffn_dim=32, max_seq_len=12,
+             num_tokens=5, num_channels=3, patch_len=4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["causal", "bidirectional"])
+class TestBufferedPasses:
+    """forward_batch and backward_from_scores, with and without a workspace
+    and a trainable set, give the bytes of the allocating passes they replaced."""
+
+    def _case(self, mode, dtype, b, seed=0):
+        cfg = BackboneConfig(attention_mode=mode, **SMALL)
+        params = init_model(cfg, seed=3, dtype=dtype)
+        rng = np.random.default_rng(seed)
+        p = rng.normal(size=(b, cfg.max_seq_len, cfg.patch_len))
+        d = rng.normal(size=(b, cfg.num_channels, cfg.num_tokens)) / (b * cfg.num_channels)
+        return cfg, params, p, d
+
+    @pytest.mark.parametrize("b", [1, 5])
+    def test_no_workspace_matches_old_passes(self, mode, dtype, b):
+        cfg, params, p, d = self._case(mode, dtype, b)
+        want_dists, want_z, want_grads = old_forward_backward(p, params, cfg, d)
+        dists, cache = forward_batch(p, params, cfg, want_cache=True)
+        assert dists.tobytes() == want_dists.tobytes()
+        assert cache["z"].tobytes() == want_z.tobytes()
+        assert forward_batch(p, params, cfg)[0].tobytes() == want_dists.tobytes()
+        grads = backward_from_scores(cache, d)
+        assert list(grads) == list(want_grads)
+        for name in params.names():
+            assert grads[name].dtype == dtype
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+    def test_trainable_set_gives_those_gradients(self, mode, dtype):
+        cfg, params, p, d = self._case(mode, dtype, 5)
+        full = backward_from_scores(forward_batch(p, params, cfg, want_cache=True)[1], d)
+        trainable = sorted(partition_parameters(params).trainable)
+        for work in (None, {}):
+            cache = forward_batch(p, params, cfg, want_cache=True, work=work)[1]
+            grads = backward_from_scores(cache, d, trainable)
+            assert sorted(grads) == trainable
+            for name in trainable:
+                assert grads[name].tobytes() == full[name].tobytes(), name
+        only = ["layers.1.ffn.b1", "layers.0.attn.w_k", "embed.w_e"]
+        grads = backward_from_scores(forward_batch(p, params, cfg, want_cache=True)[1], d, only)
+        assert list(grads) == only
+        assert all(grads[n].tobytes() == full[n].tobytes() for n in only)
+
+    def test_workspace_matches_and_is_reused(self, mode, dtype):
+        work = {}
+        for b, seed in ((5, 0), (5, 1), (2, 2), (5, 3)):
+            cfg, params, p, d = self._case(mode, dtype, b, seed)
+            want_dists, _, want_grads = old_forward_backward(p, params, cfg, d)
+            dists, cache = forward_batch(p, params, cfg, want_cache=True, work=work)
+            grads = backward_from_scores(cache, d)
+            assert dists.tobytes() == want_dists.tobytes()
+            assert all(grads[n].tobytes() == want_grads[n].tobytes() for n in params.names())
+            if seed == 0:
+                buffers = dict(work)
+        # a smaller batch borrows leading rows; nothing was reallocated
+        assert all(work[key] is buf for key, buf in buffers.items())
+        assert cache["layers"][0]["attn"].base is work["layers.0.attn"]
+
+
 class TestCausalMask:
     def test_cached_read_only_upper_triangle(self):
         mask = _causal_mask(6)
@@ -388,10 +560,10 @@ class TestMasking:
         rows = rng.normal(size=(6, 5))
         bumped = rows.copy()
         bumped[4] += 100.0
-        a = forward_trace(rows, params, TINY)
-        b = forward_trace(bumped, params, TINY)
-        assert np.array_equal(a.Z[:4], b.Z[:4])
-        assert not np.array_equal(a.Z[4:], b.Z[4:])
+        za = one_window(rows, params, TINY)[1]["z"][0]
+        zb = one_window(bumped, params, TINY)[1]["z"][0]
+        assert np.array_equal(za[:4], zb[:4])
+        assert not np.array_equal(za[4:], zb[4:])
 
     def test_bidirectional_sees_future(self):
         cfg = BackboneConfig(
@@ -404,9 +576,9 @@ class TestMasking:
         rows = rng.normal(size=(6, 5))
         bumped = rows.copy()
         bumped[5] += 100.0
-        a = forward_trace(rows, params, cfg)
-        b = forward_trace(bumped, params, cfg)
-        assert not np.allclose(a.Z[0], b.Z[0])
+        za = one_window(rows, params, cfg)[1]["z"][0]
+        zb = one_window(bumped, params, cfg)[1]["z"][0]
+        assert not np.allclose(za[0], zb[0])
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="attention_mode"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lorm.model import BackboneConfig, init_model, partition_parameters
+from lorm.model import BackboneConfig, forward_batch, init_model, partition_parameters
 from lorm.sequence import build_mcps
 from lorm.signal_io import (
     ChannelStats,
@@ -97,6 +97,45 @@ class TestLossAndGrad:
         p, y = make_batch(8, seed=6)
         loss, _ = loss_and_grad(p, y, params, CFG)
         assert abs(loss - np.log(CFG.num_tokens)) < 0.1
+
+
+class TestWorkspace:
+    """One workspace reused across calls gives the bytes of fresh calls, and
+    nothing a call returns lives in it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_workspace_matches_fresh_calls(self, dtype):
+        params = init_model(CFG, seed=7, dtype=dtype)
+        trainable = sorted(partition_parameters(params).trainable)
+        work = {}
+        for i, n in enumerate((32, 32, 5, 32, 1)):
+            p, y = make_batch(n, seed=30 + i)
+            want_loss, want = loss_and_grad(p, y, params, CFG)
+            for names in (None, trainable):
+                loss, grads = loss_and_grad(p, y, params, CFG, names, work)
+                assert loss == want_loss
+                assert sorted(grads) == sorted(names or params.names())
+                for name in grads:
+                    assert grads[name].tobytes() == want[name].tobytes(), name
+            assert dataset_loss(p, y, params, CFG, 8, work) == dataset_loss(p, y, params, CFG, 8)
+
+    def test_results_outlive_the_next_call(self):
+        params = init_model(CFG, seed=8, dtype=np.float32)
+        work = {}
+        p, y = make_batch(8, seed=40)
+        _, grads = loss_and_grad(p, y, params, CFG, work=work)
+        dists, _ = forward_batch(p, params, CFG, work=work)
+        kept_grads = {n: g.copy() for n, g in grads.items()}
+        kept_dists = dists.copy()
+        p2, y2 = make_batch(8, seed=41)
+        loss_and_grad(p2, y2, params, CFG, work=work)
+        dataset_loss(p2, y2, params, CFG, 8, work)
+        assert dists.tobytes() == kept_dists.tobytes()
+        for n, g in grads.items():
+            assert g.tobytes() == kept_grads[n].tobytes(), n
+        for buf in work.values():
+            assert not np.shares_memory(dists, buf)
+            assert not any(np.shares_memory(g, buf) for g in grads.values())
 
 
 class TestAdam:
