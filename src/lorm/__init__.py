@@ -44,7 +44,7 @@ from .monitor import (
     score_window,
     write_health_csv,
 )
-from .sequence import PatchConfig, PatchSequence, build_mcps, num_patches, unflatten_mcps
+from .sequence import PatchSequence, build_mcps, num_patches, unflatten_mcps
 from .signal_io import (
     ChannelStats,
     MultiChannelSeries,
@@ -53,7 +53,6 @@ from .signal_io import (
     WindowingConfig,
     compute_channel_stats,
     csv_sample_source,
-    normalize_series,
     normalize_window,
     read_signal_csv,
     segment_windows,

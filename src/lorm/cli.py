@@ -10,7 +10,7 @@ hi.csv, metrics.json).
 Relative paths in the config resolve against --out, so chained commands in
 one directory find each other's outputs. A signal source of the form
 tcp://host:port streams samples from a socket instead of a file (monitor
-only).
+only); a signal file is always read whole.
 
 Exit codes: 0 success, 2 for usage or configuration problems (the diagnostic
 names the offending field), 1 for runtime failures.
@@ -55,7 +55,6 @@ from .signal_io import (
     MultiChannelSeries,
     WindowingConfig,
     compute_channel_stats,
-    csv_sample_source,
     normalize_window,
     read_signal_csv,
     segment_windows,
@@ -401,7 +400,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _window_source(cfg: RunConfig, deployed: DeployedModel):
-    """Iterator of raw windows for monitoring, from a file or a socket."""
+    """Raw windows for monitoring: a file is read whole and segmented, a
+    tcp:// source is windowed as its samples arrive."""
     path = _require_file(cfg.resolve("signal"), "signal")
     windowing = WindowingConfig(
         window_len=deployed.checkpoint.window_len,
@@ -409,19 +409,22 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
         stride=cfg.windowing.stride,
     )
     channels = len(deployed.checkpoint.channel_names)
-    if path.startswith("tcp://"):
-        rest = path[len("tcp://") :]
-        host, sep, port_text = rest.partition(":")
-        if not sep or not host:
-            raise ConfigError(f"paths.signal: expected tcp://host:port, got {path!r}")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ConfigError(f"paths.signal: bad port in {path!r}") from None
-        source = socket_sample_source(host, port)
-    else:
-        source = csv_sample_source(path)
-    return stream_windows(source, windowing, channel_count=channels)
+    if not path.startswith("tcp://"):
+        series = read_signal_csv(path, sample_rate_hz=cfg.synth.sample_rate_hz)
+        if series.num_channels != channels:
+            raise ValueError(
+                f"{path}: {series.num_channels} channels, but the checkpoint expects {channels}"
+            )
+        return segment_windows(series, windowing)
+    rest = path[len("tcp://") :]
+    host, sep, port_text = rest.partition(":")
+    if not sep or not host:
+        raise ConfigError(f"paths.signal: expected tcp://host:port, got {path!r}")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ConfigError(f"paths.signal: bad port in {path!r}") from None
+    return stream_windows(socket_sample_source(host, port), windowing, channel_count=channels)
 
 
 def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:

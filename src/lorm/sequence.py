@@ -14,38 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PatchConfig",
     "PatchSequence",
     "patch_channel",
     "build_mcps",
     "unflatten_mcps",
 ]
-
-
-@dataclass
-class PatchConfig:
-    """Patch length h, per-channel patch count N, and channel count C."""
-
-    patch_len: int
-    patches_per_channel: int
-    channel_count: int
-
-    def __post_init__(self) -> None:
-        if self.patch_len < 1 or self.patches_per_channel < 1 or self.channel_count < 1:
-            raise ValueError("patch_len, patches_per_channel, channel_count must be >= 1")
-
-    @classmethod
-    def for_context(cls, context_len: int, channel_count: int, patch_len: int) -> "PatchConfig":
-        return cls(
-            patch_len=patch_len,
-            patches_per_channel=num_patches(context_len, patch_len),
-            channel_count=channel_count,
-        )
-
-    @property
-    def sequence_len(self) -> int:
-        """Model sequence length N*C, fixed once the model is built."""
-        return self.patches_per_channel * self.channel_count
 
 
 @dataclass
@@ -73,6 +46,8 @@ class PatchSequence:
 
 def num_patches(context_len: int, patch_len: int) -> int:
     """N = ceil(S/h): no samples are discarded, the last patch is padded."""
+    if context_len < 1 or patch_len < 1:
+        raise ValueError("context_len and patch_len must be >= 1")
     return math.ceil(context_len / patch_len)
 
 

@@ -7,9 +7,11 @@ order.
 
 from __future__ import annotations
 
+import math
 import socket
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import repeat
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +23,6 @@ __all__ = [
     "StreamFormatError",
     "compute_channel_stats",
     "zscore",
-    "normalize_series",
     "normalize_window",
     "segment_windows",
     "split_context_target",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-8
+_BLOCK_CHARS = 1 << 16  # text the CSV parser reads per block, so memory stays bounded
 
 
 @dataclass
@@ -146,11 +148,13 @@ class StreamFormatError(ValueError):
 
     ``record_index`` is the 0-based position of the record among the
     non-blank data records of the source (a CSV header is not a record).
+    ``source``, when given, names the file at the head of the message.
     """
 
-    def __init__(self, record_index: int, message: str):
+    def __init__(self, record_index: int, message: str, source: str | None = None):
         self.record_index = record_index
-        super().__init__(f"record {record_index}: {message}")
+        where = f"{source}: " if source else ""
+        super().__init__(f"{where}record {record_index}: {message}")
 
 
 def compute_channel_stats(
@@ -179,16 +183,6 @@ def zscore(data: np.ndarray, stats: ChannelStats) -> np.ndarray:
     """Channel-wise z-score of any (..., C) array: (x - mean) / (std + epsilon)."""
     _check_channel_match(stats, data.shape[-1])
     return (data - stats.mean) / (stats.std + stats.epsilon)
-
-
-def normalize_series(series: MultiChannelSeries, stats: ChannelStats) -> MultiChannelSeries:
-    """Channel-wise z-score: (x - mean) / (std + epsilon)."""
-    out = zscore(series.samples, stats)
-    return MultiChannelSeries(
-        samples=out,
-        channel_names=list(series.channel_names),
-        sample_rate_hz=series.sample_rate_hz,
-    )
 
 
 def normalize_window(window: SignalWindow, stats: ChannelStats) -> SignalWindow:
@@ -309,67 +303,85 @@ def stream_windows(
 
 def read_signal_csv(path: str, sample_rate_hz: float) -> MultiChannelSeries:
     """Read the signal CSV format: header of channel names, one sample per row."""
-    names, rows = _read_csv_rows(path)
-    if not rows:
+    with open(path, "r", encoding="utf-8") as fh:
+        names = _read_csv_header(fh, path)
+        blocks = list(_csv_blocks(fh, path, len(names)))
+    if not blocks:
         raise ValueError(f"{path}: no samples after header")
     return MultiChannelSeries(
-        samples=np.asarray(rows, dtype=np.float64),
-        channel_names=names,
-        sample_rate_hz=sample_rate_hz,
+        samples=np.concatenate(blocks), channel_names=names, sample_rate_hz=sample_rate_hz
     )
 
 
 def write_signal_csv(series: MultiChannelSeries, path: str) -> None:
-    """Write the signal CSV format with full round-trip float precision."""
+    """Write the signal CSV format with full round-trip float precision (repr)."""
+    rows = "".join([",".join(map(repr, row)) + "\n" for row in series.samples.tolist()])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(series.channel_names) + "\n")
-        for row in series.samples:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def _read_csv_rows(path: str) -> tuple[list[str], list[list[float]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        names = [n.strip() for n in header.rstrip("\n").split(",")]
-        rows = []
-        index = 0  # among non-blank records, as in the stream sources
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != len(names):
-                raise StreamFormatError(index, f"expected {len(names)} fields, got {len(fields)}")
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise StreamFormatError(index, f"non-numeric value ({exc})") from None
-            index += 1
-    return names, rows
+        fh.write(",".join(series.channel_names) + "\n" + rows)
 
 
 def csv_sample_source(path: str) -> Iterator[np.ndarray]:
-    """Replay a signal CSV file one sample row at a time (header skipped)."""
+    """Replay a signal CSV file one sample row at a time (header skipped).
+
+    Rows come from the same block parser as :func:`read_signal_csv`, so a
+    malformed record raises before any row of its block is yielded.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        n_fields = len(header.rstrip("\n").split(","))
-        index = 0  # among non-blank records, as in socket_sample_source
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != n_fields:
-                raise StreamFormatError(index, f"expected {n_fields} fields, got {len(fields)}")
-            try:
-                yield np.asarray([float(f) for f in fields], dtype=np.float64)
-            except ValueError as exc:
-                raise StreamFormatError(index, f"non-numeric value ({exc})") from None
-            index += 1
+        for block in _csv_blocks(fh, path, len(_read_csv_header(fh, path))):
+            yield from block
+
+
+def _read_csv_header(fh: IO[str], path: str) -> list[str]:
+    header = fh.readline()
+    if not header:
+        raise ValueError(f"{path}: empty file")
+    return [n.strip() for n in header.rstrip("\n").split(",")]
+
+
+def _csv_blocks(fh: IO[str], path: str, n_fields: int) -> Iterator[np.ndarray]:
+    """Parse the records after the header, about _BLOCK_CHARS of text at a time.
+
+    Blank lines are skipped. Each block of k non-blank records becomes one
+    (k, n_fields) float64 array: one ``float`` pass over all of its fields
+    and one finiteness check. Only a block that fails is parsed again record
+    by record, to name the first bad record.
+    """
+    index = 0  # among non-blank records, as in socket_sample_source
+    while lines := fh.readlines(_BLOCK_CHARS):
+        records = [line for line in map(str.strip, lines) if line]
+        if not records:
+            continue
+        fields = ",".join(records).split(",")
+        try:
+            block = np.fromiter(map(float, fields), np.float64, len(fields))
+        except ValueError:
+            block = None
+        commas = list(map(str.count, records, repeat(",")))
+        if (
+            block is None
+            or commas.count(n_fields - 1) != len(records)
+            or not np.isfinite(block).all()
+        ):
+            block = _parse_records(records, n_fields, index, path)
+        yield block.reshape(len(records), n_fields)
+        index += len(records)
+
+
+def _parse_records(records: list[str], n_fields: int, first_index: int, path: str) -> np.ndarray:
+    """Parse records one by one, raising StreamFormatError at the first bad one."""
+    rows = []
+    for index, record in enumerate(records, first_index):
+        fields = record.split(",")
+        if len(fields) != n_fields:
+            raise StreamFormatError(index, f"expected {n_fields} fields, got {len(fields)}", path)
+        try:
+            row = [float(f) for f in fields]
+        except ValueError as exc:
+            raise StreamFormatError(index, f"non-numeric value ({exc})", path) from None
+        if not all(map(math.isfinite, row)):
+            raise StreamFormatError(index, "non-finite value", path)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
 
 
 def socket_sample_source(host: str, port: int) -> Iterator[np.ndarray]:

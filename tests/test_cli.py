@@ -249,6 +249,53 @@ class TestPipeline:
         assert (tcp_dir / "hi.csv").read_bytes() == (file_dir / "hi.csv").read_bytes()
 
 
+def write_signal(path, columns=2, bad_row=None, bad_index=40):
+    rows = [",".join(repr(0.01 * i * (c + 1)) for c in range(columns)) for i in range(100)]
+    if bad_row is not None:
+        rows[bad_index] = bad_row
+    header = ",".join(f"ch{c}" for c in range(columns))
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+
+
+class TestSignalErrors:
+    """A malformed signal file ends every reading command with exit code 1
+    and a message naming the file and the record, never a traceback."""
+
+    def run(self, pipeline, command, signal, dest):
+        out = pipeline["out"]
+        return main([
+            command, "--config", str(pipeline["config_path"]), "--out", str(dest),
+            "--set", f"paths.signal={signal}",
+            "--set", f"paths.codebooks={out / 'codebooks.json'}",
+            "--set", f"paths.checkpoint={out / 'checkpoint.lorm'}",
+        ])
+
+    @pytest.mark.parametrize("command", ["fit-codebooks", "pretrain", "train", "monitor"])
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [("1.0", "expected 2 fields, got 1"), ("x,1.0", "non-numeric value"),
+         ("nan,1.0", "non-finite value"), ("1.0,-inf", "non-finite value")],
+    )
+    def test_bad_record_names_file_and_record(
+        self, pipeline, tmp_path, capsys, command, bad_row, message
+    ):
+        signal = tmp_path / "bad.csv"
+        write_signal(signal, bad_row=bad_row)
+        assert self.run(pipeline, command, signal, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"error: {signal}: record 40: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "hi.csv").exists()
+
+    def test_monitor_rejects_other_channel_count(self, pipeline, tmp_path, capsys):
+        signal = tmp_path / "three.csv"
+        write_signal(signal, columns=3)
+        assert self.run(pipeline, "monitor", signal, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"error: {signal}: 3 channels, but the checkpoint expects 2" in err
+        assert "Traceback" not in err
+
+
 def test_readme_degrading_run_wears_after_onset(tmp_path):
     """The README quick start's second synth writes a degrading run: wear
     holds at its start value until the onset cut, then rises past the

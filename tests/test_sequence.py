@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lorm.sequence import (
-    PatchConfig,
     PatchSequence,
     build_mcps,
     num_patches,
@@ -77,14 +76,14 @@ class TestBuildMcps:
 
 
 class TestConfig:
-    def test_for_context(self):
-        cfg = PatchConfig.for_context(context_len=320, channel_count=3, patch_len=16)
-        assert cfg.patches_per_channel == 20
-        assert cfg.sequence_len == 60
+    def test_reference_sequence_len(self):
+        # 20 patches per channel, 3 channels: the model's sequence length
+        assert num_patches(320, 16) * 3 == build_mcps(np.zeros((320, 3)), 16).sequence_len == 60
 
-    def test_validation(self):
+    @pytest.mark.parametrize("context_len, patch_len", [(320, 0), (320, -1), (0, 16)])
+    def test_num_patches_rejects_non_positive(self, context_len, patch_len):
         with pytest.raises(ValueError):
-            PatchConfig(patch_len=0, patches_per_channel=1, channel_count=1)
+            num_patches(context_len, patch_len)
 
     def test_patch_sequence_shape_checked(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,18 @@
 """Windowing, normalization, CSV, and streaming behaviour."""
 
+import os
 import socket
+import tempfile
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from lorm import signal_io
 from lorm.signal_io import (
     ChannelStats,
     MultiChannelSeries,
@@ -14,7 +21,6 @@ from lorm.signal_io import (
     WindowingConfig,
     compute_channel_stats,
     csv_sample_source,
-    normalize_series,
     normalize_window,
     read_signal_csv,
     segment_windows,
@@ -24,6 +30,7 @@ from lorm.signal_io import (
     stream_windows,
     train_val_split,
     write_signal_csv,
+    zscore,
 )
 
 
@@ -67,45 +74,44 @@ class TestNormalize:
     def test_elementwise_oracle(self):
         series = make_series(t=40, c=3, seed=5)
         stats = compute_channel_stats(series)
-        normed = normalize_series(series, stats)
+        normed = zscore(series.samples, stats)
         for i in range(series.num_samples):
             for c in range(series.num_channels):
                 expected = (series.samples[i, c] - stats.mean[c]) / (
                     stats.std[c] + stats.epsilon
                 )
-                assert normed.samples[i, c] == pytest.approx(expected, abs=1e-12)
+                assert normed[i, c] == pytest.approx(expected, abs=1e-12)
 
     def test_constant_channel_safe(self):
         # zero variance: epsilon keeps the division finite
         samples = np.ones((20, 1)) * 7.0
         stats = compute_channel_stats(samples)
-        series = MultiChannelSeries(samples=samples, channel_names=["a"], sample_rate_hz=1.0)
-        normed = normalize_series(series, stats)
-        assert np.all(np.isfinite(normed.samples))
-        assert np.allclose(normed.samples, 0.0)
+        normed = zscore(samples, stats)
+        assert np.all(np.isfinite(normed))
+        assert np.allclose(normed, 0.0)
 
     def test_round_trip(self):
         series = make_series(t=64, c=2, seed=7)
         stats = compute_channel_stats(series)
-        normed = normalize_series(series, stats)
-        restored = normed.samples * (stats.std + stats.epsilon) + stats.mean
+        normed = zscore(series.samples, stats)
+        restored = normed * (stats.std + stats.epsilon) + stats.mean
         assert np.allclose(restored, series.samples, atol=1e-12)
 
     def test_channel_mismatch(self):
         series = make_series(c=3)
         stats = compute_channel_stats(make_series(c=2).samples)
         with pytest.raises(ValueError):
-            normalize_series(series, stats)
+            zscore(series.samples, stats)
 
     def test_window_normalization_matches_series(self):
         series = make_series(t=100, c=2, seed=9)
         stats = compute_channel_stats(series)
         cfg = WindowingConfig(window_len=25, context_len=24)
         windows = segment_windows(series, cfg)
-        normed_series = normalize_series(series, stats)
+        normed_series = zscore(series.samples, stats)
         for w in windows:
             nw = normalize_window(w, stats)
-            expected = normed_series.samples[w.start_index : w.start_index + 25]
+            expected = normed_series[w.start_index : w.start_index + 25]
             assert np.allclose(nw.data, expected, atol=1e-15)
 
 
@@ -462,3 +468,191 @@ class TestValidation:
     def test_stats_validation(self):
         with pytest.raises(ValueError):
             ChannelStats(mean=np.zeros(2), std=np.zeros(3))
+
+
+def old_write_signal_csv(series, path):
+    """The row-by-row writer that the single-write writer replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(series.channel_names) + "\n")
+        for row in series.samples:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7e308, -1.7e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.1, 1.0 / 3.0, 1e16, 123456789012345680.0, 1e-7, 1e22, 9007199254740993.0,
+]
+
+finite_samples = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 30), st.integers(1, 4)),
+    elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        st.sampled_from(EDGE_VALUES),
+    ),
+)
+
+
+def series_of(samples):
+    return MultiChannelSeries(
+        samples=samples,
+        channel_names=[f"ch{i}" for i in range(samples.shape[1])],
+        sample_rate_hz=1.0,
+    )
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def with_block_chars(n):
+    """Make the CSV parser read about n characters per block."""
+    return mock.patch.object(signal_io, "_BLOCK_CHARS", n)
+
+
+class TestSignalCsvWriter:
+    """The single-write writer puts out the old row-by-row writer's bytes."""
+
+    @pytest.mark.parametrize("seed, scale", [(0, 1.0), (1, 1e-300), (2, 1e300), (3, 1e5)])
+    def test_random_series_match_reference(self, tmp_path, seed, scale):
+        series = make_series(t=257, c=3, seed=seed)
+        series.samples *= scale
+        write_signal_csv(series, str(tmp_path / "new.csv"))
+        old_write_signal_csv(series, str(tmp_path / "old.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_edge_values_match_reference(self, tmp_path):
+        samples = np.array(EDGE_VALUES).reshape(-1, 1)
+        for series in (series_of(samples), series_of(samples.reshape(1, -1))):
+            write_signal_csv(series, str(tmp_path / "new.csv"))
+            old_write_signal_csv(series, str(tmp_path / "old.csv"))
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+            back = read_signal_csv(str(tmp_path / "new.csv"), sample_rate_hz=1.0)
+            assert np.array_equal(bits(back.samples), bits(series.samples))
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=finite_samples)
+    def test_arbitrary_series_match_reference(self, samples):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+            write_signal_csv(series_of(samples), new)
+            old_write_signal_csv(series_of(samples), old)
+            with open(new, "rb") as a, open(old, "rb") as b:
+                assert a.read() == b.read()
+
+
+class TestSignalCsvProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(samples=finite_samples, block_chars=st.integers(1, 300))
+    def test_round_trip_is_bitwise(self, samples, block_chars):
+        with tempfile.TemporaryDirectory() as tmp, with_block_chars(block_chars):
+            path = os.path.join(tmp, "sig.csv")
+            write_signal_csv(series_of(samples), path)
+            back = read_signal_csv(path, sample_rate_hz=1.0)
+            rows = list(csv_sample_source(path))
+        assert back.samples.shape == samples.shape
+        assert np.array_equal(bits(back.samples), bits(samples))
+        assert np.array_equal(bits(np.stack(rows)), bits(samples))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), block_chars=st.integers(1, 200))
+    def test_blank_lines_skipped_anywhere(self, data, block_chars):
+        samples = data.draw(finite_samples)
+        blanks = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=3)
+        lines = ["a" + ",b" * (samples.shape[1] - 1)]
+        for row in samples.tolist():
+            lines += data.draw(blanks)
+            lines.append(" " + ",".join(map(repr, row)) + " ")
+        lines += data.draw(blanks)
+        with tempfile.TemporaryDirectory() as tmp, with_block_chars(block_chars):
+            path = os.path.join(tmp, "sig.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            back = read_signal_csv(path, sample_rate_hz=1.0)
+            rows = list(csv_sample_source(path))
+        assert np.array_equal(bits(back.samples), bits(samples))
+        assert np.array_equal(bits(np.stack(rows)), bits(samples))
+
+
+BAD_RECORDS = {
+    "short": ("7.0", "expected 2 fields, got 1"),
+    "long": ("1.0,2.0,3.0", "expected 2 fields, got 3"),
+    "non-numeric": ("x,1.0", "non-numeric value"),
+    "empty field": ("1.0,", "non-numeric value"),
+    "nan": ("nan,1.0", "non-finite value"),
+    "overflow": ("1.0,1e999", "non-finite value"),
+}
+
+
+def record_errors(path, payload):
+    """The StreamFormatError of both file readers and of a socket feed."""
+    cfg = WindowingConfig(window_len=2, context_len=1)
+    errors = []
+    with pytest.raises(StreamFormatError) as err:
+        read_signal_csv(path, sample_rate_hz=1.0)
+    errors.append(err.value)
+    with pytest.raises(StreamFormatError) as err:
+        list(csv_sample_source(path))
+    errors.append(err.value)
+    port, thread = serve_once(payload.encode("utf-8"))
+    with pytest.raises(StreamFormatError) as err:
+        list(stream_windows(socket_sample_source("127.0.0.1", port), cfg, channel_count=2))
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    errors.append(err.value)
+    return errors
+
+
+class TestBlockBoundaries:
+    """A malformed record gets the same record_index whichever block of the
+    parser it falls in, from both file readers and from a socket feed."""
+
+    LINE = "1.5,2.5"  # 8 characters with its newline
+    PER_BLOCK = 4
+
+    def test_premise_blocks_of_four_records(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("a,b\n" + (self.LINE + "\n") * 10)
+        with with_block_chars(self.PER_BLOCK * 8 - 1), open(path, encoding="utf-8") as fh:
+            fh.readline()
+            sizes = [len(b) for b in signal_io._csv_blocks(fh, str(path), 2)]
+        assert sizes == [4, 4, 2]
+
+    @pytest.mark.parametrize("bad_index", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("kind", sorted(BAD_RECORDS))
+    def test_same_index_around_boundary(self, tmp_path, bad_index, kind):
+        record, message = BAD_RECORDS[kind]
+        lines = [self.LINE] * 10
+        lines[bad_index] = record
+        payload = "\n".join(lines) + "\n"
+        path = tmp_path / "sig.csv"
+        path.write_text("a,b\n" + payload)
+        with with_block_chars(self.PER_BLOCK * 8 - 1):
+            errors = record_errors(str(path), payload)
+        for err in errors:
+            assert err.record_index == bad_index
+            assert message in str(err)
+        for err in errors[:2]:
+            assert str(err).startswith(f"{path}: record {bad_index}: ")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_records=st.integers(1, 30),
+        data=st.data(),
+        block_chars=st.integers(1, 120),
+        kind=st.sampled_from(sorted(BAD_RECORDS)),
+    )
+    def test_same_index_anywhere(self, n_records, data, block_chars, kind):
+        bad_index = data.draw(st.integers(0, n_records - 1))
+        lines = []
+        for i in range(n_records):
+            lines += data.draw(st.lists(st.sampled_from(["", "  "]), max_size=2))
+            lines.append(BAD_RECORDS[kind][0] if i == bad_index else f"{i}.25,-{i}e3")
+        payload = "\n".join(lines) + "\n"
+        with tempfile.TemporaryDirectory() as tmp, with_block_chars(block_chars):
+            path = os.path.join(tmp, "sig.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("a,b\n" + payload)
+            errors = record_errors(path, payload)
+        assert [e.record_index for e in errors] == [bad_index] * 3
