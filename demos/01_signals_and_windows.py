@@ -3,9 +3,9 @@ Signals, windows, and the context/target split
 ===============================================
 
 Generate a small synthetic vibration run, write it to CSV, read it back,
-and cut it into fixed-length windows. Each window keeps its first S samples
-continuous (the context) and reserves the tail for discretisation (the
-target).
+and cut it into fixed-length windows. Windows are plain (W, C) arrays. Each
+keeps its first S samples continuous (the context) and reserves the tail for
+discretisation (the target).
 """
 
 import os
@@ -21,7 +21,6 @@ from lorm import (
     normalize_window,
     read_signal_csv,
     segment_windows,
-    split_context_target,
     stream_windows,
     write_signal_csv,
 )
@@ -48,19 +47,21 @@ write_signal_csv(run.series, path)
 again = read_signal_csv(path, sample_rate_hz=1000.0)
 print(f"csv round trip exact: {np.array_equal(run.series.samples, again.samples)}")
 
-# windowing: 61-sample windows every 30 samples
+# windowing: 61-sample windows every 30 samples, as one read-only
+# (n, W, C) view of the series, so no sample is copied
 windows = segment_windows(again, windowing)
-print(f"{len(windows)} windows of shape {windows[0].data.shape}")
+print(f"windows {windows.shape}, a view of the series: {np.shares_memory(windows, again.samples)}")
 
 # channel statistics come from the data you train on, never from the stream
 stats = compute_channel_stats(again)
 print(f"per-channel mean {np.round(stats.mean, 3)}, std {np.round(stats.std, 3)}")
 
 # each normalised window splits into a 60x2 context and a 1x2 target
-context, target = split_context_target(normalize_window(windows[0], stats), 60)
+norm = normalize_window(windows[0], stats)
+context, target = norm[:60], norm[60:]
 print(f"context {context.shape}, target {target.shape}, target values {np.round(target[0], 3)}")
 
 # the same windows fall out of a sample-at-a-time stream (e.g. a socket feed)
 streamed = list(stream_windows(iter(again.samples), windowing, channel_count=2))
-match = all(np.array_equal(a.data, b.data) for a, b in zip(windows, streamed))
+match = all(np.array_equal(a, b) for a, b in zip(windows, streamed))
 print(f"stream produced {len(streamed)} windows, identical to batch: {match}")

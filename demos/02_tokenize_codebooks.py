@@ -22,7 +22,6 @@ from lorm import (
     normalize_window,
     save_codebooks,
     segment_windows,
-    split_context_target,
     tokenize_window,
 )
 
@@ -40,11 +39,8 @@ run = generate_run(
 windows = segment_windows(run.series, windowing)
 stats = compute_channel_stats(run.series)
 
-# collect every window's normalised target block
-targets = [
-    split_context_target(normalize_window(w, stats), windowing.context_len)[1]
-    for w in windows
-]
+# every window's normalised target block, one (n, target_len, C) array
+targets = normalize_window(windows[:, windowing.context_len :], stats)
 
 K = 6
 books = fit_codebook_set(targets, k=K, seed=0, channel_names=run.series.channel_names)
@@ -53,18 +49,14 @@ for book in books.codebooks:
     print(f"channel {book.channel_index}: centroids {cents}")
 
 # tokenising a window picks the nearest centroid per channel
-tokens = tokenize_window(targets[0], books)
-print(f"first window tokens: {tokens.tokens}")
+print(f"first window tokens: {tokenize_window(targets[0], books)}")
 
-# token usage across the run: every centroid should earn its keep
-counts = np.zeros((books.num_channels, K), dtype=int)
-for t in targets:
-    tv = tokenize_window(t, books)
-    for c, tok in enumerate(tv.tokens):
-        counts[c, tok] += 1
+# token usage across the run (all windows in one call): every centroid
+# should earn its keep
+tokens = tokenize_window(targets, books)
 print("token histogram per channel:")
 for c in range(books.num_channels):
-    print(f"  ch{c}: {counts[c]}")
+    print(f"  ch{c}: {np.bincount(tokens[:, c], minlength=K)}")
 
 # the JSON file round-trips exactly
 path = os.path.join(tempfile.mkdtemp(prefix="lorm_demo_"), "codebooks.json")

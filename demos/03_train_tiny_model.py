@@ -35,8 +35,6 @@ from lorm import (
     save_checkpoint,
     save_codebooks,
     segment_windows,
-    split_context_target,
-    stack_windows,
     train_model,
     train_val_split,
 )
@@ -59,7 +57,7 @@ def prepare(seed):
     )
     windows = segment_windows(run.series, windowing)
     train_w, val_w = train_val_split(windows, 0.2, seed=seed)
-    stats = compute_channel_stats(stack_windows(train_w))
+    stats = compute_channel_stats(np.concatenate(train_w))
     return run, train_w, val_w, stats
 
 
@@ -67,10 +65,7 @@ corpus_run, corpus_train, corpus_val, corpus_stats = prepare(seed=3)
 target_run, target_train, target_val, target_stats = prepare(seed=4)
 
 books = fit_codebook_set(
-    [
-        split_context_target(normalize_window(w, target_stats), 60)[1]
-        for w in target_train
-    ],
+    normalize_window(np.stack(target_train)[:, 60:], target_stats),
     k=K,
     seed=4,
     channel_names=target_run.series.channel_names,

@@ -23,7 +23,6 @@ from .model import (
     CheckpointError,
     ModelParameters,
     ParameterPartition,
-    TokenDistributions,
     forward_batch,
     init_model,
     load_checkpoint,
@@ -31,7 +30,6 @@ from .model import (
     save_checkpoint,
 )
 from .monitor import (
-    BaselineBuffer,
     DeployedModel,
     HealthRecord,
     HealthTracker,
@@ -44,11 +42,10 @@ from .monitor import (
     score_window,
     write_health_csv,
 )
-from .sequence import PatchSequence, build_mcps, num_patches, unflatten_mcps
+from .sequence import build_mcps, num_patches
 from .signal_io import (
     ChannelStats,
     MultiChannelSeries,
-    SignalWindow,
     StreamFormatError,
     WindowingConfig,
     compute_channel_stats,
@@ -62,16 +59,12 @@ from .signal_io import (
     stream_windows,
     train_val_split,
     write_signal_csv,
-    zscore,
 )
 from .synth import Harmonic, SynthConfig, SynthRun, default_harmonics, generate_run
 from .tokenizer import (
     Codebook,
     CodebookSet,
     KMeansResult,
-    TokenVector,
-    assign_token,
-    assign_tokens,
     codebook_file_hash,
     fit_codebook,
     fit_codebook_set,
@@ -89,7 +82,6 @@ from .train import (
     dataset_loss,
     gradient_check,
     loss_and_grad,
-    model_inputs,
     train_model,
     window_loss,
     write_train_report_csv,

@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -59,8 +59,6 @@ from .signal_io import (
     read_signal_csv,
     segment_windows,
     socket_sample_source,
-    split_context_target,
-    stack_windows,
     stream_windows,
     train_val_split,
     write_signal_csv,
@@ -86,39 +84,25 @@ class ConfigError(ValueError):
     """Configuration or usage problem; maps to exit code 2."""
 
 
+def _field_defaults(cls, skip=()) -> dict:
+    """The field defaults of a config dataclass, less the fields in skip."""
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
+
+# the patch, tokenizer, model, train, monitor and synth defaults are the
+# config dataclasses' own field defaults; the model section leaves out what
+# the data and the other sections decide
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "windowing": {"window_len": 321, "context_len": 320, "stride": 321},
-    "patch": {"patch_len": 16},
-    "tokenizer": {"num_tokens": 10},
-    "model": {
-        "hidden_dim": 64,
-        "num_layers": 2,
-        "num_heads": 4,
-        "ffn_dim": 256,
-        "attention_mode": "causal",
-    },
-    "train": {
-        "learning_rate": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "epsilon": 1e-8,
-        "batch_size": 32,
-        "max_epochs": 100,
-        "patience": 10,
-        "val_fraction": 0.2,
-    },
-    "monitor": {"buffer_len": 20000, "threshold": 0.2, "ma_window": None},
-    "synth": {
-        "channels": 3,
-        "sample_rate_hz": 1000.0,
-        "duration_samples": 200_000,
-        "noise_sigma": 0.1,
-        "degradation_onset": 120_000,
-        "degradation_rate": 0.0,
-        "cuts": 40,
-        "fault_channel": 0,
-    },
+    "patch": {"patch_len": BackboneConfig.patch_len},
+    "tokenizer": {"num_tokens": BackboneConfig.num_tokens},
+    "model": _field_defaults(
+        BackboneConfig, skip={"max_seq_len", "num_channels", "num_tokens", "patch_len"}
+    ),
+    "train": {**_field_defaults(TrainConfig, skip={"seed"}), "val_fraction": 0.2},
+    "monitor": {**_field_defaults(MonitorConfig), "ma_window": None},
+    "synth": _field_defaults(SynthConfig, skip={"harmonics", "seed"}),
     "eval": {"wear_limit_um": 300.0},
     "paths": {
         "signal": "signal.csv",
@@ -298,7 +282,7 @@ def _prepare_splits(cfg: RunConfig, series: MultiChannelSeries):
             f"(window_len {cfg.windowing.window_len}, stride {cfg.windowing.stride})"
         )
     train_w, val_w = train_val_split(windows, cfg.val_fraction, seed=cfg.seed)
-    stats = compute_channel_stats(stack_windows(train_w))
+    stats = compute_channel_stats(np.concatenate(train_w))
     return train_w, val_w, stats
 
 
@@ -327,10 +311,7 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_fit_codebooks(cfg: RunConfig, args: argparse.Namespace) -> int:
     series = _read_series(cfg, "signal")
     train_w, _, stats = _prepare_splits(cfg, series)
-    targets = [
-        split_context_target(normalize_window(w, stats), cfg.windowing.context_len)[1]
-        for w in train_w
-    ]
+    targets = normalize_window(np.stack(train_w)[:, cfg.windowing.context_len :], stats)
     codebooks = fit_codebook_set(
         targets, k=cfg.num_tokens, seed=cfg.seed, channel_names=series.channel_names
     )

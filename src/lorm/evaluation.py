@@ -100,24 +100,31 @@ class WearTable:
 
     @classmethod
     def from_csv(cls, path: str) -> "WearTable":
+        """Read a wear CSV; errors name ``path`` and, for a bad row, its 1-based line."""
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0] != "cut_id,wear_um,first_window,last_window":
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+        if not lines or lines[0][1] != "cut_id,wear_um,first_window,last_window":
             raise ValueError(f"{path}: expected wear-table header")
         entries = []
-        for ln in lines[1:]:
+        for n, ln in lines[1:]:
             parts = ln.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: bad wear row {ln!r}")
-            entries.append(
-                WearEntry(
-                    cut_id=int(parts[0]),
-                    wear_um=float(parts[1]),
-                    first_window=int(parts[2]),
-                    last_window=int(parts[3]),
+            try:
+                if len(parts) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(parts)}")
+                entries.append(
+                    WearEntry(
+                        cut_id=int(parts[0]),
+                        wear_um=float(parts[1]),
+                        first_window=int(parts[2]),
+                        last_window=int(parts[3]),
+                    )
                 )
-            )
-        return cls(entries=entries)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {n}: {exc}") from None
+        try:
+            return cls(entries=entries)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -37,7 +37,6 @@ __all__ = [
     "BackboneConfig",
     "ModelParameters",
     "ParameterPartition",
-    "TokenDistributions",
     "Checkpoint",
     "CheckpointError",
     "param_shapes",
@@ -189,31 +188,6 @@ class ParameterPartition:
     def __post_init__(self) -> None:
         if self.trainable & self.frozen:
             raise ValueError("trainable and frozen sets overlap")
-
-
-@dataclass
-class TokenDistributions:
-    """C probability vectors of length K, one per channel."""
-
-    per_channel: np.ndarray  # (C, K)
-
-    def __post_init__(self) -> None:
-        self.per_channel = np.asarray(self.per_channel, dtype=np.float64)
-        if self.per_channel.ndim != 2:
-            raise ValueError("per_channel must be (C, K)")
-        if np.any(self.per_channel < 0):
-            raise ValueError("probabilities must be non-negative")
-        sums = self.per_channel.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise ValueError("each channel distribution must sum to 1")
-
-    @property
-    def num_channels(self) -> int:
-        return self.per_channel.shape[0]
-
-    @property
-    def num_tokens(self) -> int:
-        return self.per_channel.shape[1]
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:

@@ -17,20 +17,18 @@ so many streams may share one checkpoint.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .model import Checkpoint, forward_batch, load_checkpoint
-from .signal_io import SignalWindow
 from .tokenizer import CodebookSet, codebook_file_hash, load_codebooks
-from .train import model_inputs, window_loss
+from .train import build_examples, window_loss
 
 __all__ = [
     "MonitorConfig",
     "HealthRecord",
-    "BaselineBuffer",
     "HealthTracker",
     "DeployedModel",
     "ThresholdCalibration",
@@ -69,35 +67,16 @@ class HealthRecord:
             raise ValueError("alarm requires a defined health index")
 
 
-@dataclass
-class BaselineBuffer:
-    """The first buffer_len WLF values; the baseline is their mean."""
-
-    capacity: int
-    values: list[float] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.values) >= self.capacity
-
-    @property
-    def mean(self) -> float:
-        if not self.values:
-            raise ValueError("empty input")
-        return float(np.mean(self.values))
-
-    def add(self, wlf: float) -> None:
-        if self.complete:
-            raise ValueError("baseline buffer already full")
-        self.values.append(float(wlf))
-
-
 class HealthTracker(object):
-    """Stateful per-stream HI computation. Feed WLF values in arrival order."""
+    """Stateful per-stream HI computation. Feed WLF values in arrival order.
+
+    The first buffer_len WLF values are kept in ``buffer``; once it is full
+    the baseline is their mean.
+    """
 
     def __init__(self, cfg: MonitorConfig) -> None:
         self.cfg = cfg
-        self.buffer = BaselineBuffer(capacity=cfg.buffer_len)
+        self.buffer: list[float] = []
         self._baseline: float | None = None
         self._count = 0
 
@@ -111,10 +90,10 @@ class HealthTracker(object):
 
     def update(self, wlf: float) -> HealthRecord:
         self._count += 1
-        if not self.buffer.complete:
-            self.buffer.add(wlf)
-            if self.buffer.complete:
-                self._baseline = self.buffer.mean
+        if self._baseline is None:
+            self.buffer.append(float(wlf))
+            if len(self.buffer) == self.cfg.buffer_len:
+                self._baseline = float(np.mean(self.buffer))
             return HealthRecord(window_index=self._count, wlf=float(wlf), hi=None, alarm=False)
         hi = float(wlf) - self._baseline
         return HealthRecord(
@@ -152,21 +131,19 @@ class DeployedModel:
         return cls(checkpoint=ckpt, codebooks=load_codebooks(codebooks_path))
 
 
-def score_window(window: SignalWindow, deployed: DeployedModel) -> float:
-    """WLF for one raw window: normalise with the stored training stats, split,
-    flatten, predict, and take the cross-entropy of the true target tokens."""
+def score_window(window: np.ndarray, deployed: DeployedModel) -> float:
+    """WLF for one raw (W, C) window: normalise with the stored training
+    stats, split, flatten, predict, and take the cross-entropy of the true
+    target tokens."""
     ckpt = deployed.checkpoint
-    if window.num_channels != len(ckpt.channel_names):
+    window = np.asarray(window, dtype=np.float64)
+    expected = (ckpt.window_len, len(ckpt.channel_names))
+    if window.shape != expected:
         raise ValueError(
-            f"window has {window.num_channels} channels; model expects {len(ckpt.channel_names)}"
+            f"window has shape {window.shape} (W, channels); the model expects {expected}"
         )
-    if window.window_len != ckpt.window_len:
-        raise ValueError(
-            f"window length {window.window_len} differs from training configuration "
-            f"({ckpt.window_len})"
-        )
-    p, y = model_inputs(
-        window.data[None], ckpt.stats, ckpt.context_len, deployed.codebooks, ckpt.config.patch_len
+    p, y = build_examples(
+        window[None], ckpt.stats, ckpt.context_len, deployed.codebooks, ckpt.config.patch_len
     )
     dists, _ = forward_batch(p, ckpt.params, ckpt.config)
     return window_loss(dists[0], y[0])
@@ -174,7 +151,7 @@ def score_window(window: SignalWindow, deployed: DeployedModel) -> float:
 
 def monitor_stream(
     deployed: DeployedModel,
-    windows: Iterable[SignalWindow],
+    windows: Iterable[np.ndarray],
     cfg: MonitorConfig,
 ) -> Iterator[HealthRecord]:
     """Score windows in arrival order and yield one HealthRecord each.
@@ -263,32 +240,41 @@ def write_health_csv(
 
 
 def read_health_csv(path: str) -> tuple[list[HealthRecord], list[int | None] | None]:
-    """Parse a health CSV back into records plus the cut_id column if present."""
+    """Parse a health CSV back into records plus the cut_id column if present.
+
+    Raises:
+        ValueError: naming ``path`` and the 1-based line for a malformed row.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     required = ["window_index", "wlf", "hi", "alarm"]
     if header[: len(required)] != required:
-        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
+        raise ValueError(f"{path}: unexpected header {lines[0][1]!r}")
     cut_col = header.index("cut_id") if "cut_id" in header else None
     records: list[HealthRecord] = []
     cuts: list[int | None] = []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"{path}: bad row {ln!r}")
-        records.append(
-            HealthRecord(
-                window_index=int(parts[0]),
-                wlf=float(parts[1]),
-                hi=None if parts[2] == "" else float(parts[2]),
-                alarm=parts[3] == "1",
+        try:
+            if len(parts) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
+            if parts[3] not in ("0", "1"):
+                raise ValueError(f"alarm must be 0 or 1, got {parts[3]!r}")
+            records.append(
+                HealthRecord(
+                    window_index=int(parts[0]),
+                    wlf=float(parts[1]),
+                    hi=None if parts[2] == "" else float(parts[2]),
+                    alarm=parts[3] == "1",
+                )
             )
-        )
-        if cut_col is not None:
-            cuts.append(None if parts[cut_col] == "" else int(parts[cut_col]))
+            if cut_col is not None:
+                cuts.append(None if parts[cut_col] == "" else int(parts[cut_col]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
     return records, (cuts if cut_col is not None else None)
 
 

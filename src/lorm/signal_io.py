@@ -19,10 +19,8 @@ __all__ = [
     "MultiChannelSeries",
     "ChannelStats",
     "WindowingConfig",
-    "SignalWindow",
     "StreamFormatError",
     "compute_channel_stats",
-    "zscore",
     "normalize_window",
     "segment_windows",
     "split_context_target",
@@ -120,29 +118,6 @@ class WindowingConfig:
         return self.window_len - self.context_len
 
 
-@dataclass
-class SignalWindow:
-    """One W x C slice of a series, remembering where it came from."""
-
-    data: np.ndarray
-    start_index: int = 0
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ValueError(f"window data must be 2-D (W, C), got shape {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise ValueError("window contains non-finite values")
-
-    @property
-    def window_len(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.data.shape[1]
-
-
 class StreamFormatError(ValueError):
     """A malformed record was encountered while streaming samples.
 
@@ -179,49 +154,50 @@ def _check_channel_match(stats: ChannelStats, c: int) -> None:
         )
 
 
-def zscore(data: np.ndarray, stats: ChannelStats) -> np.ndarray:
+def normalize_window(data: np.ndarray, stats: ChannelStats) -> np.ndarray:
     """Channel-wise z-score of any (..., C) array: (x - mean) / (std + epsilon)."""
     _check_channel_match(stats, data.shape[-1])
     return (data - stats.mean) / (stats.std + stats.epsilon)
 
 
-def normalize_window(window: SignalWindow, stats: ChannelStats) -> SignalWindow:
-    """Apply the series normalisation to a single window."""
-    return SignalWindow(data=zscore(window.data, stats), start_index=window.start_index)
-
-
-def segment_windows(series: MultiChannelSeries, cfg: WindowingConfig) -> list[SignalWindow]:
+def segment_windows(series: MultiChannelSeries, cfg: WindowingConfig) -> np.ndarray:
     """Cut the series into complete windows at offsets 0, stride, 2*stride, ...
 
-    Returns an empty list when the series is shorter than one window.
+    Returns a read-only (n, W, C) view of the series samples; window k
+    starts at sample k*stride. n is 0 when the series is shorter than one
+    window.
     """
-    t = series.num_samples
+    samples = series.samples
     w = cfg.window_len
-    if t < w:
-        return []
-    starts = range(0, t - w + 1, cfg.stride)
-    return [SignalWindow(data=series.samples[s : s + w], start_index=s) for s in starts]
+    if samples.shape[0] < w:
+        return np.empty((0, w, samples.shape[1]), dtype=np.float64)
+    view = np.lib.stride_tricks.sliding_window_view(samples, w, axis=0)[:: cfg.stride]
+    return view.transpose(0, 2, 1)
 
 
-def split_context_target(window: SignalWindow, context_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a window into (context, target) = (rows <= S, rows > S)."""
-    w = window.window_len
+def split_context_target(window: np.ndarray, context_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split a (W, C) window into (context, target) = (rows <= S, rows > S)."""
+    w = window.shape[0]
     if not 0 < context_len < w:
         raise ValueError(f"context_len must satisfy 0 < S < W, got S={context_len} W={w}")
-    return window.data[:context_len], window.data[context_len:]
+    return window[:context_len], window[context_len:]
 
 
-def stack_windows(windows: Sequence[SignalWindow]) -> np.ndarray:
+def stack_windows(windows: Sequence[np.ndarray]) -> np.ndarray:
     """Concatenate window rows into one (n*W, C) matrix."""
-    if not windows:
+    if not len(windows):
         raise ValueError("empty input")
-    return np.concatenate([w.data for w in windows], axis=0)
+    return np.concatenate(windows, axis=0)
 
 
 def train_val_split(
-    windows: Sequence[SignalWindow], val_fraction: float = 0.2, seed: int = 0
-) -> tuple[list[SignalWindow], list[SignalWindow]]:
-    """Seeded window-level random split; validation gets round(n * val_fraction)."""
+    windows: Sequence[np.ndarray], val_fraction: float = 0.2, seed: int = 0
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Seeded window-level random split; validation gets round(n * val_fraction).
+
+    Both lists keep the windows' original order and hold the windows
+    themselves (views of an (n, W, C) array stay views), not copies.
+    """
     n = len(windows)
     if n < 2:
         raise ValueError("need at least two windows to split")
@@ -239,8 +215,8 @@ def stream_windows(
     samples: Iterable[Sequence[float]],
     cfg: WindowingConfig,
     channel_count: int | None = None,
-) -> Iterator[SignalWindow]:
-    """Assemble windows from an ordered sample stream.
+) -> Iterator[np.ndarray]:
+    """Assemble (W, C) windows from an ordered sample stream.
 
     Yields the same window sequence as :func:`segment_windows` on the fully
     loaded series, regardless of how the source chunks its samples. A
@@ -264,7 +240,6 @@ def stream_windows(
     ring: np.ndarray | None = None
     pos = 0
     filled = 0  # rows of the next window already in the ring
-    start = 0
     drop = 0  # samples still to discard when stride > W
     expected = channel_count
     for index, row in enumerate(samples):
@@ -292,13 +267,12 @@ def stream_windows(
         pos = pos + 1 if pos + 1 < w else 0
         filled += 1
         if filled == w:
-            yield SignalWindow(data=ring[pos : pos + w].copy(), start_index=start)
+            yield ring[pos : pos + w].copy()
             if stride >= w:
                 filled = 0
                 drop = stride - w
             else:
                 filled = w - stride
-            start += stride
 
 
 def read_signal_csv(path: str, sample_rate_hz: float) -> MultiChannelSeries:

@@ -18,14 +18,11 @@ import numpy as np
 __all__ = [
     "Codebook",
     "CodebookSet",
-    "TokenVector",
     "KMeansResult",
     "kmeans_plusplus_init",
     "lloyd_kmeans",
     "fit_codebook",
     "fit_codebook_set",
-    "assign_token",
-    "assign_tokens",
     "tokenize_window",
     "save_codebooks",
     "load_codebooks",
@@ -97,21 +94,6 @@ class CodebookSet:
     @property
     def target_dim(self) -> int:
         return self.codebooks[0].target_dim
-
-
-@dataclass
-class TokenVector:
-    """One token per channel, each in [0, K)."""
-
-    tokens: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        if self.tokens.ndim != 1:
-            raise ValueError("tokens must be a flat vector")
-
-    def __len__(self) -> int:
-        return self.tokens.shape[0]
 
 
 @dataclass
@@ -239,7 +221,7 @@ def fit_codebook(
 
 
 def fit_codebook_set(
-    target_matrices: Sequence[np.ndarray],
+    targets: Sequence[np.ndarray] | np.ndarray,
     k: int,
     seed: int,
     channel_names: Sequence[str] | None = None,
@@ -247,40 +229,33 @@ def fit_codebook_set(
     """Fit one codebook per channel from per-window target segments.
 
     Args:
-        target_matrices: one (target_dim, C) array per training window.
+        targets: an (n, target_dim, C) array, or n (target_dim, C) arrays.
         k: clusters per channel.
         seed: shared k-means seed (channels differ by their data).
     """
-    if not len(target_matrices):
+    if not len(targets):
         raise ValueError("insufficient samples")
-    stacked = np.stack([np.atleast_2d(t) for t in target_matrices])  # (n, dim, C)
-    c = stacked.shape[2]
+    stacked = np.asarray(targets, dtype=np.float64)
+    if stacked.ndim != 3:
+        raise ValueError(f"targets must be (n, target_dim, C), got shape {stacked.shape}")
     books = [
-        fit_codebook(stacked[:, :, ch], k, seed, channel_index=ch) for ch in range(c)
+        fit_codebook(stacked[:, :, ch], k, seed, channel_index=ch)
+        for ch in range(stacked.shape[2])
     ]
     names = list(channel_names) if channel_names else []
     return CodebookSet(codebooks=books, channel_names=names)
 
 
-def assign_token(target: np.ndarray, codebook: Codebook) -> int:
-    """Nearest-centroid index by Euclidean distance; ties go to the lowest index."""
-    target = np.asarray(target, dtype=np.float64).reshape(-1)
-    if target.shape[0] != codebook.target_dim:
-        raise ValueError(
-            f"target has dimension {target.shape[0]}, codebook expects {codebook.target_dim}"
-        )
-    d2 = np.sum((codebook.centroids - target) ** 2, axis=1)
-    return int(np.argmin(d2))
+def tokenize_window(targets: np.ndarray, codebooks: CodebookSet) -> np.ndarray:
+    """Tokens (..., C) for target segments of shape (..., target_dim, C).
 
-
-def assign_tokens(targets: np.ndarray, codebooks: CodebookSet) -> np.ndarray:
-    """Tokens (n, C) for n target segments of shape (n, target_dim, C).
-
-    Same rule as :func:`assign_token` on every channel: squared Euclidean
-    distance to each centroid, ties to the lowest index.
+    Channel c's token is the index of the centroid of codebook c nearest
+    to its target by squared Euclidean distance; ties go to the lowest index.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    _, dim, c = targets.shape
+    if targets.ndim < 2:
+        raise ValueError(f"targets must be (..., target_dim, C), got shape {targets.shape}")
+    dim, c = targets.shape[-2:]
     if c != codebooks.num_channels:
         raise ValueError(
             f"target has {c} channels, codebooks have {codebooks.num_channels}"
@@ -289,15 +264,9 @@ def assign_tokens(targets: np.ndarray, codebooks: CodebookSet) -> np.ndarray:
         raise ValueError(
             f"target has dimension {dim}, codebook expects {codebooks.target_dim}"
         )
-    # (n, C, K, dim) differences against the (C, K, dim) centroid stack
-    diff = codebooks.centroids[None, :, :, :] - targets.transpose(0, 2, 1)[:, :, None, :]
+    # (..., C, K, dim) differences against the (C, K, dim) centroid stack
+    diff = codebooks.centroids - np.swapaxes(targets, -1, -2)[..., :, None, :]
     return np.argmin(np.sum(diff**2, axis=-1), axis=-1)
-
-
-def tokenize_window(target: np.ndarray, codebooks: CodebookSet) -> TokenVector:
-    """Assign one token per channel to a (target_dim, C) target segment."""
-    target = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    return TokenVector(tokens=assign_tokens(target[None], codebooks)[0])
 
 
 def save_codebooks(codebooks: CodebookSet, path: str) -> None:

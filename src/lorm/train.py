@@ -20,14 +20,13 @@ import numpy as np
 from .model import (
     BackboneConfig,
     ModelParameters,
-    TokenDistributions,
     backward_from_scores,
     forward_batch,
     partition_parameters,
 )
-from .sequence import num_patches
-from .signal_io import ChannelStats, SignalWindow, zscore
-from .tokenizer import CodebookSet, TokenVector, assign_tokens
+from .sequence import build_mcps
+from .signal_io import ChannelStats, normalize_window
+from .tokenizer import CodebookSet, tokenize_window
 
 __all__ = [
     "PROB_FLOOR",
@@ -35,7 +34,6 @@ __all__ = [
     "TrainReport",
     "Adam",
     "window_loss",
-    "model_inputs",
     "build_examples",
     "loss_and_grad",
     "dataset_loss",
@@ -117,63 +115,45 @@ class Adam(object):
             params.tensors[n] = params[n] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def window_loss(dists, tokens) -> float:
-    """Cross-entropy of one window's observed tokens, averaged over channels."""
-    p = dists.per_channel if isinstance(dists, TokenDistributions) else np.asarray(dists, dtype=np.float64)
-    y = tokens.tokens if isinstance(tokens, TokenVector) else np.asarray(tokens, dtype=np.int64)
+def window_loss(dists: np.ndarray, tokens: np.ndarray) -> float:
+    """Cross-entropy of one window's (C,) observed tokens under its (C, K)
+    distributions, averaged over channels."""
+    p = np.asarray(dists, dtype=np.float64)
+    y = np.asarray(tokens, dtype=np.int64)
     if p.ndim != 2 or y.shape != (p.shape[0],):
         raise ValueError("need one token per channel distribution")
     picked = p[np.arange(p.shape[0]), y]
     return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
 
 
-def model_inputs(
-    windows: np.ndarray,
+def build_examples(
+    windows: Sequence[np.ndarray] | np.ndarray,
     stats: ChannelStats,
     context_len: int,
     codebooks: CodebookSet,
     patch_len: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Turn n raw windows, an (n, W, C) array, into model inputs.
+    """Turn n raw windows, an (n, W, C) array or n (W, C) arrays, into
+    model inputs.
 
     z-scores every window with the training stats, flattens each context
-    into the channel-major MCPS rows of :func:`lorm.sequence.build_mcps`
-    (final patch zero-padded), and tokenizes each target per channel.
+    into channel-major MCPS rows (:func:`lorm.sequence.build_mcps`) and
+    tokenizes each target per channel (:func:`lorm.tokenizer.tokenize_window`).
     Returns p of shape (n, N*C, patch_len) and y of shape (n, C).
     """
+    if not len(windows):
+        raise ValueError("training set is empty")
     windows = np.asarray(windows, dtype=np.float64)
-    n, w, c = windows.shape
+    if windows.ndim != 3:
+        raise ValueError(f"windows must be (n, W, C), got shape {windows.shape}")
+    w = windows.shape[1]
     if not 0 < context_len < w:
         raise ValueError(f"context_len must satisfy 0 < S < W, got S={context_len} W={w}")
-    if patch_len < 1:
-        raise ValueError("patch_len must be >= 1")
-    norm = zscore(windows, stats)
+    norm = normalize_window(windows, stats)
     if not np.isfinite(norm).all():
         raise ValueError("normalised window contains non-finite values")
-    n_patches = num_patches(context_len, patch_len)
-    rows = np.zeros((n, c, n_patches * patch_len), dtype=np.float64)
-    rows[:, :, :context_len] = norm[:, :context_len, :].transpose(0, 2, 1)
-    p = rows.reshape(n, c * n_patches, patch_len)
-    return p, assign_tokens(norm[:, context_len:, :], codebooks)
-
-
-def build_examples(
-    windows: Sequence[SignalWindow],
-    stats: ChannelStats,
-    context_len: int,
-    codebooks: CodebookSet,
-    patch_len: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Turn raw windows into (patch sequences, target tokens) ready for the model.
-
-    Normalises each window, splits context from target, discretises the target
-    per channel, and flattens the context into MCPS rows. Returns p of shape
-    (n, N*C, patch_len) and y of shape (n, C).
-    """
-    if not windows:
-        raise ValueError("training set is empty")
-    data = np.stack([w.data for w in windows])
-    return model_inputs(data, stats, context_len, codebooks, patch_len)
+    p = build_mcps(norm[:, :context_len, :], patch_len)
+    return p, tokenize_window(norm[:, context_len:, :], codebooks)
 
 
 def _batch_ce(dists: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

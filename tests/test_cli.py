@@ -11,7 +11,7 @@ import threading
 import pytest
 
 import lorm
-from lorm.cli import ConfigError, load_run_config, main
+from lorm.cli import ConfigError, default_config, load_run_config, main
 from lorm.synth import SynthConfig
 
 PIPELINE_CONFIG = {
@@ -294,6 +294,80 @@ class TestSignalErrors:
         err = capsys.readouterr().err
         assert f"error: {signal}: 3 channels, but the checkpoint expects 2" in err
         assert "Traceback" not in err
+
+
+WEAR_CSV = "cut_id,wear_um,first_window,last_window\n1,150.0,1,2\n2,320.0,3,4\n"
+HI_CSV = "window_index,wlf,hi,alarm\n1,0.5,,0\n2,0.7,0.2,0\n3,0.9,0.4,1\n4,1.1,0.6,1\n"
+
+
+class TestHealthAndWearErrors:
+    """A malformed hi.csv or wear.csv ends calibrate and eval with exit code 1
+    and a message naming the file and the line, never a traceback."""
+
+    def run(self, tmp_path, capsys, command, hi=HI_CSV, wear=WEAR_CSV):
+        (tmp_path / "hi.csv").write_text(hi)
+        (tmp_path / "wear.csv").write_text(wear)
+        rc = main([command, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return rc, err
+
+    def test_well_formed_files_pass(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, "calibrate")[0] == 0
+        assert self.run(tmp_path, capsys, "eval")[0] == 0
+
+    @pytest.mark.parametrize("command", ["calibrate", "eval"])
+    def test_non_numeric_hi_field(self, tmp_path, capsys, command):
+        hi = HI_CSV.replace("2,0.7,0.2,0", "2,abc,0.1,0")
+        rc, err = self.run(tmp_path, capsys, command, hi=hi)
+        assert rc == 1
+        assert f"error: {tmp_path / 'hi.csv'}: line 3: could not convert string to float" in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "eval"])
+    def test_alarm_without_hi(self, tmp_path, capsys, command):
+        hi = HI_CSV + "\n5,1.3,,1\n"  # a blank line still counts
+        rc, err = self.run(tmp_path, capsys, command, hi=hi)
+        assert rc == 1
+        assert (
+            f"error: {tmp_path / 'hi.csv'}: line 7: alarm requires a defined health index" in err
+        )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("5,1.3", "expected 4 fields, got 2"), ("5,1.3,0.8,yes", "alarm must be 0 or 1, got 'yes'")],
+    )
+    def test_invalid_hi_row(self, tmp_path, capsys, row, message):
+        rc, err = self.run(tmp_path, capsys, "eval", hi=HI_CSV + row + "\n")
+        assert rc == 1
+        assert f"error: {tmp_path / 'hi.csv'}: line 6: {message}" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("2,lots,3,4", "could not convert string to float"),
+         ("2,-1.0,3,4", "cut 2: wear must be >= 0"),
+         ("2,320.0,3", "expected 4 fields, got 3")],
+    )
+    @pytest.mark.parametrize("command", ["calibrate", "eval"])
+    def test_bad_wear_row(self, tmp_path, capsys, command, row, message):
+        wear = WEAR_CSV.replace("2,320.0,3,4", row)
+        rc, err = self.run(tmp_path, capsys, command, wear=wear)
+        assert rc == 1
+        assert f"error: {tmp_path / 'wear.csv'}: line 3: {message}" in err
+
+    def test_inconsistent_wear_table_names_file(self, tmp_path, capsys):
+        wear = WEAR_CSV.replace("2,320.0,3,4", "1,320.0,3,4")
+        rc, err = self.run(tmp_path, capsys, "eval", wear=wear)
+        assert rc == 1
+        assert f"error: {tmp_path / 'wear.csv'}: duplicate cut id 1" in err
+
+
+def test_readme_defaults_block_is_default_config():
+    """The README's "Defaults" JSON block is exactly the built-in config."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("Defaults:\n\n```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == default_config()
 
 
 def test_readme_degrading_run_wears_after_onset(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from lorm.model import BackboneConfig, Checkpoint, forward_batch, init_model, save_checkpoint
 from lorm.monitor import (
-    BaselineBuffer,
     DeployedModel,
     HealthRecord,
     HealthTracker,
@@ -18,7 +17,7 @@ from lorm.monitor import (
     write_health_csv,
 )
 from lorm.sequence import build_mcps
-from lorm.signal_io import ChannelStats, SignalWindow, normalize_window, split_context_target
+from lorm.signal_io import ChannelStats, normalize_window, split_context_target
 from lorm.tokenizer import Codebook, CodebookSet, save_codebooks, tokenize_window
 from lorm.train import window_loss
 
@@ -65,28 +64,36 @@ def tiny_deployed(seed=0, zero_head=False, num_tokens=4):
 
 def make_window(seed=0, rows=21, cols=2):
     rng = np.random.default_rng(seed)
-    return SignalWindow(data=rng.normal(size=(rows, cols)), start_index=0)
+    return rng.normal(size=(rows, cols))
 
 
 class TestBaselineBuffer:
+    """The tracker's baseline: the first buffer_len WLF values and their mean."""
+
     def test_mean_matches_numpy(self):
-        buf = BaselineBuffer(capacity=4)
+        tracker = HealthTracker(MonitorConfig(buffer_len=4))
         vals = [0.3, 1.7, -0.2, 0.9]
         for v in vals:
-            buf.add(v)
-        assert buf.complete
-        assert buf.mean == np.mean(vals)
+            tracker.update(v)
+        assert tracker.buffer == vals
+        assert tracker.baseline == np.mean(vals)
+        assert tracker.update(2.0).hi == 2.0 - np.mean(vals)
 
     def test_overfull_rejected(self):
-        buf = BaselineBuffer(capacity=1)
-        buf.add(1.0)
-        with pytest.raises(ValueError):
-            buf.add(2.0)
+        # values after the buffer fills are scored, never added to it
+        tracker = HealthTracker(MonitorConfig(buffer_len=1))
+        tracker.update(1.0)
+        tracker.update(2.0)
+        tracker.update(3.0)
+        assert tracker.buffer == [1.0]
+        assert tracker.baseline == 1.0
 
     def test_mean_on_empty_rejected(self):
-        buf = BaselineBuffer(capacity=2)
-        with pytest.raises(ValueError):
-            buf.mean
+        # no baseline, and so no hi, until the buffer is full
+        tracker = HealthTracker(MonitorConfig(buffer_len=2))
+        assert tracker.baseline is None
+        assert tracker.update(1.0).hi is None
+        assert tracker.baseline is None
 
 
 class TestHealthTracker:
@@ -181,8 +188,8 @@ def reference_score(window, deployed):
     ckpt = deployed.checkpoint
     norm = normalize_window(window, ckpt.stats)
     context, target = split_context_target(norm, ckpt.context_len)
-    ps = build_mcps(context, ckpt.config.patch_len)
-    dists, _ = forward_batch(ps.rows[None, :, :], ckpt.params, ckpt.config)
+    rows = build_mcps(context, ckpt.config.patch_len)
+    dists, _ = forward_batch(rows[None, :, :], ckpt.params, ckpt.config)
     return window_loss(dists[0], tokenize_window(target, deployed.codebooks))
 
 
@@ -233,9 +240,9 @@ class TestScoreWindowReference:
     def test_does_not_modify_window(self):
         deployed = geometry_deployed(18, 2, 5)
         window = make_window(seed=3, rows=20, cols=3)
-        before = window.data.copy()
+        before = window.copy()
         score_window(window, deployed)
-        assert np.array_equal(window.data, before)
+        assert np.array_equal(window, before)
 
 
 class TestMonitorStream:

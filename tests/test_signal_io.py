@@ -16,7 +16,6 @@ from lorm import signal_io
 from lorm.signal_io import (
     ChannelStats,
     MultiChannelSeries,
-    SignalWindow,
     StreamFormatError,
     WindowingConfig,
     compute_channel_stats,
@@ -30,7 +29,6 @@ from lorm.signal_io import (
     stream_windows,
     train_val_split,
     write_signal_csv,
-    zscore,
 )
 
 
@@ -41,6 +39,20 @@ def make_series(t=400, c=3, seed=0, rate=1000.0):
         channel_names=[f"ch{i}" for i in range(c)],
         sample_rate_hz=rate,
     )
+
+
+def index_series(t, c=2):
+    """A series whose every sample holds its own row index, so a window's
+    first value is its start."""
+    return MultiChannelSeries(
+        samples=np.repeat(np.arange(t, dtype=np.float64)[:, None], c, axis=1),
+        channel_names=[f"ch{i}" for i in range(c)],
+        sample_rate_hz=1000.0,
+    )
+
+
+def starts(windows):
+    return [int(w[0, 0]) for w in windows]
 
 
 class TestChannelStats:
@@ -74,7 +86,7 @@ class TestNormalize:
     def test_elementwise_oracle(self):
         series = make_series(t=40, c=3, seed=5)
         stats = compute_channel_stats(series)
-        normed = zscore(series.samples, stats)
+        normed = normalize_window(series.samples, stats)
         for i in range(series.num_samples):
             for c in range(series.num_channels):
                 expected = (series.samples[i, c] - stats.mean[c]) / (
@@ -86,14 +98,14 @@ class TestNormalize:
         # zero variance: epsilon keeps the division finite
         samples = np.ones((20, 1)) * 7.0
         stats = compute_channel_stats(samples)
-        normed = zscore(samples, stats)
+        normed = normalize_window(samples, stats)
         assert np.all(np.isfinite(normed))
         assert np.allclose(normed, 0.0)
 
     def test_round_trip(self):
         series = make_series(t=64, c=2, seed=7)
         stats = compute_channel_stats(series)
-        normed = zscore(series.samples, stats)
+        normed = normalize_window(series.samples, stats)
         restored = normed * (stats.std + stats.epsilon) + stats.mean
         assert np.allclose(restored, series.samples, atol=1e-12)
 
@@ -101,18 +113,26 @@ class TestNormalize:
         series = make_series(c=3)
         stats = compute_channel_stats(make_series(c=2).samples)
         with pytest.raises(ValueError):
-            zscore(series.samples, stats)
+            normalize_window(series.samples, stats)
 
     def test_window_normalization_matches_series(self):
         series = make_series(t=100, c=2, seed=9)
         stats = compute_channel_stats(series)
         cfg = WindowingConfig(window_len=25, context_len=24)
         windows = segment_windows(series, cfg)
-        normed_series = zscore(series.samples, stats)
-        for w in windows:
-            nw = normalize_window(w, stats)
-            expected = normed_series[w.start_index : w.start_index + 25]
-            assert np.allclose(nw.data, expected, atol=1e-15)
+        normed_series = normalize_window(series.samples, stats)
+        for k, w in enumerate(windows):
+            expected = normed_series[25 * k : 25 * k + 25]
+            assert np.array_equal(normalize_window(w, stats), expected)
+
+    def test_leading_batch_dimensions(self):
+        series = make_series(t=100, c=2, seed=10)
+        stats = compute_channel_stats(series)
+        windows = segment_windows(series, WindowingConfig(window_len=20, context_len=19))
+        batched = normalize_window(windows, stats)
+        assert batched.shape == windows.shape
+        for w, nw in zip(windows, batched):
+            assert np.array_equal(normalize_window(w, stats), nw)
 
 
 class TestWindowing:
@@ -127,19 +147,24 @@ class TestWindowing:
             cfg = WindowingConfig(window_len=100, context_len=99, stride=stride)
             windows = segment_windows(series, cfg)
             expected_count = (1000 - 100) // stride + 1
-            assert len(windows) == expected_count
-            assert [w.start_index for w in windows] == [
-                i * stride for i in range(expected_count)
-            ]
-            for w in windows:
-                assert np.array_equal(
-                    w.data, series.samples[w.start_index : w.start_index + 100]
-                )
+            assert windows.shape == (expected_count, 100, 3)
+            for k, w in enumerate(windows):
+                s = k * stride
+                assert np.array_equal(w, series.samples[s : s + 100])
+
+    def test_windows_are_read_only_views(self):
+        series = make_series(t=500, c=3, seed=2)
+        cfg = WindowingConfig(window_len=60, context_len=59, stride=13)
+        windows = segment_windows(series, cfg)
+        assert windows.dtype == np.float64 and not windows.flags.writeable
+        assert np.shares_memory(windows, series.samples)
+        with pytest.raises(ValueError):
+            windows[0, 0, 0] = 1.0
 
     def test_short_series_yields_nothing(self):
         series = make_series(t=50)
         cfg = WindowingConfig(window_len=100, context_len=99)
-        assert segment_windows(series, cfg) == []
+        assert segment_windows(series, cfg).shape == (0, 100, 3)
 
     def test_context_target_split_concat_identity(self):
         series = make_series(t=400)
@@ -147,10 +172,10 @@ class TestWindowing:
         for w in segment_windows(series, cfg):
             context, target = split_context_target(w, 45)
             assert context.shape == (45, 3) and target.shape == (15, 3)
-            assert np.array_equal(np.concatenate([context, target]), w.data)
+            assert np.array_equal(np.concatenate([context, target]), w)
 
     def test_invalid_context_len(self):
-        w = SignalWindow(data=np.zeros((10, 2)), start_index=0)
+        w = np.zeros((10, 2))
         with pytest.raises(ValueError, match="context_len"):
             split_context_target(w, 10)
         with pytest.raises(ValueError, match="context_len"):
@@ -165,20 +190,27 @@ class TestWindowing:
 
 class TestTrainValSplit:
     def test_disjoint_union(self):
-        series = make_series(t=2000)
+        series = index_series(2000)
         windows = segment_windows(series, WindowingConfig(window_len=100, context_len=99))
         train, val = train_val_split(windows, 0.2, seed=11)
-        starts = sorted(w.start_index for w in train + val)
-        assert starts == [w.start_index for w in windows]
+        assert sorted(starts(train + val)) == starts(windows)
         assert len(val) == round(len(windows) * 0.2)
 
+    def test_splits_keep_order_and_share_memory(self):
+        series = index_series(2000)
+        windows = segment_windows(series, WindowingConfig(window_len=100, context_len=99))
+        train, val = train_val_split(windows, 0.2, seed=11)
+        assert starts(train) == sorted(starts(train))
+        assert starts(val) == sorted(starts(val))
+        assert all(np.shares_memory(w, series.samples) for w in train + val)
+
     def test_seeded_determinism(self):
-        windows = segment_windows(make_series(t=900), WindowingConfig(100, 99))
+        windows = segment_windows(index_series(900), WindowingConfig(100, 99))
         a = train_val_split(windows, 0.25, seed=4)
         b = train_val_split(windows, 0.25, seed=4)
-        assert [w.start_index for w in a[0]] == [w.start_index for w in b[0]]
+        assert starts(a[0]) == starts(b[0])
         c = train_val_split(windows, 0.25, seed=5)
-        assert [w.start_index for w in a[0]] != [w.start_index for w in c[0]]
+        assert starts(a[0]) != starts(c[0])
 
     def test_val_never_empty_or_total(self):
         windows = segment_windows(make_series(t=250), WindowingConfig(100, 99))
@@ -195,7 +227,7 @@ class TestTrainValSplit:
 def reference_stream_windows(samples, cfg, channel_count=None):
     """The list-of-rows window assembly that the ring buffer replaced."""
     w, stride = cfg.window_len, cfg.stride
-    buf, start, drop, expected = [], 0, 0, channel_count
+    buf, drop, expected = [], 0, channel_count
     for index, row in enumerate(samples):
         try:
             vec = np.asarray(row, dtype=np.float64)
@@ -214,13 +246,12 @@ def reference_stream_windows(samples, cfg, channel_count=None):
             continue
         buf.append(vec)
         if len(buf) == w:
-            yield SignalWindow(data=np.stack(buf), start_index=start)
+            yield np.stack(buf)
             if stride >= w:
                 buf = []
                 drop = stride - w
             else:
                 buf = buf[stride:]
-            start += stride
 
 
 def collect_until_error(windows):
@@ -237,9 +268,8 @@ def collect_until_error(windows):
 def assert_same_windows(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert a.start_index == b.start_index
-        assert a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 class TestStreamWindowsRing:
@@ -269,14 +299,14 @@ class TestStreamWindowsRing:
         cfg = WindowingConfig(window_len=50, context_len=49, stride=10)
         got = list(stream_windows(iter(series.samples), cfg))
         for i, a in enumerate(got):
-            assert a.data.flags.owndata and a.data.flags.writeable
-            assert not np.shares_memory(a.data, series.samples)
+            assert a.flags.owndata and a.flags.writeable
+            assert not np.shares_memory(a, series.samples)
             for b in got[i + 1 :]:
-                assert not np.shares_memory(a.data, b.data)
-        before = [w.data.copy() for w in got]
-        got[0].data[:] = 0.0
+                assert not np.shares_memory(a, b)
+        before = [w.copy() for w in got]
+        got[0][:] = 0.0
         for w, saved in zip(got[1:], before[1:]):
-            assert np.array_equal(w.data, saved)
+            assert np.array_equal(w, saved)
 
     @pytest.mark.parametrize("stride", [10, 50, 80])
     @pytest.mark.parametrize(
@@ -296,7 +326,7 @@ class TestStreamWindowsRing:
         assert err.record_index == want_err.record_index == bad_index
         assert str(err) == str(want_err) and message in str(err)
         assert_same_windows(got, want)
-        assert got and all(w.start_index + 50 <= bad_index for w in got)
+        assert got and (len(got) - 1) * stride + 50 <= bad_index
 
 
 class TestStreamWindows:
@@ -308,8 +338,7 @@ class TestStreamWindows:
         streamed = list(stream_windows(iter(series.samples), cfg))
         assert len(streamed) == len(batch)
         for a, b in zip(streamed, batch):
-            assert a.start_index == b.start_index
-            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(a, b)
 
     def test_field_count_error_names_record(self):
         rows = [[1.0, 2.0], [1.0, 2.0], [1.0]]
@@ -334,7 +363,7 @@ class TestStreamWindows:
         rows = [[float(i)] for i in range(7)]
         cfg = WindowingConfig(window_len=3, context_len=2, stride=3)
         streamed = list(stream_windows(iter(rows), cfg))
-        assert [w.start_index for w in streamed] == [0, 3]
+        assert starts(streamed) == [0, 3]
 
 
 class TestCsv:
@@ -392,7 +421,7 @@ class TestSocketReplay:
         batch = segment_windows(series, cfg)
         assert len(streamed) == len(batch)
         for a, b in zip(streamed, batch):
-            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(a, b)
 
 
 def serve_once(payload: bytes):

@@ -10,8 +10,6 @@ import pytest
 from lorm.tokenizer import (
     Codebook,
     CodebookSet,
-    assign_token,
-    assign_tokens,
     codebook_file_hash,
     fit_codebook,
     fit_codebook_set,
@@ -113,20 +111,34 @@ class TestLloyd:
         assert a.inertia == b.inertia
 
 
+def nearest_centroid(target, centroids):
+    """Index of the nearest centroid by a plain loop; ties go to the lowest index."""
+    best, best_d2 = 0, None
+    for j, centroid in enumerate(centroids):
+        d2 = sum((float(a) - float(b)) ** 2 for a, b in zip(target, centroid))
+        if best_d2 is None or d2 < best_d2:
+            best, best_d2 = j, d2
+    return best
+
+
+def single_channel(centroids):
+    return CodebookSet(codebooks=[Codebook(channel_index=0, centroids=np.array(centroids))])
+
+
 class TestAssignment:
     def test_nearest_centroid(self):
-        cb = Codebook(channel_index=0, centroids=np.array([[0.0], [1.0], [2.0]]))
-        assert assign_token(np.array([1.9]), cb) == 2
-        assert assign_token(np.array([0.2]), cb) == 0
+        books = single_channel([[0.0], [1.0], [2.0]])
+        assert tokenize_window(np.array([[1.9]]), books).tolist() == [2]
+        assert tokenize_window(np.array([[0.2]]), books).tolist() == [0]
 
     def test_tie_goes_to_lowest_index(self):
-        cb = Codebook(channel_index=0, centroids=np.array([[0.0], [2.0]]))
-        assert assign_token(np.array([1.0]), cb) == 0  # equidistant
+        books = single_channel([[0.0], [2.0]])
+        assert tokenize_window(np.array([[1.0]]), books).tolist() == [0]  # equidistant
 
     def test_dimension_mismatch(self):
-        cb = Codebook(channel_index=0, centroids=np.array([[0.0, 0.0]]))
+        books = single_channel([[0.0, 0.0]])
         with pytest.raises(ValueError, match="dimension"):
-            assign_token(np.array([1.0]), cb)
+            tokenize_window(np.array([[1.0]]), books)
 
     def test_tokenize_window_per_channel(self):
         books = CodebookSet(
@@ -137,13 +149,12 @@ class TestAssignment:
             channel_names=["a", "b"],
         )
         target = np.array([[4.4, -2.0]])  # (target_dim=1, C=2)
-        tv = tokenize_window(target, books)
-        assert tv.tokens.tolist() == [1, 0]
+        assert tokenize_window(target, books).tolist() == [1, 0]
 
     @pytest.mark.parametrize("dim", [1, 3, 9, 20])
     def test_assign_tokens_matches_per_channel_loop(self, dim):
-        """The batched (n, C, K, dim) distances give the per-channel
-        assign_token result for every window, ties included."""
+        """Tokens for leading shapes (), (n,) and (n, m) equal a per-channel
+        nearest-centroid loop on every target, ties included."""
         rng = np.random.default_rng(dim)
         books = CodebookSet(
             codebooks=[
@@ -151,31 +162,41 @@ class TestAssignment:
                 for c in range(3)
             ]
         )
-        targets = rng.normal(size=(40, dim, 3))
-        targets[0] = books.codebooks[0].centroids[2][:, None]  # exact hit
-        targets[1, :, 1] = 0.5 * (books.codebooks[1].centroids[0] + books.codebooks[1].centroids[3])
-        got = assign_tokens(targets, books)
-        want = np.array(
-            [[assign_token(t[:, c], books.codebooks[c]) for c in range(3)] for t in targets]
+        targets = rng.normal(size=(8, 5, dim, 3))
+        targets[0, 0] = books.codebooks[0].centroids[2][:, None]  # exact hit
+        targets[1, 0, :, 1] = 0.5 * (  # tie
+            books.codebooks[1].centroids[0] + books.codebooks[1].centroids[3]
         )
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        for batch in [targets[0, 0], targets[:, 0], targets]:
+            lead = batch.shape[:-2]
+            got = tokenize_window(batch, books)
+            assert got.shape == lead + (3,) and got.dtype == np.int64
+            for index in np.ndindex(*lead):
+                want = [
+                    nearest_centroid(batch[index][:, c], books.codebooks[c].centroids)
+                    for c in range(3)
+                ]
+                assert got[index].tolist() == want
 
     def test_assign_tokens_tie_goes_to_lowest_index(self):
-        books = CodebookSet(codebooks=[Codebook(channel_index=0, centroids=np.array([[0.0], [2.0]]))])
-        assert assign_tokens(np.ones((2, 1, 1)), books).tolist() == [[0], [0]]
+        books = single_channel([[0.0], [2.0]])
+        assert tokenize_window(np.ones((2, 1, 1)), books).tolist() == [[0], [0]]
 
     def test_assign_tokens_shape_checks(self):
-        books = CodebookSet(codebooks=[Codebook(channel_index=0, centroids=np.zeros((2, 3)))])
+        books = single_channel(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="dimension"):
-            assign_tokens(np.zeros((4, 2, 1)), books)
+            tokenize_window(np.zeros((4, 2, 1)), books)
         with pytest.raises(ValueError, match="channels"):
-            assign_tokens(np.zeros((4, 3, 2)), books)
+            tokenize_window(np.zeros((4, 3, 2)), books)
+        with pytest.raises(ValueError, match="target_dim"):
+            tokenize_window(np.zeros(3), books)
 
     def test_tokens_in_range_property(self):
         pts = blob_points(13, n=100, dim=1, k=4)
-        cb = fit_codebook(pts, 4, seed=1)
-        for p in pts:
-            assert 0 <= assign_token(p, cb) < 4
+        books = CodebookSet(codebooks=[fit_codebook(pts, 4, seed=1)])
+        tokens = tokenize_window(pts[:, :, None], books)
+        assert tokens.shape == (100, 1)
+        assert np.all((0 <= tokens) & (tokens < 4))
 
 
 class TestFitCodebook:

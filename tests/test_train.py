@@ -8,7 +8,6 @@ from lorm.sequence import build_mcps
 from lorm.signal_io import (
     ChannelStats,
     MultiChannelSeries,
-    SignalWindow,
     WindowingConfig,
     compute_channel_stats,
     normalize_window,
@@ -342,15 +341,19 @@ class TestBuildExamples:
         p_rows, y_rows = [], []
         for w in windows:
             context, target = split_context_target(normalize_window(w, stats), context_len)
-            p_rows.append(build_mcps(context, patch_len).rows)
-            y_rows.append(tokenize_window(target, books).tokens)
+            p_rows.append(build_mcps(context, patch_len))
+            y_rows.append(tokenize_window(target, books))
         want_p, want_y = np.stack(p_rows), np.stack(y_rows)
         assert p.dtype == want_p.dtype and p.shape == want_p.shape
         assert p.tobytes() == want_p.tobytes()
         assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
 
+        # a list of (W, C) windows gives the same bytes as the (n, W, C) array
+        p_list, y_list = build_examples(list(windows), stats, context_len, books, patch_len)
+        assert p_list.tobytes() == p.tobytes() and np.array_equal(y_list, y)
+
     def test_non_finite_after_normalisation_rejected(self):
-        windows = [SignalWindow(data=np.full((11, 1), 1e308))]
+        windows = [np.full((11, 1), 1e308)]
         stats = ChannelStats(mean=np.array([-1e308]), std=np.ones(1))
         books = CodebookSet(codebooks=[Codebook(channel_index=0, centroids=np.zeros((2, 1)))])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
