@@ -101,7 +101,7 @@ DEFAULT_CONFIG: dict = {
         BackboneConfig, skip={"max_seq_len", "num_channels", "num_tokens", "patch_len"}
     ),
     "train": {**_field_defaults(TrainConfig, skip={"seed"}), "val_fraction": 0.2},
-    "monitor": {**_field_defaults(MonitorConfig), "ma_window": None},
+    "monitor": {**_field_defaults(MonitorConfig), "ma_window": None, "read_timeout_s": 60.0},
     "synth": _field_defaults(SynthConfig, skip={"harmonics", "seed"}),
     "eval": {"wear_limit_um": 300.0},
     "paths": {
@@ -134,6 +134,7 @@ class RunConfig:
     val_fraction: float
     monitor: MonitorConfig
     ma_window: int | None
+    read_timeout_s: float | None
     synth: SynthConfig
     wear_limit_um: float
     paths: dict[str, str]
@@ -229,6 +230,11 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             ma_window = int(ma_window)
             if ma_window < 1:
                 raise ValueError("monitor.ma_window must be >= 1 or null")
+        read_timeout_s = monitor_section.pop("read_timeout_s")
+        if read_timeout_s is not None:
+            if not (isinstance(read_timeout_s, (int, float)) and read_timeout_s > 0):
+                raise ValueError("monitor.read_timeout_s must be a positive number or null")
+            read_timeout_s = float(read_timeout_s)
         monitor_cfg = MonitorConfig(
             buffer_len=int(monitor_section["buffer_len"]),
             threshold=float(monitor_section["threshold"]),
@@ -252,6 +258,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         val_fraction=val_fraction,
         monitor=monitor_cfg,
         ma_window=ma_window,
+        read_timeout_s=read_timeout_s,
         synth=synth_cfg,
         wear_limit_um=wear_limit,
         paths={k: str(v) for k, v in config["paths"].items()},
@@ -405,7 +412,12 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
         port = int(port_text)
     except ValueError:
         raise ConfigError(f"paths.signal: bad port in {path!r}") from None
-    return stream_windows(socket_sample_source(host, port), windowing, channel_count=channels)
+    return stream_windows(
+        socket_sample_source(host, port, timeout_s=cfg.read_timeout_s),
+        windowing,
+        channel_count=channels,
+        source=path,
+    )
 
 
 def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:

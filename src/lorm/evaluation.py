@@ -13,6 +13,7 @@ Everything here is pure and safe to call from any thread.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -42,6 +43,8 @@ class WearEntry:
     last_window: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.wear_um):
+            raise ValueError(f"cut {self.cut_id}: wear must be finite")
         if self.wear_um < 0:
             raise ValueError(f"cut {self.cut_id}: wear must be >= 0")
         if self.first_window > self.last_window:
@@ -101,8 +104,11 @@ class WearTable:
     @classmethod
     def from_csv(cls, path: str) -> "WearTable":
         """Read a wear CSV; errors name ``path`` and, for a bad row, its 1-based line."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
         if not lines or lines[0][1] != "cut_id,wear_um,first_window,last_window":
             raise ValueError(f"{path}: expected wear-table header")
         entries = []

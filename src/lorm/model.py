@@ -228,12 +228,12 @@ def partition_parameters(params: ModelParameters) -> ParameterPartition:
 # fitted on z in [0, 1] by mpmath.chebyfit at 50 digits (12 coefficients,
 # highest degree first). The fit is within 7.4e-18 of r, far below float64
 # rounding.
-_ERF_SMALL = (
+_ERF_SMALL = tuple(map(np.float64, (
     -7.795898827002142e-10, 1.3720064546777686e-08, -1.6208483801871705e-07,
     1.6447424703317362e-06, -1.492473690741966e-05, 0.00012055294904839707,
     -0.0008548325975389692, 0.0052239776071164225, -0.02686617064323777,
     0.11283791670945006, -0.37612638903183543, 0.12837916709551256,
-)
+)))
 
 # erf(x) = 1 - exp(-x^2) * erfcx(x) for 1 <= x <= 6, where erfcx(x) =
 # exp(x^2) * erfc(x) is fitted on each [k, k + 1] as a polynomial in
@@ -303,41 +303,61 @@ def _erf(x: np.ndarray, out: np.ndarray | None = None, work: dict | None = None)
     Float64 results are within one ulp of the exact erf; a float32 result is
     that value rounded to float32, which is the correctly rounded erf for
     every float32 input. The array is worked through in blocks so that every
-    Horner pass runs in cache; elements with |x| >= 1 (or NaN) are finished
-    by :func:`_erf_tail`. ``out`` (C-contiguous, x's shape and dtype) may be
-    x itself; a workspace ``work`` lends the float64 scratch.
+    Horner pass runs in cache; an array of one block (every monitoring
+    input) takes no per-block slices. Elements with |x| >= 1 (or NaN) are
+    finished by :func:`_erf_tail`. ``out`` (C-contiguous, x's shape and
+    dtype) may be x itself; a workspace ``work`` lends the float64 scratch.
     """
     flat = x.reshape(-1)
     if out is None:
         out = np.empty(x.shape, x.dtype)
     dest = out.reshape(-1)
-    size = min(flat.size, _ERF_BLOCK)
+    n = flat.size
+    size = min(n, _ERF_BLOCK)
     if work is None:
         # three arrays as before: at B=1 each stays under glibc's 128 KB
         # mmap threshold, where one 3n block would not
         a, z, r = np.empty(size), np.empty(size), np.empty(size)
     else:
         a, z, r = _buffer(work, "erf", (3 * size,), np.float64).reshape(3, size)
-    # |x| >= 1 overflows or meets inf - inf in the polynomial; _erf_tail
-    # overwrites those elements
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, flat.size, _ERF_BLOCK):
-            stop = min(start + _ERF_BLOCK, flat.size)
-            a_, z_, r_ = a[: stop - start], z[: stop - start], r[: stop - start]
-            a_[...] = flat[start:stop]
-            np.multiply(a_, a_, out=z_)
-            np.multiply(z_, _ERF_SMALL[0], out=r_)
-            for c in _ERF_SMALL[1:-1]:
-                np.add(r_, c, out=r_)
-                np.multiply(r_, z_, out=r_)
-            np.add(r_, _ERF_SMALL[-1], out=r_)
-            np.multiply(r_, a_, out=r_)
-            np.add(r_, a_, out=r_)
-            if not z_.max() < 1.0:  # also taken for NaN
-                idx = np.flatnonzero(~(z_ < 1.0))
-                r_[idx] = _erf_tail(a_[idx])
-            dest[start:stop] = r_
+    if n <= _ERF_BLOCK:
+        _erf_block(flat, dest, a, z, r)
+    else:
+        for start in range(0, n, _ERF_BLOCK):
+            stop = min(start + _ERF_BLOCK, n)
+            m = stop - start
+            _erf_block(flat[start:stop], dest[start:stop], a[:m], z[:m], r[:m])
     return out
+
+
+def _erf_block(
+    src: np.ndarray, dest: np.ndarray, a: np.ndarray, z: np.ndarray, r: np.ndarray
+) -> None:
+    """dest = erf(src) for one block, through the float64 scratch arrays a,
+    z and r of src's length."""
+    a[...] = src
+    np.multiply(a, a, out=z)
+    if np.maximum.reduce(z, axis=None) < 1.0:  # False for NaN
+        _erf_small(a, z, r)
+    else:
+        # |x| >= 1 overflows or meets inf - inf in the polynomial; _erf_tail
+        # overwrites those elements
+        with np.errstate(over="ignore", invalid="ignore"):
+            _erf_small(a, z, r)
+            idx = np.flatnonzero(~(z < 1.0))
+            r[idx] = _erf_tail(a[idx])
+    dest[...] = r
+
+
+def _erf_small(a: np.ndarray, z: np.ndarray, r: np.ndarray) -> None:
+    """r = a + a * r(z), with z = a * a: erf(a) for |a| < 1, by Horner."""
+    np.multiply(z, _ERF_SMALL[0], out=r)
+    for c in _ERF_SMALL[1:-1]:
+        np.add(r, c, out=r)
+        np.multiply(r, z, out=r)
+    np.add(r, _ERF_SMALL[-1], out=r)
+    np.multiply(r, a, out=r)
+    np.add(r, a, out=r)
 
 
 def _erf_tail(a: np.ndarray) -> np.ndarray:
@@ -384,15 +404,35 @@ def gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> 
     return grad
 
 
+def _mean(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.mean(axis, keepdims=True)``, the same bits without numpy's
+    Python-level wrapper: the same pairwise sum, divided by the count.
+
+    np.mean divides a float32 sum by its intp count in float64 and rounds
+    the quotient to float32. Dividing in float32 gives the same bits: a
+    quotient rounded to float64 and then to float32 is the correctly
+    rounded float32 quotient (float64 has more than 2 * 24 + 2 bits), and
+    every count below 2**24 is exact in float32.
+    """
+    m = np.add.reduce(x, axis=axis, keepdims=True)
+    m /= x.dtype.type(x.shape[axis])
+    return m
+
+
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """LayerNorm over the last axis; returns (y, xhat, inv_std) for backward."""
-    xhat = x - x.mean(axis=-1, keepdims=True)
+    xhat = x - _mean(x, -1)
     # the population variance exactly as np.var computes it, without its
-    # second pass for the mean
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + x.dtype.type(LN_EPS))
+    # second pass for the mean; y's buffer holds the squares first
+    y = np.multiply(xhat, xhat)
+    inv_std = _mean(y, -1)
+    inv_std += x.dtype.type(LN_EPS)
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
-    return gain * xhat + bias, xhat, inv_std
+    np.multiply(gain, xhat, out=y)
+    y += bias
+    return y, xhat, inv_std
 
 
 def _layer_norm_backward(dy, xhat, inv_std, gain):
@@ -406,9 +446,15 @@ def _layer_norm_backward(dy, xhat, inv_std, gain):
 
 
 def _softmax_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    # A row maximum is exact in any order, so it is taken over a transposed
+    # copy, one elementwise maximum per column across every row, in place of
+    # one short reduction per row. Only the sign of a zero maximum can differ,
+    # and x - (+-0) exponentiates to the same bits.
+    rows = x.reshape(-1, x.shape[-1])
+    peak = np.maximum.reduce(np.ascontiguousarray(rows.T), axis=0)
+    e = np.subtract(x, peak.reshape(*x.shape[:-1], 1), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -418,6 +464,20 @@ def _causal_mask(t: int) -> np.ndarray:
     mask = np.triu(np.ones((t, t), dtype=bool), k=1)
     mask.flags.writeable = False
     return mask
+
+
+@functools.lru_cache(maxsize=8)
+def _causal_bias(t: int, dtype: type) -> np.ndarray:
+    """Read-only (t, t) additive mask: -inf at the future positions, 0 elsewhere.
+
+    Adding it makes every finite future score -inf and leaves the other
+    scores' values (a -0.0 becomes +0.0, which softmax maps to the same
+    bits). Unlike a -inf fill it lets a non-finite future score spoil its
+    row, which finite inputs never produce.
+    """
+    bias = np.where(_causal_mask(t), dtype(-np.inf), dtype(0.0))
+    bias.flags.writeable = False
+    return bias
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -443,6 +503,14 @@ def forward_batch(
     intermediate needed by :func:`backward_from_scores` and is None unless
     requested.
 
+    One window (B = 1) costs mostly numpy's per-call overhead, so the pass
+    makes few calls and works in place where it can: every bias and
+    residual is added into the fresh output of the matmul before it, the
+    causal mask is a cached additive 0/-inf bias, and means and sums are
+    direct ``np.add.reduce`` calls. Nothing held in the cache is written
+    after it is made. Every step does the float operations of the textbook
+    out-of-place formula, so the results keep its bits.
+
     ``work`` is an optional workspace, a plain dict that lends the large
     activations (attention probabilities, FFN pre-activations, GELU outputs
     and scratch) their buffers, so that repeated calls with one batch shape
@@ -450,6 +518,7 @@ def forward_batch(
     it. A cache built on a workspace stays valid only until that workspace
     is next used, and concurrent calls must not share one.
     """
+    w = params.tensors
     dtype = params.dtype.type
     x_in = np.ascontiguousarray(p_batch, dtype=dtype)
     if x_in.ndim != 3 or x_in.shape[1] != cfg.max_seq_len or x_in.shape[2] != cfg.patch_len:
@@ -457,44 +526,46 @@ def forward_batch(
     b, t, _ = x_in.shape
     nh, dh = cfg.num_heads, cfg.head_dim
     scale = dtype(1.0 / np.sqrt(dh))
+    causal_bias = _causal_bias(t, dtype) if cfg.attention_mode == "causal" else None
 
-    e = x_in @ params["embed.w_e"]
-    x = e + params["pos.p_pos"]
+    x = x_in @ w["embed.w_e"]
+    x += w["pos.p_pos"]
     e_tilde = x
-
-    causal = cfg.attention_mode == "causal"
-    if causal:
-        neg_mask = _causal_mask(t)
 
     layers_cache = []
     for l in range(cfg.num_layers):
         pre = f"layers.{l}"
-        a_in, xhat1, inv1 = _layer_norm(x, params[f"{pre}.ln1.gain"], params[f"{pre}.ln1.bias"])
-        q = _split_heads(a_in @ params[f"{pre}.attn.w_q"] + params[f"{pre}.attn.b_q"], nh)
-        k = _split_heads(a_in @ params[f"{pre}.attn.w_k"] + params[f"{pre}.attn.b_k"], nh)
-        v = _split_heads(a_in @ params[f"{pre}.attn.w_v"] + params[f"{pre}.attn.b_v"], nh)
+        a_in, xhat1, inv1 = _layer_norm(x, w[f"{pre}.ln1.gain"], w[f"{pre}.ln1.bias"])
+        q = a_in @ w[f"{pre}.attn.w_q"]
+        q += w[f"{pre}.attn.b_q"]
+        k = a_in @ w[f"{pre}.attn.w_k"]
+        k += w[f"{pre}.attn.b_k"]
+        v = a_in @ w[f"{pre}.attn.w_v"]
+        v += w[f"{pre}.attn.b_v"]
+        q, k, v = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
         scores = np.matmul(
             q, k.transpose(0, 1, 3, 2), out=_buffer(work, pre + ".attn", (b, nh, t, t), dtype)
         )
         scores *= scale
-        if causal:
-            np.copyto(scores, dtype(-np.inf), where=neg_mask)
+        if causal_bias is not None:
+            scores += causal_bias
         attn = _softmax_last(scores, out=scores)
         heads = _merge_heads(attn @ v)
-        attn_out = heads @ params[f"{pre}.attn.w_o"] + params[f"{pre}.attn.b_o"]
-        x_mid = x + attn_out
+        # x_mid = x + (heads @ w_o + b_o), the same sums in place
+        x_mid = heads @ w[f"{pre}.attn.w_o"]
+        x_mid += w[f"{pre}.attn.b_o"]
+        x_mid += x
 
-        f_in, xhat2, inv2 = _layer_norm(
-            x_mid, params[f"{pre}.ln2.gain"], params[f"{pre}.ln2.bias"]
-        )
+        f_in, xhat2, inv2 = _layer_norm(x_mid, w[f"{pre}.ln2.gain"], w[f"{pre}.ln2.bias"])
         h_pre = np.matmul(
-            f_in, params[f"{pre}.ffn.w1"],
+            f_in, w[f"{pre}.ffn.w1"],
             out=_buffer(work, pre + ".h_pre", (b, t, cfg.ffn_dim), dtype),
         )
-        h_pre += params[f"{pre}.ffn.b1"]
+        h_pre += w[f"{pre}.ffn.b1"]
         h_act, h_cdf = gelu(h_pre, work, pre + ".gelu")
-        ffn_out = h_act @ params[f"{pre}.ffn.w2"] + params[f"{pre}.ffn.b2"]
-        x_next = x_mid + ffn_out
+        x_next = h_act @ w[f"{pre}.ffn.w2"]
+        x_next += w[f"{pre}.ffn.b2"]
+        x_next += x_mid
 
         if want_cache:
             layers_cache.append(
@@ -506,15 +577,15 @@ def forward_batch(
             )
         x = x_next
 
-    z, xhat_f, inv_f = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
-    g = z.mean(axis=1)
+    z, xhat_f, inv_f = _layer_norm(x, w["final_ln.gain"], w["final_ln.bias"])
+    g = _mean(z, 1)[:, 0]
     g_act, g_cdf = gelu(g)
-    u, xhat_h, inv_h = _layer_norm(g_act, params["head_ln.gain"], params["head_ln.bias"])
-    v_scores = u @ params["head.w_c"]
+    u, xhat_h, inv_h = _layer_norm(g_act, w["head_ln.gain"], w["head_ln.bias"])
+    v_scores = u @ w["head.w_c"]
 
     # token probabilities in float64 so each block sums to 1 within 1e-9
     blocks = v_scores.astype(np.float64).reshape(b, cfg.num_channels, cfg.num_tokens)
-    dists = _softmax_last(blocks)
+    dists = _softmax_last(blocks, out=blocks)
 
     cache = None
     if want_cache:

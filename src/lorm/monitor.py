@@ -16,6 +16,7 @@ so many streams may share one checkpoint.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -245,8 +246,11 @@ def read_health_csv(path: str) -> tuple[list[HealthRecord], list[int | None] | N
     Raises:
         ValueError: naming ``path`` and the 1-based line for a malformed row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0][1].split(",")
@@ -263,13 +267,12 @@ def read_health_csv(path: str) -> tuple[list[HealthRecord], list[int | None] | N
                 raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
             if parts[3] not in ("0", "1"):
                 raise ValueError(f"alarm must be 0 or 1, got {parts[3]!r}")
+            wlf = float(parts[1])
+            hi = None if parts[2] == "" else float(parts[2])
+            if not (math.isfinite(wlf) and (hi is None or math.isfinite(hi))):
+                raise ValueError("wlf and hi must be finite")
             records.append(
-                HealthRecord(
-                    window_index=int(parts[0]),
-                    wlf=float(parts[1]),
-                    hi=None if parts[2] == "" else float(parts[2]),
-                    alarm=parts[3] == "1",
-                )
+                HealthRecord(window_index=int(parts[0]), wlf=wlf, hi=hi, alarm=parts[3] == "1")
             )
             if cut_col is not None:
                 cuts.append(None if parts[cut_col] == "" else int(parts[cut_col]))

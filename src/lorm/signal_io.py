@@ -157,7 +157,9 @@ def _check_channel_match(stats: ChannelStats, c: int) -> None:
 def normalize_window(data: np.ndarray, stats: ChannelStats) -> np.ndarray:
     """Channel-wise z-score of any (..., C) array: (x - mean) / (std + epsilon)."""
     _check_channel_match(stats, data.shape[-1])
-    return (data - stats.mean) / (stats.std + stats.epsilon)
+    out = data - stats.mean
+    out /= stats.std + stats.epsilon
+    return out
 
 
 def segment_windows(series: MultiChannelSeries, cfg: WindowingConfig) -> np.ndarray:
@@ -215,6 +217,7 @@ def stream_windows(
     samples: Iterable[Sequence[float]],
     cfg: WindowingConfig,
     channel_count: int | None = None,
+    source: str | None = None,
 ) -> Iterator[np.ndarray]:
     """Assemble (W, C) windows from an ordered sample stream.
 
@@ -228,6 +231,8 @@ def stream_windows(
         samples: iterable of per-sample rows, each with C values.
         cfg: windowing parameters; monitoring normally uses stride = W.
         channel_count: expected C; inferred from the first row when None.
+        source: the name of the sample source (a file or tcp://host:port),
+            put at the head of every error message when given.
 
     Raises:
         StreamFormatError: on a row with the wrong field count or a
@@ -246,17 +251,17 @@ def stream_windows(
         try:
             vec = np.asarray(row, dtype=np.float64)
         except (TypeError, ValueError) as exc:
-            raise StreamFormatError(index, f"non-numeric value ({exc})") from None
+            raise StreamFormatError(index, f"non-numeric value ({exc})", source) from None
         if vec.ndim != 1:
-            raise StreamFormatError(index, f"expected a flat row, got shape {vec.shape}")
+            raise StreamFormatError(index, f"expected a flat row, got shape {vec.shape}", source)
         if expected is None:
             expected = vec.shape[0]
         if vec.shape[0] != expected:
             raise StreamFormatError(
-                index, f"expected {expected} fields, got {vec.shape[0]}"
+                index, f"expected {expected} fields, got {vec.shape[0]}", source
             )
         if not np.isfinite(vec).all():
-            raise StreamFormatError(index, "non-finite value")
+            raise StreamFormatError(index, "non-finite value", source)
         if drop > 0:
             drop -= 1
             continue
@@ -358,20 +363,40 @@ def _parse_records(records: list[str], n_fields: int, first_index: int, path: st
     return np.array(rows, dtype=np.float64)
 
 
-def socket_sample_source(host: str, port: int) -> Iterator[np.ndarray]:
+def socket_sample_source(
+    host: str, port: int, timeout_s: float | None = None
+) -> Iterator[np.ndarray]:
     """Connect to a line-oriented TCP feed: one sample per line, C floats each.
 
-    The stream ends when the peer closes the connection.
+    The stream ends when the peer closes the connection. Errors name the
+    source as tcp://host:port. With ``timeout_s``, connecting, and each
+    wait for more data, give up after that many seconds with a
+    TimeoutError, so a stalled peer cannot hang the reader.
     """
-    with socket.create_connection((host, port)) as conn:
-        with conn.makefile("r", encoding="utf-8") as fh:
-            index = 0
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield np.asarray([float(f) for f in line.split(",")], dtype=np.float64)
-                except ValueError as exc:
-                    raise StreamFormatError(index, f"non-numeric value ({exc})") from None
-                index += 1
+    source = f"tcp://{host}:{port}"
+    try:
+        conn = socket.create_connection((host, port), timeout=timeout_s)
+    except OSError as exc:
+        raise OSError(f"{source}: cannot connect ({exc})") from None
+    with conn, conn.makefile("r", encoding="utf-8") as fh:
+        index = 0
+        while True:
+            try:
+                line = fh.readline()
+            except TimeoutError:
+                raise TimeoutError(f"{source}: no data for {timeout_s} s") from None
+            except OSError as exc:
+                raise OSError(f"{source}: read failed ({exc})") from None
+            except UnicodeDecodeError as exc:
+                # decoded ahead of the records read so far, so no record index
+                raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
+            if not line:
+                return
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield np.asarray([float(f) for f in line.split(",")], dtype=np.float64)
+            except ValueError as exc:
+                raise StreamFormatError(index, f"non-numeric value ({exc})", source) from None
+            index += 1

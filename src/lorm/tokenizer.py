@@ -266,7 +266,7 @@ def tokenize_window(targets: np.ndarray, codebooks: CodebookSet) -> np.ndarray:
         )
     # (..., C, K, dim) differences against the (C, K, dim) centroid stack
     diff = codebooks.centroids - np.swapaxes(targets, -1, -2)[..., :, None, :]
-    return np.argmin(np.sum(diff**2, axis=-1), axis=-1)
+    return np.add.reduce(np.square(diff, out=diff), axis=-1).argmin(axis=-1)
 
 
 def save_codebooks(codebooks: CodebookSet, path: str) -> None:

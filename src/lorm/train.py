@@ -123,7 +123,8 @@ def window_loss(dists: np.ndarray, tokens: np.ndarray) -> float:
     if p.ndim != 2 or y.shape != (p.shape[0],):
         raise ValueError("need one token per channel distribution")
     picked = p[np.arange(p.shape[0]), y]
-    return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
+    # -mean(log(...)) as np.mean computes it: one pairwise sum, one division
+    return -float(np.add.reduce(np.log(np.maximum(picked, PROB_FLOOR)))) / p.shape[0]
 
 
 def build_examples(

@@ -1,17 +1,24 @@
 """End-to-end CLI pipeline runs, config plumbing, and exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lorm
 from lorm.cli import ConfigError, default_config, load_run_config, main
+from lorm.evaluation import WearTable
+from lorm.monitor import read_health_csv
 from lorm.synth import SynthConfig
 
 PIPELINE_CONFIG = {
@@ -332,6 +339,14 @@ class TestHealthAndWearErrors:
             f"error: {tmp_path / 'hi.csv'}: line 7: alarm requires a defined health index" in err
         )
 
+    @pytest.mark.parametrize("command", ["calibrate", "eval"])
+    @pytest.mark.parametrize("row", ["5,nan,0.8,0", "5,1.3,nan,0", "5,1.3,-inf,0", "5,1e999,0.8,1"])
+    def test_non_finite_hi_row(self, tmp_path, capsys, command, row):
+        rc, err = self.run(tmp_path, capsys, command, hi=HI_CSV + row + "\n")
+        assert rc == 1
+        assert f"error: {tmp_path / 'hi.csv'}: line 6: wlf and hi must be finite" in err
+        assert not (tmp_path / "metrics.json").exists()
+
     @pytest.mark.parametrize(
         "row, message",
         [("5,1.3", "expected 4 fields, got 2"), ("5,1.3,0.8,yes", "alarm must be 0 or 1, got 'yes'")],
@@ -354,11 +369,167 @@ class TestHealthAndWearErrors:
         assert rc == 1
         assert f"error: {tmp_path / 'wear.csv'}: line 3: {message}" in err
 
+    @pytest.mark.parametrize("wear", ["nan", "inf"])
+    def test_non_finite_wear_names_file(self, tmp_path, capsys, wear):
+        rc, err = self.run(tmp_path, capsys, "calibrate", wear=WEAR_CSV.replace("320.0", wear))
+        assert rc == 1
+        assert f"error: {tmp_path / 'wear.csv'}: line 3: cut 2: wear must be finite" in err
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_inconsistent_wear_table_names_file(self, tmp_path, capsys):
         wear = WEAR_CSV.replace("2,320.0,3,4", "1,320.0,3,4")
         rc, err = self.run(tmp_path, capsys, "eval", wear=wear)
         assert rc == 1
         assert f"error: {tmp_path / 'wear.csv'}: duplicate cut id 1" in err
+
+
+MUTATION_TOKENS = [bytes([b]) for b in b"0123456789,.-+eE_ naif\t\r\n\x00\xff\xc3"] + [
+    b"nan", b"inf", b"1e999", b"-0",
+]
+
+
+@st.composite
+def mutated(draw, text):
+    """text as UTF-8 bytes with a few random token, line and length edits."""
+    data = bytearray(text.encode("utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["delete", "insert", "replace", "line", "truncate"]))
+        pos = draw(st.integers(0, len(data)))
+        token = draw(st.sampled_from(MUTATION_TOKENS))
+        if kind == "delete" and pos < len(data):
+            del data[pos]
+        elif kind == "insert":
+            data[pos:pos] = token
+        elif kind == "replace" and pos < len(data):
+            data[pos : pos + 1] = token
+        elif kind == "line":
+            lines = bytes(data).split(b"\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            if draw(st.booleans()):
+                lines.insert(i, lines[i])
+            else:
+                del lines[i]
+            data = bytearray(b"\n".join(lines))
+        elif kind == "truncate":
+            del data[pos:]
+    return bytes(data)
+
+
+class TestHealthAndWearSweep:
+    """Every mutated hi.csv or wear.csv either parses or raises a ValueError
+    that names the file; calibrate and eval then exit 1 with that message,
+    and no file makes them end in a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        which=st.sampled_from(["hi.csv", "wear.csv"]),
+        data=st.data(),
+    )
+    def test_mutated_file(self, which, data):
+        blob = data.draw(mutated(HI_CSV if which == "hi.csv" else WEAR_CSV))
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "hi.csv"), "w", encoding="utf-8") as fh:
+                fh.write(HI_CSV)
+            with open(os.path.join(tmp, "wear.csv"), "w", encoding="utf-8") as fh:
+                fh.write(WEAR_CSV)
+            path = os.path.join(tmp, which)
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            reader = read_health_csv if which == "hi.csv" else WearTable.from_csv
+            try:
+                reader(path)
+                failure = None
+            except ValueError as exc:
+                failure = str(exc)
+                assert failure.startswith(f"{path}: ")
+            for command in ("calibrate", "eval"):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = main([command, "--out", tmp])
+                if failure is not None:
+                    assert rc == 1
+                    assert f"error: {failure}" in err.getvalue()
+                else:
+                    assert rc in (0, 1, 2)
+
+
+class TestStreamErrors:
+    """A bad, stalled or absent tcp:// feed ends monitor with exit code 1 and
+    a message naming tcp://host:port, never a traceback or a hang."""
+
+    def monitor(self, pipeline, tmp_path, port, *extra):
+        out = pipeline["out"]
+        return main([
+            "monitor", "--config", str(pipeline["config_path"]), "--out", str(tmp_path),
+            "--set", f"paths.signal=tcp://127.0.0.1:{port}",
+            "--set", f"paths.codebooks={out / 'codebooks.json'}",
+            "--set", f"paths.checkpoint={out / 'checkpoint.lorm'}",
+            "--set", "paths.wear=", *extra,
+        ])
+
+    @staticmethod
+    def serve(lines, stall):
+        """A loopback server that sends lines, then waits for ``stall`` to be
+        set before it closes the connection."""
+        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+
+        def run():
+            conn, _ = server.accept()
+            with conn:
+                conn.sendall("".join(line + "\n" for line in lines).encode("utf-8"))
+                stall.wait(timeout=30)
+            server.close()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return server.getsockname()[1], thread
+
+    def check(self, capsys, rc, message, tmp_path):
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "hi.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("1.0", "expected 2 fields, got 1"), ("1.0,x", "non-numeric value"),
+         ("1.0,nan", "non-finite value")],
+    )
+    def test_bad_line_names_source_and_record(self, pipeline, tmp_path, capsys, bad, message):
+        stall = threading.Event()
+        stall.set()
+        port, thread = self.serve(["0.5,0.25", bad, "0.5,0.25"], stall)
+        rc = self.monitor(pipeline, tmp_path, port)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        self.check(capsys, rc, f"tcp://127.0.0.1:{port}: record 1: {message}", tmp_path)
+
+    def test_stalled_peer_times_out(self, pipeline, tmp_path, capsys):
+        stall = threading.Event()
+        port, thread = self.serve(["0.5,0.25"] * 5, stall)
+        try:
+            rc = self.monitor(pipeline, tmp_path, port, "--set", "monitor.read_timeout_s=0.3")
+        finally:
+            stall.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        self.check(capsys, rc, f"tcp://127.0.0.1:{port}: no data for 0.3 s", tmp_path)
+
+    def test_refused_connection_names_source(self, pipeline, tmp_path, capsys):
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()  # nothing listens on the port now
+        rc = self.monitor(pipeline, tmp_path, port)
+        self.check(capsys, rc, f"tcp://127.0.0.1:{port}: cannot connect", tmp_path)
+
+    @pytest.mark.parametrize("value", ["0", "-1", '"soon"'])
+    def test_read_timeout_must_be_positive(self, capsys, value):
+        assert main(["monitor", "--set", f"monitor.read_timeout_s={value}"]) == 2
+        assert "monitor.read_timeout_s" in capsys.readouterr().err
 
 
 def test_readme_defaults_block_is_default_config():

@@ -20,9 +20,14 @@ from lorm.model import (
     param_shapes,
     partition_parameters,
     save_checkpoint,
+    _ERF_BLOCK,
+    _ERF_SMALL,
+    _causal_bias,
     _causal_mask,
     _erf,
+    _erf_tail,
     _layer_norm,
+    _mean,
     _layer_norm_backward,
     _merge_heads,
     _softmax_last,
@@ -583,6 +588,107 @@ class TestMasking:
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="attention_mode"):
             BackboneConfig(attention_mode="sideways")
+
+
+REFERENCE = dict(hidden_dim=64, num_layers=2, num_heads=4, ffn_dim=256, max_seq_len=60,
+                 num_tokens=8, num_channels=3, patch_len=16)
+
+
+def old_erf(x):
+    """_erf's float64 arithmetic as plain out-of-place expressions over the
+    whole array at once: the reference for its blocked, in-place passes."""
+    a = x.astype(np.float64)
+    z = a * a
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = z * _ERF_SMALL[0]
+        for c in _ERF_SMALL[1:-1]:
+            r = (r + c) * z
+        r = (r + _ERF_SMALL[-1]) * a + a
+    tail = ~(z < 1.0)
+    r[tail] = _erf_tail(a[tail])
+    return r.astype(x.dtype)
+
+
+@pytest.mark.parametrize("n", [3, 7, 60, 64, 257])
+def test_mean_divides_as_np_mean(n):
+    """_mean's division in float32 gives the bits of np.mean's float64
+    division rounded to float32, for sums from subnormal to 1e36."""
+    rng = np.random.default_rng(n)
+    x = (rng.standard_normal((20_000, n)) * 10.0 ** rng.uniform(-44, 36, (20_000, 1)))
+    x = x.astype(np.float32)
+    assert (np.abs(x[np.nonzero(x)]) < np.finfo(np.float32).tiny).any()
+    assert _mean(x, -1).tobytes() == x.mean(axis=-1, keepdims=True).tobytes()
+    assert _mean(x, 0).tobytes() == x.mean(axis=0, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestReferenceScaleBitwise:
+    """The lean kernels and passes give the bytes of the textbook formulas
+    at the reference scale: d=64, 60 tokens, FFN 256, one window and 32."""
+
+    @pytest.mark.parametrize("shape", [(1, 64), (1, 60, 64), (32, 60, 64)])
+    def test_layer_norm(self, dtype, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(0.0, 2.0, size=shape).astype(dtype)
+        gain = rng.normal(1.0, 0.1, size=64).astype(dtype)
+        bias = rng.normal(0.0, 0.1, size=64).astype(dtype)
+        for a, b in zip(_layer_norm(x, gain, bias), old_layer_norm(x, gain, bias)):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 64), (1, 60, 64), (2, 4, 60, 60)])
+    def test_softmax(self, dtype, shape):
+        x = np.random.default_rng(len(shape)).normal(0.0, 4.0, size=shape).astype(dtype)
+        assert _softmax_last(x).tobytes() == old_softmax_last(x).tobytes()
+
+    def test_softmax_under_additive_mask_with_negative_zeros(self, dtype):
+        """-0.0 scores become +0.0 under the 0/-inf bias, even where they are
+        the row maximum; the probabilities keep the bytes of the -inf fill."""
+        t = 60
+        rng = np.random.default_rng(9)
+        scores = -np.abs(rng.normal(0.0, 3.0, size=(2, 4, t, t))).astype(dtype)
+        scores[:, :, ::3, :] = dtype(-0.0)  # whole rows of -0.0
+        scores[:, :, 1::3, ::2] = dtype(-0.0)  # -0.0 beside negative scores
+        scores[:, :, 2::3, 0] = dtype(-0.0)
+        assert np.signbit(scores[scores == 0]).all()
+        bias = _causal_bias(t, dtype)
+        assert not bias.flags.writeable and bias is _causal_bias(t, dtype)
+        added = scores + bias
+        filled = np.where(_causal_mask(t), dtype(-np.inf), scores)
+        assert np.array_equal(added, filled)
+        assert not np.array_equal(np.signbit(added), np.signbit(filled))
+        assert _softmax_last(added).tobytes() == old_softmax_last(filled).tobytes()
+
+    @pytest.mark.parametrize("size", [64, 15_360, _ERF_BLOCK - 1, _ERF_BLOCK, _ERF_BLOCK + 1])
+    def test_erf(self, dtype, size):
+        x = np.random.default_rng(size).normal(0.0, 1.5, size=size).astype(dtype)
+        x[::1001] = np.nan
+        x[1::997] = np.inf
+        want = old_erf(x).tobytes()
+        assert _erf(x).tobytes() == want
+        assert _erf(x, work={}).tobytes() == want
+        inplace = x.copy()
+        _erf(inplace, out=inplace)
+        assert inplace.tobytes() == want
+        small = np.clip(x, dtype(-0.99), dtype(0.99))  # every block takes the |x| < 1 path
+        assert _erf(small).tobytes() == old_erf(small).tobytes()
+
+    @pytest.mark.parametrize("mode", ["causal", "bidirectional"])
+    @pytest.mark.parametrize("b", [1, 32])
+    def test_forward_backward(self, dtype, mode, b):
+        cfg = BackboneConfig(attention_mode=mode, **REFERENCE)
+        params = init_model(cfg, seed=5, dtype=dtype)
+        rng = np.random.default_rng(b)
+        p = rng.normal(size=(b, cfg.max_seq_len, cfg.patch_len))
+        d = rng.normal(size=(b, cfg.num_channels, cfg.num_tokens)) / (b * cfg.num_channels)
+        want_dists, want_z, want_grads = old_forward_backward(p, params, cfg, d)
+        for work in (None, {}):
+            dists, cache = forward_batch(p, params, cfg, want_cache=True, work=work)
+            assert dists.tobytes() == want_dists.tobytes()
+            assert cache["z"].tobytes() == want_z.tobytes()
+            grads = backward_from_scores(cache, d)
+            for name in params.names():
+                assert grads[name].tobytes() == want_grads[name].tobytes(), name
 
 
 class TestCheckpoint:
