@@ -44,7 +44,7 @@ print(f"series: {run.series.num_samples} samples x {run.series.num_channels} cha
 # CSV round trip: the on-disk format is one header line plus one row per sample
 path = os.path.join(workdir, "signal.csv")
 write_signal_csv(run.series, path)
-again = read_signal_csv(path, sample_rate_hz=1000.0)
+again = read_signal_csv(path)
 print(f"csv round trip exact: {np.array_equal(run.series.samples, again.samples)}")
 
 # windowing: 61-sample windows every 30 samples, as one read-only

@@ -277,7 +277,7 @@ def _read_series(cfg: RunConfig, key: str) -> MultiChannelSeries:
     path = _require_file(cfg.resolve(key), key)
     if path.startswith("tcp://"):
         raise ConfigError(f"paths.{key}: this command needs a file, not a socket")
-    return read_signal_csv(path, sample_rate_hz=cfg.synth.sample_rate_hz)
+    return read_signal_csv(path)
 
 
 def _prepare_splits(cfg: RunConfig, series: MultiChannelSeries):
@@ -342,7 +342,7 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
     init_path = cfg.paths.get("init_checkpoint", "")
     if init_path:
         ckpt = load_checkpoint(_require_file(cfg.resolve("init_checkpoint"), "init_checkpoint"))
-        if ckpt.config.to_dict() != backbone.to_dict():
+        if ckpt.config != backbone:
             raise ConfigError(
                 "paths.init_checkpoint: checkpoint architecture differs from the "
                 "configured model section"
@@ -398,7 +398,7 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
     )
     channels = len(deployed.checkpoint.channel_names)
     if not path.startswith("tcp://"):
-        series = read_signal_csv(path, sample_rate_hz=cfg.synth.sample_rate_hz)
+        series = read_signal_csv(path)
         if series.num_channels != channels:
             raise ValueError(
                 f"{path}: {series.num_channels} channels, but the checkpoint expects {channels}"
@@ -503,15 +503,19 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
-    records, _ = read_health_csv(_require_file(cfg.resolve("hi"), "hi"))
-    wear = WearTable.from_csv(_require_file(cfg.resolve("wear"), "wear"))
+    hi_path = _require_file(cfg.resolve("hi"), "hi")
+    records, _ = read_health_csv(hi_path)
+    wear_path = _require_file(cfg.resolve("wear"), "wear")
+    wear = WearTable.from_csv(wear_path)
     scored = [r for r in records if r.hi is not None and wear.covers(r.window_index)]
     if not scored:
-        raise ConfigError("paths.hi: no post-buffer windows overlap the wear table")
+        raise ValueError(f"{hi_path}: no post-buffer window overlaps the wear table {wear_path}")
     labels = label_windows(wear, cfg.wear_limit_um, [r.window_index for r in scored])
     predictions = np.array([r.alarm for r in scored], dtype=bool)
     report = compute_metrics(predictions, labels)
     first_alarm = next((r.window_index for r in records if r.alarm), None)
+    if first_alarm is not None and not wear.covers(first_alarm):
+        raise ValueError(f"{hi_path}: first alarm, window {first_alarm}, is outside {wear_path}")
     deviation = detection_deviation(first_alarm, wear, cfg.wear_limit_um)
     write_metrics_json(
         {

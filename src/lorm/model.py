@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
 
+from .sequence import num_patches
 from .signal_io import ChannelStats
 
 __all__ = [
@@ -71,30 +73,19 @@ class BackboneConfig:
     patch_len: int = 16
 
     def __post_init__(self) -> None:
-        if self.hidden_dim < self.num_heads or self.hidden_dim % self.num_heads != 0:
+        for name in ("hidden_dim", "num_layers", "num_heads", "ffn_dim", "max_seq_len",
+                     "num_tokens", "num_channels", "patch_len"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.hidden_dim % self.num_heads != 0:
             raise ValueError("hidden_dim must be a positive multiple of num_heads")
         if self.attention_mode not in ("causal", "bidirectional"):
             raise ValueError(f"unknown attention_mode: {self.attention_mode!r}")
-        for name in ("num_layers", "ffn_dim", "max_seq_len", "num_tokens", "num_channels", "patch_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
     @property
     def head_dim(self) -> int:
         return self.hidden_dim // self.num_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "ffn_dim": self.ffn_dim,
-            "max_seq_len": self.max_seq_len,
-            "attention_mode": self.attention_mode,
-            "num_tokens": self.num_tokens,
-            "num_channels": self.num_channels,
-            "patch_len": self.patch_len,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BackboneConfig":
@@ -733,7 +724,7 @@ def save_checkpoint(
     JSON metadata, then all parameters as little-endian float32 in canonical
     order."""
     meta = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "windowing": {"window_len": window_len, "context_len": context_len},
         "stats": {
             "mean": [float(x) for x in stats.mean],
@@ -781,26 +772,34 @@ def load_checkpoint(path: str) -> Checkpoint:
             std=np.asarray(meta["stats"]["std"]),
             epsilon=meta["stats"]["epsilon"],
         )
-        channel_names = list(meta["channel_names"])
+        channel_names = meta["channel_names"]
         codebook_hash = meta["codebook_hash"]
+        if not (type(window_len) is type(context_len) is int and 0 < context_len < window_len):
+            raise ValueError(f"window geometry {context_len!r}/{window_len!r} is not 0 < S < W")
+        names_ok = isinstance(channel_names, list) and all(type(n) is str for n in channel_names)
+        if not (names_ok and isinstance(codebook_hash, str)):
+            raise ValueError("channel_names must be a list of strings, codebook_hash a string")
+        if not len(channel_names) == cfg.num_channels == stats.num_channels:
+            raise ValueError(f"{len(channel_names)} channel names, stats for "
+                             f"{stats.num_channels} channels, model for {cfg.num_channels}")
+        if num_patches(context_len, cfg.patch_len) * cfg.num_channels != cfg.max_seq_len:
+            raise ValueError(f"context_len {context_len} mismatches max_seq_len {cfg.max_seq_len}")
     except KeyError as exc:
         raise CheckpointError(f"{path}: metadata lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid metadata ({exc})") from None
     shapes = param_shapes(cfg)
-    total = sum(int(np.prod(s)) for _, s in shapes)
+    sizes = [math.prod(shape) for _, shape in shapes]
     raw = data[12 + meta_len :]
-    if len(raw) != 4 * total:
+    if len(raw) != 4 * sum(sizes):
         raise CheckpointError(
-            f"{path}: parameter block holds {len(raw)} bytes, expected {4 * total}"
+            f"{path}: parameter block holds {len(raw)} bytes, expected {4 * sum(sizes)}"
         )
     flat = np.frombuffer(raw, dtype="<f4")
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in shapes:
-        size = int(np.prod(shape))
-        tensors[name] = flat[offset : offset + size].reshape(shape).copy()
-        offset += size
+    if not np.isfinite(flat).all():
+        raise CheckpointError(f"{path}: parameter block holds non-finite values")
+    pieces = np.split(flat, np.cumsum(sizes)[:-1])
+    tensors = {name: piece.reshape(shape).copy() for (name, shape), piece in zip(shapes, pieces)}
     return Checkpoint(
         params=ModelParameters(tensors),
         config=cfg,

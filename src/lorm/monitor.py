@@ -82,10 +82,6 @@ class HealthTracker(object):
         self._count = 0
 
     @property
-    def window_count(self) -> int:
-        return self._count
-
-    @property
     def baseline(self) -> float | None:
         return self._baseline
 

@@ -8,6 +8,7 @@ order.
 from __future__ import annotations
 
 import math
+import os
 import socket
 from dataclasses import dataclass
 from itertools import repeat
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-8
-_BLOCK_CHARS = 1 << 16  # text the CSV parser reads per block, so memory stays bounded
+_BLOCK_CHARS = 1 << 16  # most bytes the CSV parser reads per block, so memory stays bounded
 
 
 @dataclass
@@ -43,7 +44,6 @@ class MultiChannelSeries:
 
     samples: np.ndarray
     channel_names: list[str]
-    sample_rate_hz: float
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -58,8 +58,6 @@ class MultiChannelSeries:
             )
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
 
     @property
     def num_samples(self) -> int:
@@ -83,10 +81,10 @@ class ChannelStats:
         self.std = np.asarray(self.std, dtype=np.float64).reshape(-1)
         if self.mean.shape != self.std.shape:
             raise ValueError("mean and std must have matching length")
-        if np.any(self.std < 0):
-            raise ValueError("std must be non-negative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (np.isfinite([self.mean, self.std]).all() and (self.std >= 0).all()):
+            raise ValueError("mean and std must be finite, std non-negative")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
     @property
     def num_channels(self) -> int:
@@ -147,16 +145,10 @@ def compute_channel_stats(
     return ChannelStats(mean=mean, std=std, epsilon=epsilon)
 
 
-def _check_channel_match(stats: ChannelStats, c: int) -> None:
-    if stats.num_channels != c:
-        raise ValueError(
-            f"stats cover {stats.num_channels} channels but data has {c}"
-        )
-
-
 def normalize_window(data: np.ndarray, stats: ChannelStats) -> np.ndarray:
     """Channel-wise z-score of any (..., C) array: (x - mean) / (std + epsilon)."""
-    _check_channel_match(stats, data.shape[-1])
+    if stats.num_channels != data.shape[-1]:
+        raise ValueError(f"stats cover {stats.num_channels} channels but data has {data.shape[-1]}")
     out = data - stats.mean
     out /= stats.std + stats.epsilon
     return out
@@ -280,16 +272,14 @@ def stream_windows(
                 filled = w - stride
 
 
-def read_signal_csv(path: str, sample_rate_hz: float) -> MultiChannelSeries:
+def read_signal_csv(path: str) -> MultiChannelSeries:
     """Read the signal CSV format: header of channel names, one sample per row."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         names = _read_csv_header(fh, path)
         blocks = list(_csv_blocks(fh, path, len(names)))
     if not blocks:
         raise ValueError(f"{path}: no samples after header")
-    return MultiChannelSeries(
-        samples=np.concatenate(blocks), channel_names=names, sample_rate_hz=sample_rate_hz
-    )
+    return MultiChannelSeries(samples=np.concatenate(blocks), channel_names=names)
 
 
 def write_signal_csv(series: MultiChannelSeries, path: str) -> None:
@@ -302,101 +292,111 @@ def write_signal_csv(series: MultiChannelSeries, path: str) -> None:
 def csv_sample_source(path: str) -> Iterator[np.ndarray]:
     """Replay a signal CSV file one sample row at a time (header skipped).
 
-    Rows come from the same block parser as :func:`read_signal_csv`, so a
-    malformed record raises before any row of its block is yielded.
+    Rows come from the same block parser as :func:`read_signal_csv`; the
+    rows before a malformed record are yielded, then it raises.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for block in _csv_blocks(fh, path, len(_read_csv_header(fh, path))):
             yield from block
 
 
-def _read_csv_header(fh: IO[str], path: str) -> list[str]:
-    header = fh.readline()
-    if not header:
+def _read_csv_header(fh: IO[bytes], path: str) -> list[str]:
+    line = fh.readline()
+    if not line:
         raise ValueError(f"{path}: empty file")
-    return [n.strip() for n in header.rstrip("\n").split(",")]
+    header = line.splitlines()[0]
+    fh.seek(len(header) + 1 - len(line), os.SEEK_CUR)  # back to a first \r ending
+    try:
+        return [n.strip() for n in header.decode("utf-8").split(",")]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: header is not UTF-8 text ({exc.reason})") from None
 
 
-def _csv_blocks(fh: IO[str], path: str, n_fields: int) -> Iterator[np.ndarray]:
-    """Parse the records after the header, about _BLOCK_CHARS of text at a time.
-
-    Blank lines are skipped. Each block of k non-blank records becomes one
-    (k, n_fields) float64 array: one ``float`` pass over all of its fields
-    and one finiteness check. Only a block that fails is parsed again record
-    by record, to name the first bad record.
+def _csv_blocks(fh: IO[bytes], source: str, n_fields: int | None = None) -> Iterator[np.ndarray]:
+    """Parse a binary stream one ``read1(_BLOCK_CHARS)`` at a time, cut at its
+    last line ending (\\n, \\r\\n or \\r; the partial line waits for the next
+    read), so a feed's records are parsed as they arrive. A read's k non-blank
+    records become one (k, n_fields) block: one ``float`` pass straight from
+    the bytes and one finiteness check; a block that fails goes to
+    :func:`_parse_records`. n_fields comes from the first record when None.
     """
-    index = 0  # among non-blank records, as in socket_sample_source
-    while lines := fh.readlines(_BLOCK_CHARS):
-        records = [line for line in map(str.strip, lines) if line]
-        if not records:
-            continue
-        fields = ",".join(records).split(",")
-        try:
-            block = np.fromiter(map(float, fields), np.float64, len(fields))
-        except ValueError:
-            block = None
-        commas = list(map(str.count, records, repeat(",")))
-        if (
-            block is None
-            or commas.count(n_fields - 1) != len(records)
-            or not np.isfinite(block).all()
-        ):
-            block = _parse_records(records, n_fields, index, path)
-        yield block.reshape(len(records), n_fields)
-        index += len(records)
+    index, tail = 0, b""  # index counts non-blank records
+    while True:
+        chunk = fh.read1(_BLOCK_CHARS)
+        data = tail + chunk
+        if chunk:
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+            data, tail = data[:cut], data[cut:]
+        records = [line for line in map(bytes.strip, data.splitlines()) if line]
+        if records:
+            n_fields = n_fields or records[0].count(b",") + 1
+            fields = b",".join(records).split(b",")
+            commas = list(map(bytes.count, records, repeat(b",")))
+            try:
+                block = np.fromiter(map(float, fields), np.float64, len(fields))
+                ok = commas.count(n_fields - 1) == len(records) and np.isfinite(block).all()
+            except ValueError:
+                ok = False
+            if ok:
+                yield block.reshape(len(records), n_fields)
+            else:
+                yield from _parse_records(records, n_fields, index, source)
+            index += len(records)
+        if not chunk:
+            return
 
 
-def _parse_records(records: list[str], n_fields: int, first_index: int, path: str) -> np.ndarray:
-    """Parse records one by one, raising StreamFormatError at the first bad one."""
+def _parse_records(records: list[bytes], n_fields: int, first: int, source: str) -> Iterator:
+    """Parse records one by one: yield the rows before the first bad record
+    as one block, then raise StreamFormatError naming that record."""
     rows = []
-    for index, record in enumerate(records, first_index):
-        fields = record.split(",")
-        if len(fields) != n_fields:
-            raise StreamFormatError(index, f"expected {n_fields} fields, got {len(fields)}", path)
+    for index, record in enumerate(records, first):
         try:
-            row = [float(f) for f in fields]
+            rows.append(_parse_record(record, n_fields))
         except ValueError as exc:
-            raise StreamFormatError(index, f"non-numeric value ({exc})", path) from None
-        if not all(map(math.isfinite, row)):
-            raise StreamFormatError(index, "non-finite value", path)
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
+            if rows:
+                yield np.array(rows, dtype=np.float64)
+            raise StreamFormatError(index, str(exc), source) from None
+    yield np.array(rows, dtype=np.float64)
+
+
+def _parse_record(record: bytes, n_fields: int) -> list[float]:
+    """The values of one record; a ValueError says what is wrong with it."""
+    try:
+        fields = record.decode("utf-8").split(",")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 text ({exc.reason})") from None
+    if len(fields) != n_fields:
+        raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+    try:
+        row = [float(f) for f in fields]
+    except ValueError as exc:
+        raise ValueError(f"non-numeric value ({exc})") from None
+    if not all(map(math.isfinite, row)):
+        raise ValueError("non-finite value")
+    return row
 
 
 def socket_sample_source(
     host: str, port: int, timeout_s: float | None = None
 ) -> Iterator[np.ndarray]:
-    """Connect to a line-oriented TCP feed: one sample per line, C floats each.
+    """Connect to a line-oriented TCP feed: one sample per line, C floats each,
+    parsed like a signal file with C taken from the first record.
 
     The stream ends when the peer closes the connection. Errors name the
-    source as tcp://host:port. With ``timeout_s``, connecting, and each
-    wait for more data, give up after that many seconds with a
-    TimeoutError, so a stalled peer cannot hang the reader.
+    source as tcp://host:port. With ``timeout_s``, connecting, and each wait
+    for more data, give up after that many seconds with a TimeoutError.
     """
     source = f"tcp://{host}:{port}"
     try:
         conn = socket.create_connection((host, port), timeout=timeout_s)
     except OSError as exc:
         raise OSError(f"{source}: cannot connect ({exc})") from None
-    with conn, conn.makefile("r", encoding="utf-8") as fh:
-        index = 0
-        while True:
-            try:
-                line = fh.readline()
-            except TimeoutError:
-                raise TimeoutError(f"{source}: no data for {timeout_s} s") from None
-            except OSError as exc:
-                raise OSError(f"{source}: read failed ({exc})") from None
-            except UnicodeDecodeError as exc:
-                # decoded ahead of the records read so far, so no record index
-                raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from None
-            if not line:
-                return
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield np.asarray([float(f) for f in line.split(",")], dtype=np.float64)
-            except ValueError as exc:
-                raise StreamFormatError(index, f"non-numeric value ({exc})", source) from None
-            index += 1
+    with conn, conn.makefile("rb") as fh:
+        try:
+            for block in _csv_blocks(fh, source):
+                yield from block
+        except TimeoutError:
+            raise TimeoutError(f"{source}: no data for {timeout_s} s") from None
+        except OSError as exc:
+            raise OSError(f"{source}: read failed ({exc})") from None

@@ -76,6 +76,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.channels < 1 or self.duration_samples < 1:
             raise ValueError("channels and duration_samples must be >= 1")
+        if not self.sample_rate_hz > 0:
+            raise ValueError("sample_rate_hz must be positive")
         if not 0 <= self.degradation_onset <= self.duration_samples:
             raise ValueError("degradation_onset must lie within the run")
         if self.degradation_rate < 0:
@@ -136,9 +138,7 @@ def generate_run(cfg: SynthConfig, windowing: WindowingConfig) -> SynthRun:
             data[:, c] += (a0 * growth) * np.sin(2.0 * np.pi * 1.5 * f0 * t)
 
     series = MultiChannelSeries(
-        samples=data,
-        channel_names=[f"ch{c}" for c in range(cfg.channels)],
-        sample_rate_hz=cfg.sample_rate_hz,
+        samples=data, channel_names=[f"ch{c}" for c in range(cfg.channels)]
     )
 
     # window midpoints decide cut membership

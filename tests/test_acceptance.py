@@ -473,8 +473,8 @@ class TestCriterion9:
             init_model(cfg, seed=10),
             cfg,
             ChannelStats(mean=np.zeros(2), std=np.ones(2)),
-            window_len=21,
-            context_len=20,
+            window_len=16,  # 3 patches of 5 per channel: max_seq_len 6
+            context_len=15,
             channel_names=["a", "b"],
             codebook_hash="x" * 64,
         )
@@ -499,9 +499,7 @@ class TestCriterion9:
             windowing = WindowingConfig(window_len=41, context_len=40, stride=stride)
             from lorm.signal_io import MultiChannelSeries
 
-            series = MultiChannelSeries(
-                samples=samples, channel_names=["x", "y", "z"], sample_rate_hz=1.0
-            )
+            series = MultiChannelSeries(samples=samples, channel_names=["x", "y", "z"])
             batch = segment_windows(series, windowing)
             streamed = list(stream_windows(iter(samples), windowing, channel_count=3))
             stream_ok = stream_ok and len(batch) == len(streamed)

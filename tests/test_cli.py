@@ -6,6 +6,7 @@ import io
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import lorm
 from lorm.cli import ConfigError, default_config, load_run_config, main
 from lorm.evaluation import WearTable
+from lorm.model import CheckpointError, load_checkpoint
 from lorm.monitor import read_health_csv
 from lorm.synth import SynthConfig
 
@@ -294,6 +296,16 @@ class TestSignalErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "hi.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fit-codebooks", "monitor"])
+    def test_non_utf8_record_names_file_and_record(self, pipeline, tmp_path, capsys, command):
+        signal = tmp_path / "bad.csv"
+        write_signal(signal, bad_row="0.5,0.25")
+        signal.write_bytes(signal.read_bytes().replace(b"0.5,0.25", b"0.5,\xff0.25"))
+        assert self.run(pipeline, command, signal, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"error: {signal}: record 40: not UTF-8 text (invalid start byte)" in err
+        assert "Traceback" not in err
+
     def test_monitor_rejects_other_channel_count(self, pipeline, tmp_path, capsys):
         signal = tmp_path / "three.csv"
         write_signal(signal, columns=3)
@@ -382,6 +394,24 @@ class TestHealthAndWearErrors:
         assert rc == 1
         assert f"error: {tmp_path / 'wear.csv'}: duplicate cut id 1" in err
 
+    def test_eval_without_overlap_names_both_files(self, tmp_path, capsys):
+        hi = "window_index,wlf,hi,alarm\n1,0.5,,0\n2,0.7,,0\n"
+        rc, err = self.run(tmp_path, capsys, "eval", hi=hi)
+        assert rc == 1
+        assert (
+            f"error: {tmp_path / 'hi.csv'}: no post-buffer window overlaps the wear table "
+            f"{tmp_path / 'wear.csv'}"
+        ) in err
+
+    def test_eval_first_alarm_outside_wear_names_both_files(self, tmp_path, capsys):
+        hi = "window_index,wlf,hi,alarm\n1,0.5,,0\n2,0.7,0.4,1\n3,0.9,0.4,1\n"
+        wear = "cut_id,wear_um,first_window,last_window\n1,320.0,3,3\n"
+        rc, err = self.run(tmp_path, capsys, "eval", hi=hi, wear=wear)
+        assert rc == 1
+        assert f"error: {tmp_path / 'hi.csv'}: first alarm, window 2, is outside " in err
+        assert str(tmp_path / "wear.csv") in err
+        assert not (tmp_path / "metrics.json").exists()
+
 
 MUTATION_TOKENS = [bytes([b]) for b in b"0123456789,.-+eE_ naif\t\r\n\x00\xff\xc3"] + [
     b"nan", b"inf", b"1e999", b"-0",
@@ -453,6 +483,111 @@ class TestHealthAndWearSweep:
                     assert rc in (0, 1, 2)
 
 
+CONFIG_KEYS = list(default_config()["model"]) + [
+    "max_seq_len", "num_channels", "num_tokens", "patch_len"
+]
+METADATA_FIELDS = [("config", k) for k in CONFIG_KEYS] + [
+    ("windowing", "window_len"), ("windowing", "context_len"), ("stats", "mean"),
+    ("stats", "std"), ("stats", "epsilon"), ("channel_names",), ("codebook_hash",),
+]
+JSON_VALUES = st.one_of(
+    st.integers(-2, 130), st.floats(), st.text(max_size=3), st.booleans(), st.none(),
+    st.lists(st.one_of(st.floats(-1e3, 1e3), st.text(max_size=2), st.integers(-1, 3)), max_size=4),
+)
+
+
+def with_metadata(blob, edit):
+    """The checkpoint blob with ``edit`` applied to its JSON metadata."""
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12 : 12 + meta_len])
+    edit(meta)
+    meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(meta_blob)) + meta_blob + blob[12 + meta_len :]
+
+
+def mutate_checkpoint(draw, blob):
+    """blob with a few metadata fields replaced or dropped, then a few random
+    byte edits anywhere in the file."""
+
+    def edit(meta):
+        for _ in range(draw(st.integers(0, 3))):
+            *parents, key = draw(st.sampled_from(METADATA_FIELDS))
+            node = meta
+            for parent in parents:
+                node = node[parent]
+            if draw(st.booleans()):
+                node[key] = draw(JSON_VALUES)
+            else:
+                node.pop(key, None)
+
+    data = bytearray(with_metadata(blob, edit))
+    for _ in range(draw(st.integers(0, 3))):
+        if not data:
+            break
+        pos = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+        byte = draw(st.integers(0, 255))
+        if kind == "replace":
+            data[pos] = byte
+        elif kind == "insert":
+            data.insert(pos, byte)
+        elif kind == "delete":
+            del data[pos]
+        else:
+            del data[pos:]
+    return bytes(data)
+
+
+class TestCheckpointSweep:
+    """Every mutated checkpoint either loads or raises a CheckpointError
+    naming the file; monitor then exits 1 with that message, and no
+    checkpoint makes it end in a traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint(self, pipeline, data):
+        out = pipeline["out"]
+        blob = mutate_checkpoint(data.draw, (out / "checkpoint.lorm").read_bytes())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "checkpoint.lorm")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            signal = os.path.join(tmp, "signal.csv")
+            with open(out / "signal.csv", "rb") as src, open(signal, "wb") as dst:
+                dst.writelines(src.readlines()[:200])  # header and a few windows
+            try:
+                load_checkpoint(path)
+                failure = None
+            except CheckpointError as exc:
+                failure = str(exc)
+                assert failure.startswith(f"{path}: ")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main([
+                    "monitor", "--config", str(pipeline["config_path"]), "--out", tmp,
+                    "--set", f"paths.signal={signal}",
+                    "--set", f"paths.codebooks={out / 'codebooks.json'}",
+                    "--set", f"paths.checkpoint={path}", "--set", "paths.wear=",
+                ])
+        if failure is not None:
+            assert rc == 1
+            assert f"error: {failure}" in err.getvalue()
+        else:
+            assert rc in (0, 1)
+
+    def test_non_integer_window_len_names_file(self, pipeline, tmp_path, capsys):
+        blob = (pipeline["out"] / "checkpoint.lorm").read_bytes()
+        path = tmp_path / "checkpoint.lorm"
+        path.write_bytes(with_metadata(blob, lambda meta: meta["windowing"].update(window_len="x")))
+        assert main([
+            "monitor", "--config", str(pipeline["config_path"]), "--out", str(tmp_path),
+            "--set", f"paths.codebooks={pipeline['out'] / 'codebooks.json'}",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: invalid metadata (window geometry" in err
+        assert "Traceback" not in err
+
+
 class TestStreamErrors:
     """A bad, stalled or absent tcp:// feed ends monitor with exit code 1 and
     a message naming tcp://host:port, never a traceback or a hang."""
@@ -478,7 +613,8 @@ class TestStreamErrors:
         def run():
             conn, _ = server.accept()
             with conn:
-                conn.sendall("".join(line + "\n" for line in lines).encode("utf-8"))
+                payload = "".join(line + "\n" for line in lines)
+                conn.sendall(payload.encode("utf-8", "surrogateescape"))
                 stall.wait(timeout=30)
             server.close()
 
@@ -496,7 +632,7 @@ class TestStreamErrors:
     @pytest.mark.parametrize(
         "bad, message",
         [("1.0", "expected 2 fields, got 1"), ("1.0,x", "non-numeric value"),
-         ("1.0,nan", "non-finite value")],
+         ("1.0,nan", "non-finite value"), ("1.0,\udcff", "not UTF-8 text (invalid start byte)")],
     )
     def test_bad_line_names_source_and_record(self, pipeline, tmp_path, capsys, bad, message):
         stall = threading.Event()
@@ -608,6 +744,11 @@ class TestExitCodes:
     def test_set_on_section(self, capsys):
         assert main(["synth", "--set", "model=3"]) == 2
         assert "section, not a scalar" in capsys.readouterr().err
+
+    def test_sample_rate_must_be_positive(self, capsys, tmp_path):
+        rc = main(["synth", "--out", str(tmp_path), "--set", "synth.sample_rate_hz=0"])
+        assert rc == 2
+        assert "sample_rate_hz must be positive" in capsys.readouterr().err
 
     def test_bad_windowing_names_field(self, capsys, tmp_path):
         rc = main(["synth", "--out", str(tmp_path), "--set", "windowing.context_len=321"])

@@ -701,8 +701,8 @@ class TestCheckpoint:
             params,
             TINY,
             self._stats(),
-            window_len=11,
-            context_len=10,
+            window_len=16,  # 3 patches of 5 per channel: TINY's max_seq_len 6
+            context_len=15,
             channel_names=["a", "b"],
             codebook_hash="cafe" * 16,
         )
@@ -722,8 +722,8 @@ class TestCheckpoint:
         path = tmp_path / "m.lorm"
         self._save(path, tiny_params(dtype=np.float32))
         ckpt = load_checkpoint(str(path))
-        assert ckpt.config.to_dict() == TINY.to_dict()
-        assert ckpt.window_len == 11 and ckpt.context_len == 10
+        assert ckpt.config == TINY
+        assert ckpt.window_len == 16 and ckpt.context_len == 15
         assert ckpt.channel_names == ["a", "b"]
         assert ckpt.codebook_hash == "cafe" * 16
         assert np.allclose(ckpt.stats.mean, [0.5, -1.0])
@@ -786,3 +786,37 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"lacks key '{key}'") as exc:
             load_checkpoint(str(path))
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["windowing"].update(window_len="x"), "window geometry"),
+            (lambda m: m["windowing"].update(window_len=16.0), "window geometry"),
+            (lambda m: m["windowing"].update(context_len=16), "window geometry"),
+            (lambda m: m["windowing"].update(window_len=11, context_len=10), "max_seq_len 6"),
+            (lambda m: m.update(channel_names=["a"]), "1 channel names"),
+            (lambda m: m.update(channel_names="ab"), "list of strings"),
+            (lambda m: m["stats"].update(mean=[0.0] * 3, std=[1.0] * 3), "stats for 3 channels"),
+            (lambda m: m["stats"].update(std=[1.0, float("nan")]), "must be finite"),
+            (lambda m: m["stats"].update(epsilon=float("inf")), "epsilon"),
+            (lambda m: m.update(codebook_hash=7), "codebook_hash"),
+            (lambda m: m["config"].update(num_heads=0), "num_heads must be an integer >= 1"),
+            (lambda m: m["config"].update(hidden_dim=8.5), "hidden_dim must be an integer"),
+        ],
+    )
+    def test_inconsistent_metadata_names_file(self, tmp_path, edit, message):
+        path = tmp_path / "m.lorm"
+        self._save(path, tiny_params(dtype=np.float32))
+        self._rewrite_meta(path, edit)
+        with pytest.raises(CheckpointError, match=message) as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_non_finite_parameter_names_file(self, tmp_path):
+        path = tmp_path / "m.lorm"
+        self._save(path, tiny_params(dtype=np.float32))
+        data = bytearray(path.read_bytes())
+        data[-4:] = struct.pack("<f", float("inf"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=f"^{path}: parameter block holds non-finite"):
+            load_checkpoint(str(path))

@@ -4,6 +4,7 @@ import os
 import socket
 import tempfile
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -32,12 +33,11 @@ from lorm.signal_io import (
 )
 
 
-def make_series(t=400, c=3, seed=0, rate=1000.0):
+def make_series(t=400, c=3, seed=0):
     rng = np.random.default_rng(seed)
     return MultiChannelSeries(
         samples=rng.normal(size=(t, c)),
         channel_names=[f"ch{i}" for i in range(c)],
-        sample_rate_hz=rate,
     )
 
 
@@ -47,7 +47,6 @@ def index_series(t, c=2):
     return MultiChannelSeries(
         samples=np.repeat(np.arange(t, dtype=np.float64)[:, None], c, axis=1),
         channel_names=[f"ch{i}" for i in range(c)],
-        sample_rate_hz=1000.0,
     )
 
 
@@ -371,7 +370,7 @@ class TestCsv:
         series = make_series(t=30, c=3, seed=17)
         path = str(tmp_path / "sig.csv")
         write_signal_csv(series, path)
-        back = read_signal_csv(path, sample_rate_hz=series.sample_rate_hz)
+        back = read_signal_csv(path)
         assert back.channel_names == series.channel_names
         assert np.array_equal(back.samples, series.samples)  # repr round trip
 
@@ -386,7 +385,7 @@ class TestCsv:
         path = tmp_path / "empty.csv"
         path.write_text("a,b\n")
         with pytest.raises(ValueError):
-            read_signal_csv(str(path), sample_rate_hz=1.0)
+            read_signal_csv(str(path))
 
 
 class TestSocketReplay:
@@ -424,15 +423,28 @@ class TestSocketReplay:
             assert np.array_equal(a, b)
 
 
-def serve_once(payload: bytes):
-    """A loopback server that sends payload to its first client, then closes."""
+def serve_once(payload: bytes, sizes=(), hold=None):
+    """A loopback server that sends payload to its first client, in sendall
+    calls of the given sizes (cycled; one call when empty), then waits for
+    ``hold`` when given, and closes. A client that stops reading early, after
+    an error, cuts the sending short."""
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.bind(("127.0.0.1", 0))
     server.listen(1)
 
     def serve():
         conn, _ = server.accept()
-        conn.sendall(payload)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        pos, k = 0, 0
+        try:
+            while pos < len(payload):
+                size = sizes[k % len(sizes)] if sizes else len(payload)
+                conn.sendall(payload[pos : pos + size])
+                pos, k = pos + size, k + 1
+        except OSError:
+            pass
+        if hold is not None:
+            hold.wait(timeout=30)
         conn.close()
         server.close()
 
@@ -471,24 +483,18 @@ class TestRecordIndex:
         path = tmp_path / "sig.csv"
         path.write_text("a,b\n" + "\n".join(self.LINES) + "\n")
         with pytest.raises(StreamFormatError) as err:
-            read_signal_csv(str(path), sample_rate_hz=1.0)
+            read_signal_csv(str(path))
         assert err.value.record_index == self.SHORT_RECORD
 
 
 class TestValidation:
     def test_series_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            MultiChannelSeries(
-                samples=np.array([[1.0], [np.inf]]),
-                channel_names=["a"],
-                sample_rate_hz=1.0,
-            )
+            MultiChannelSeries(samples=np.array([[1.0], [np.inf]]), channel_names=["a"])
 
     def test_series_rejects_name_mismatch(self):
         with pytest.raises(ValueError):
-            MultiChannelSeries(
-                samples=np.zeros((4, 2)), channel_names=["a"], sample_rate_hz=1.0
-            )
+            MultiChannelSeries(samples=np.zeros((4, 2)), channel_names=["a"])
 
     def test_stack_windows_empty(self):
         with pytest.raises(ValueError, match="empty input"):
@@ -527,7 +533,6 @@ def series_of(samples):
     return MultiChannelSeries(
         samples=samples,
         channel_names=[f"ch{i}" for i in range(samples.shape[1])],
-        sample_rate_hz=1.0,
     )
 
 
@@ -536,7 +541,7 @@ def bits(a):
 
 
 def with_block_chars(n):
-    """Make the CSV parser read about n characters per block."""
+    """Make the CSV parser read at most n bytes per block."""
     return mock.patch.object(signal_io, "_BLOCK_CHARS", n)
 
 
@@ -557,7 +562,7 @@ class TestSignalCsvWriter:
             write_signal_csv(series, str(tmp_path / "new.csv"))
             old_write_signal_csv(series, str(tmp_path / "old.csv"))
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-            back = read_signal_csv(str(tmp_path / "new.csv"), sample_rate_hz=1.0)
+            back = read_signal_csv(str(tmp_path / "new.csv"))
             assert np.array_equal(bits(back.samples), bits(series.samples))
 
     @settings(max_examples=60, deadline=None)
@@ -578,7 +583,7 @@ class TestSignalCsvProperties:
         with tempfile.TemporaryDirectory() as tmp, with_block_chars(block_chars):
             path = os.path.join(tmp, "sig.csv")
             write_signal_csv(series_of(samples), path)
-            back = read_signal_csv(path, sample_rate_hz=1.0)
+            back = read_signal_csv(path)
             rows = list(csv_sample_source(path))
         assert back.samples.shape == samples.shape
         assert np.array_equal(bits(back.samples), bits(samples))
@@ -598,7 +603,7 @@ class TestSignalCsvProperties:
             path = os.path.join(tmp, "sig.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
-            back = read_signal_csv(path, sample_rate_hz=1.0)
+            back = read_signal_csv(path)
             rows = list(csv_sample_source(path))
         assert np.array_equal(bits(back.samples), bits(samples))
         assert np.array_equal(bits(np.stack(rows)), bits(samples))
@@ -619,7 +624,7 @@ def record_errors(path, payload):
     cfg = WindowingConfig(window_len=2, context_len=1)
     errors = []
     with pytest.raises(StreamFormatError) as err:
-        read_signal_csv(path, sample_rate_hz=1.0)
+        read_signal_csv(path)
     errors.append(err.value)
     with pytest.raises(StreamFormatError) as err:
         list(csv_sample_source(path))
@@ -637,13 +642,14 @@ class TestBlockBoundaries:
     """A malformed record gets the same record_index whichever block of the
     parser it falls in, from both file readers and from a socket feed."""
 
-    LINE = "1.5,2.5"  # 8 characters with its newline
+    LINE = "1.5,2.5"  # 8 bytes with its newline
     PER_BLOCK = 4
+    BLOCK_BYTES = PER_BLOCK * 8  # each read returns exactly PER_BLOCK records
 
     def test_premise_blocks_of_four_records(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("a,b\n" + (self.LINE + "\n") * 10)
-        with with_block_chars(self.PER_BLOCK * 8 - 1), open(path, encoding="utf-8") as fh:
+        with with_block_chars(self.BLOCK_BYTES), open(path, "rb") as fh:
             fh.readline()
             sizes = [len(b) for b in signal_io._csv_blocks(fh, str(path), 2)]
         assert sizes == [4, 4, 2]
@@ -657,7 +663,7 @@ class TestBlockBoundaries:
         payload = "\n".join(lines) + "\n"
         path = tmp_path / "sig.csv"
         path.write_text("a,b\n" + payload)
-        with with_block_chars(self.PER_BLOCK * 8 - 1):
+        with with_block_chars(self.BLOCK_BYTES):
             errors = record_errors(str(path), payload)
         for err in errors:
             assert err.record_index == bad_index
@@ -685,3 +691,160 @@ class TestBlockBoundaries:
                 fh.write("a,b\n" + payload)
             errors = record_errors(path, payload)
         assert [e.record_index for e in errors] == [bad_index] * 3
+
+
+def feed(payload, sizes=(), **kwargs):
+    """socket_sample_source on a loopback feed of payload (see serve_once)."""
+    port, thread = serve_once(payload, sizes)
+    try:
+        yield from socket_sample_source("127.0.0.1", port, **kwargs)
+    finally:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def outcome(items):
+    """What a source yields before it ends, as bytes, and its StreamFormatError
+    as (record_index, message without the source), or None."""
+    got = []
+    try:
+        for item in items:
+            got.append((item.shape, item.tobytes()))
+    except StreamFormatError as exc:
+        return got, (exc.record_index, str(exc).partition(f"record {exc.record_index}: ")[2])
+    return got, None
+
+
+class TestLineEndingsAndBytes:
+    """Files and feeds share one byte-level parser: every line ending, and a
+    record that is not UTF-8 is named like any other bad record."""
+
+    @pytest.mark.parametrize("block_chars", [1, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_line_endings_parse_alike(self, tmp_path, ending, block_chars):
+        series = make_series(t=40, c=3, seed=31)
+        lines = [",".join(map(repr, row)) for row in series.samples.tolist()]
+        path = tmp_path / "sig.csv"
+        path.write_bytes(ending.join(["a,b,c", *lines, ""]).encode("utf-8"))
+        payload = ending.join([*lines, ""]).encode("utf-8")
+        with with_block_chars(block_chars):
+            back = read_signal_csv(str(path))
+            rows = list(csv_sample_source(str(path)))
+            fed = list(feed(payload, sizes=(5, 3, 11)))
+        assert back.channel_names == ["a", "b", "c"]
+        for got in (back.samples, np.stack(rows), np.stack(fed)):
+            assert np.array_equal(bits(got), bits(series.samples))
+
+    def test_non_utf8_record_names_source_and_record(self, tmp_path):
+        payload = b"1.0,2.0\n\n3.0,\xff4.0\n5.0,6.0\n"
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"a,b\n" + payload)
+        message = "record 1: not UTF-8 text (invalid start byte)"
+        for read in (read_signal_csv, lambda p: list(csv_sample_source(p))):
+            with pytest.raises(StreamFormatError) as err:
+                read(str(path))
+            assert str(err.value) == f"{path}: {message}"
+            assert err.value.record_index == 1
+        with pytest.raises(StreamFormatError) as err:
+            list(feed(payload))
+        assert str(err.value).startswith("tcp://127.0.0.1:")
+        assert str(err.value).endswith(f": {message}")
+        assert err.value.record_index == 1
+
+    def test_non_utf8_header_names_file(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"a,\xffb\n1.0,2.0\n")
+        with pytest.raises(ValueError, match=f"^{path}: header is not UTF-8 text"):
+            read_signal_csv(str(path))
+
+    def test_rows_before_a_bad_record_are_yielded(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0,4.0\nx,5.0\n")
+        rows, error = outcome(csv_sample_source(str(path)))
+        assert len(rows) == 2 and error[0] == 2
+
+    def test_first_window_does_not_wait_for_a_full_block(self):
+        """A peer that sends exactly W lines and then holds the connection
+        open gets its first window at once, not after timeout_s."""
+        w = 6
+        samples = np.arange(2.0 * w).reshape(w, 2)
+        payload = "".join(f"{a!r},{b!r}\n" for a, b in samples.tolist()).encode("utf-8")
+        hold = threading.Event()
+        port, thread = serve_once(payload, hold=hold)
+        cfg = WindowingConfig(window_len=w, context_len=w - 1)
+        try:
+            start = time.monotonic()
+            windows = stream_windows(
+                socket_sample_source("127.0.0.1", port, timeout_s=20.0), cfg, channel_count=2
+            )
+            first = next(windows)
+            waited = time.monotonic() - start
+            windows.close()
+        finally:
+            hold.set()
+            thread.join(timeout=10)
+        assert np.array_equal(first, samples)
+        assert waited < 2.0
+
+
+FEED_TOKENS = [b"\n", b"\r\n", b"\r", b"\xff", b"\xc3", b",", b" ", b"\t", b"x", b"nan",
+               b"1e999", b"-", b".", b"7", b"\x00"]
+
+
+@st.composite
+def edited_feed(draw, samples):
+    """The rows of samples as feed lines, with random line edits (blank,
+    duplicated and deleted lines), random line endings, and random byte edits."""
+    lines = [",".join(map(repr, row)).encode("utf-8") for row in samples.tolist()]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["blank", "duplicate", "delete"]))
+        if kind == "blank":
+            lines.insert(i, draw(st.sampled_from([b"", b" ", b"\t "])))
+        elif i < len(lines):
+            lines[i : i + 1] = [lines[i]] * 2 if kind == "duplicate" else []
+    payload = b"".join(line + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for line in lines)
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(payload)))
+        token = draw(st.sampled_from(FEED_TOKENS))
+        if draw(st.booleans()):
+            payload = payload[:pos] + token + payload[pos:]
+        else:
+            payload = payload[:pos] + token + payload[pos + 1 :]
+    return payload
+
+
+class TestFeedSweep:
+    """A feed and a file of the same lines behind a header give the same rows
+    and the same StreamFormatError, however the feed is cut into sendall
+    calls and whatever _BLOCK_CHARS is."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        samples=finite_samples,
+        data=st.data(),
+        block_chars=st.integers(1, 200),
+        sizes=st.lists(st.integers(1, 64), min_size=1, max_size=4),
+    )
+    def test_feed_matches_file(self, samples, data, block_chars, sizes):
+        c = samples.shape[1]
+        payload = data.draw(edited_feed(samples))
+        cfg = WindowingConfig(window_len=2, context_len=1, stride=1)
+        with tempfile.TemporaryDirectory() as tmp, with_block_chars(block_chars):
+            path = os.path.join(tmp, "sig.csv")
+            with open(path, "wb") as fh:
+                fh.write(",".join(f"ch{i}" for i in range(c)).encode("utf-8") + b"\n" + payload)
+            file_rows = outcome(csv_sample_source(path))
+            feed_rows = outcome(feed(payload, sizes, timeout_s=10.0))
+            file_windows = outcome(stream_windows(csv_sample_source(path), cfg, channel_count=c))
+            feed_windows = outcome(
+                stream_windows(feed(payload, sizes, timeout_s=10.0), cfg, channel_count=c)
+            )
+        error = file_rows[1]
+        if error is not None and error[0] == 0 and error[1].startswith(f"expected {c} fields"):
+            # a feed has no header, so its field count is its first record's:
+            # both stop at record 0, the feed on that record's own fault
+            assert feed_windows[0] == [] and feed_windows[1][0] == 0
+        else:
+            assert feed_rows == file_rows
+            assert feed_windows == file_windows

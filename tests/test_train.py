@@ -294,7 +294,6 @@ class TestBuildExamples:
         series = MultiChannelSeries(
             samples=rng.normal(size=(200, 2)),
             channel_names=["a", "b"],
-            sample_rate_hz=10.0,
         )
         windowing = WindowingConfig(window_len=31, context_len=30)
         windows = segment_windows(series, windowing)
@@ -323,7 +322,6 @@ class TestBuildExamples:
         series = MultiChannelSeries(
             samples=rng.normal(3.0, 2.0, size=(300, 3)),
             channel_names=["a", "b", "c"],
-            sample_rate_hz=10.0,
         )
         windows = segment_windows(
             series, WindowingConfig(window_len=window_len, context_len=context_len, stride=stride)
