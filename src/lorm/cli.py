@@ -168,7 +168,7 @@ def _merge(base: dict, extra: dict, prefix: str = "") -> None:
 def _parse_scalar(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return text
 
 
@@ -200,7 +200,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
                 user = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
             raise ConfigError(f"{args.config}: invalid JSON ({exc})") from None
         if not isinstance(user, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,19 +60,14 @@ class WearTable:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("empty input")
+        self.entries = sorted(self.entries, key=lambda x: x.first_window)
         seen = set()
-        prev_last = None
-        for e in sorted(self.entries, key=lambda x: x.first_window):
+        for prev, e in zip([None] + self.entries, self.entries):
             if e.cut_id in seen:
                 raise ValueError(f"duplicate cut id {e.cut_id}")
             seen.add(e.cut_id)
-            if prev_last is not None and e.first_window <= prev_last:
+            if prev is not None and e.first_window <= prev.last_window:
                 raise ValueError(f"cut {e.cut_id}: window span overlaps the previous cut")
-            prev_last = e.last_window
-        self.entries = sorted(self.entries, key=lambda x: x.first_window)
-
-    def cut_ids(self) -> list[int]:
-        return [e.cut_id for e in self.entries]
 
     def covers(self, window_index: int) -> bool:
         return any(e.first_window <= window_index <= e.last_window for e in self.entries)
@@ -178,20 +173,7 @@ class MetricReport:
     degenerate: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "counts": {
-                "tp": self.counts.tp,
-                "tn": self.counts.tn,
-                "fp": self.counts.fp,
-                "fn": self.counts.fn,
-            },
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "fpr": self.fpr,
-            "degenerate": list(self.degenerate),
-        }
+        return asdict(self)
 
 
 def label_windows(
@@ -271,7 +253,10 @@ def write_metrics_json(payload: dict, path: str, merge: bool = True) -> None:
     doc: dict = {}
     if merge and os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
+                raise ValueError(f"{path}: not a JSON document ({exc})") from None
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: expected a JSON object")
     doc.update(payload)

@@ -761,7 +761,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     try:
         meta = json.loads(data[12 : 12 + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise CheckpointError(f"{path}: corrupt metadata block ({exc})") from None
     try:
         cfg = BackboneConfig.from_dict(meta["config"])
@@ -788,9 +788,15 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: metadata lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid metadata ({exc})") from None
+    raw = data[12 + meta_len :]
+    # each layer holds at least four d x d float32 matrices: a block too small
+    # for the claimed depth is rejected before param_shapes loops over it
+    if len(raw) < 16 * cfg.num_layers * cfg.hidden_dim**2:
+        raise CheckpointError(
+            f"{path}: parameter block holds {len(raw)} bytes, too few for {cfg.num_layers} layers"
+        )
     shapes = param_shapes(cfg)
     sizes = [math.prod(shape) for _, shape in shapes]
-    raw = data[12 + meta_len :]
     if len(raw) != 4 * sum(sizes):
         raise CheckpointError(
             f"{path}: parameter block holds {len(raw)} bytes, expected {4 * sum(sizes)}"

@@ -78,21 +78,17 @@ class HealthTracker(object):
     def __init__(self, cfg: MonitorConfig) -> None:
         self.cfg = cfg
         self.buffer: list[float] = []
-        self._baseline: float | None = None
+        self.baseline: float | None = None
         self._count = 0
-
-    @property
-    def baseline(self) -> float | None:
-        return self._baseline
 
     def update(self, wlf: float) -> HealthRecord:
         self._count += 1
-        if self._baseline is None:
+        if self.baseline is None:
             self.buffer.append(float(wlf))
             if len(self.buffer) == self.cfg.buffer_len:
-                self._baseline = float(np.mean(self.buffer))
+                self.baseline = float(np.mean(self.buffer))
             return HealthRecord(window_index=self._count, wlf=float(wlf), hi=None, alarm=False)
-        hi = float(wlf) - self._baseline
+        hi = float(wlf) - self.baseline
         return HealthRecord(
             window_index=self._count,
             wlf=float(wlf),

@@ -215,9 +215,11 @@ def stream_windows(
 
     Yields the same window sequence as :func:`segment_windows` on the fully
     loaded series, regardless of how the source chunks its samples. A
-    trailing partial window is never emitted. Every row is validated when
-    it arrives, so a bad row raises before any later window is yielded, and
-    each yielded window owns its data (an independent copy).
+    trailing partial window is never emitted. Each row is copied once, into
+    the window being filled, and checked for finiteness when that window
+    completes (rows skipped when stride > W and trailing rows are checked
+    too). Each yielded window is its own array, which the consumer may keep
+    or edit.
 
     Args:
         samples: iterable of per-sample rows, each with C values.
@@ -228,48 +230,55 @@ def stream_windows(
 
     Raises:
         StreamFormatError: on a row with the wrong field count or a
-            non-numeric value, reporting the offending record index.
+            non-numeric value, when it arrives, or on a non-finite value,
+            when its window completes, reporting the offending record index.
     """
-    w = cfg.window_len
-    stride = cfg.stride
-    # every row is written twice, at pos and pos + w, so the newest w rows
-    # are always the one contiguous slice ring[pos : pos + w]
-    ring: np.ndarray | None = None
-    pos = 0
-    filled = 0  # rows of the next window already in the ring
-    drop = 0  # samples still to discard when stride > W
-    expected = channel_count
+    w, stride = cfg.window_len, cfg.stride
+    keep, gap = max(w - stride, 0), max(stride - w, 0)  # rows shared by / between windows
+    window, expected = np.empty((w, channel_count or 0)), channel_count  # C unknown: no columns
+    filled = checked = skip = 0  # rows in window, rows of them checked, gap rows to drop
+    end = w  # the fill count at which the unchecked rows of window are checked
     for index, row in enumerate(samples):
         try:
-            vec = np.asarray(row, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise StreamFormatError(index, f"non-numeric value ({exc})", source) from None
-        if vec.ndim != 1:
-            raise StreamFormatError(index, f"expected a flat row, got shape {vec.shape}", source)
-        if expected is None:
-            expected = vec.shape[0]
-        if vec.shape[0] != expected:
-            raise StreamFormatError(
-                index, f"expected {expected} fields, got {vec.shape[0]}", source
-            )
-        if not np.isfinite(vec).all():
-            raise StreamFormatError(index, "non-finite value", source)
-        if drop > 0:
-            drop -= 1
-            continue
-        if ring is None:
-            ring = np.empty((2 * w, expected), dtype=np.float64)
-        ring[pos] = vec
-        ring[pos + w] = vec
-        pos = pos + 1 if pos + 1 < w else 0
+            if len(row) != expected:
+                raise ValueError
+            window[filled] = row
+        except (TypeError, ValueError):  # a bad row, or the first: the per-row checks say which
+            # a non-finite row before this one is named first, as if checked on arrival
+            _check_finite(window[checked:filled], index - filled + checked, source)
+            try:
+                vec = np.asarray(row, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise StreamFormatError(index, f"non-numeric value ({exc})", source) from None
+            if vec.ndim != 1:
+                raise StreamFormatError(index, f"expected a flat row, got shape {vec.shape}", source)
+            if expected is None:
+                expected = len(vec)
+                window = np.empty((w, expected))
+            if len(vec) != expected:
+                raise StreamFormatError(index, f"expected {expected} fields, got {len(vec)}", source)
+            window[filled] = vec
         filled += 1
-        if filled == w:
-            yield ring[pos : pos + w].copy()
-            if stride >= w:
-                filled = 0
-                drop = stride - w
+        if filled == end:
+            _check_finite(window[checked:end], index + 1 - end + checked, source)
+            if skip:  # rows between two windows (stride > W): checked, then dropped
+                skip -= end
+                filled = checked = 0
             else:
-                filled = w - stride
+                yield window.copy()  # the consumer owns it; window stays private
+                window[:keep] = window[stride:]  # the next window's first rows
+                filled, checked, skip = keep, keep, gap
+            end = min(skip, w) or w
+    if filled:  # the rows of a trailing partial window
+        _check_finite(window[checked:filled], index + 1 - filled + checked, source)
+
+
+def _check_finite(rows: np.ndarray, first: int, source: str | None) -> None:
+    """Raise StreamFormatError naming the first of ``rows`` (record ``first``
+    on) that holds a non-finite value."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        raise StreamFormatError(first + int(finite.all(axis=1).argmin()), "non-finite value", source)
 
 
 def read_signal_csv(path: str) -> MultiChannelSeries:

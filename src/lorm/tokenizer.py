@@ -297,7 +297,7 @@ def load_codebooks(path: str) -> CodebookSet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
             raise ValueError(f"{path}: not a codebooks JSON document ({exc})") from None
     try:
         return _codebooks_from_doc(doc)
@@ -313,6 +313,8 @@ def _codebooks_from_doc(doc) -> CodebookSet:
     if doc.get("version") != CODEBOOK_FORMAT_VERSION:
         raise ValueError(f"unsupported codebook file version: {doc.get('version')}")
     shape = (doc["K"], doc["target_dim"])
+    if not all(type(n) is int for n in shape):
+        raise ValueError(f"K and target_dim must be integers, got {shape[0]!r} and {shape[1]!r}")
     books = []
     names = []
     for i, ch in enumerate(doc["channels"]):
@@ -321,6 +323,8 @@ def _codebooks_from_doc(doc) -> CodebookSet:
             raise ValueError(
                 f"channel {i}: centroid shape mismatch, {centroids.shape} != {shape}"
             )
+        if not isinstance(ch["name"], str):
+            raise ValueError(f"channel {i}: name must be a string, got {ch['name']!r}")
         books.append(Codebook(channel_index=i, centroids=centroids))
         names.append(ch["name"])
     return CodebookSet(codebooks=books, channel_names=names)

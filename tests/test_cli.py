@@ -22,6 +22,7 @@ from lorm.evaluation import WearTable
 from lorm.model import CheckpointError, load_checkpoint
 from lorm.monitor import read_health_csv
 from lorm.synth import SynthConfig
+from lorm.tokenizer import load_codebooks
 
 PIPELINE_CONFIG = {
     "seed": 3,
@@ -588,6 +589,132 @@ class TestCheckpointSweep:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("kind", ["huge layer count", "deeply nested metadata"])
+    def test_oversized_checkpoint_exits_1(self, pipeline, tmp_path, capsys, kind):
+        blob = (pipeline["out"] / "checkpoint.lorm").read_bytes()
+        if kind == "huge layer count":
+            blob = with_metadata(blob, lambda meta: meta["config"].update(num_layers=10**9))
+            message = "parameter block holds"
+        else:
+            meta = b"[" * 100_000 + b"]" * 100_000
+            blob = blob[:8] + struct.pack("<I", len(meta)) + meta
+            message = "corrupt metadata block"
+        path = tmp_path / "checkpoint.lorm"
+        path.write_bytes(blob)
+        assert main([
+            "monitor", "--config", str(pipeline["config_path"]), "--out", str(tmp_path),
+            "--set", f"paths.codebooks={pipeline['out'] / 'codebooks.json'}",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: {message}" in err
+        assert "Traceback" not in err
+
+
+CODEBOOK_FIELDS = [
+    ("version",), ("K",), ("target_dim",), ("channels",), ("channels", 0),
+    ("channels", 1, "name"), ("channels", 0, "centroids"), ("channels", 1, "centroids", 0),
+    ("channels", 0, "centroids", 2, 0),
+]
+NESTED = "NESTED"  # a placeholder value, replaced by deeply nested brackets in the text
+
+
+def mutate_codebooks(draw, text):
+    """The codebooks JSON text with a few fields replaced or dropped, a value
+    nested deeply, then a few random byte edits anywhere."""
+    doc = json.loads(text)
+    for _ in range(draw(st.integers(0, 3))):
+        *parents, key = draw(st.sampled_from(CODEBOOK_FIELDS))
+        node = doc
+        try:
+            for parent in parents:
+                node = node[parent]
+            kind = draw(st.sampled_from(["replace", "drop", "nest"]))
+            if kind == "replace":
+                node[key] = draw(st.one_of(JSON_VALUES, st.sampled_from([4.0, 1.0, True])))
+            elif kind == "nest":
+                node[key] = NESTED
+            else:
+                del node[key]
+        except (KeyError, IndexError, TypeError):
+            pass
+    depth = draw(st.sampled_from([2, 70, 100_000]))
+    data = bytearray(json.dumps(doc).replace(f'"{NESTED}"', "[" * depth + "]" * depth).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        if not data:
+            break
+        pos = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "replace":
+            data[pos] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data.insert(pos, draw(st.sampled_from(b"[]{},:\"0-.e\xff")))
+        else:
+            del data[pos]
+    return bytes(data)
+
+
+def train_on(pipeline, tmp, codebooks):
+    """Exit code and stderr of a one-epoch train on the first 400 samples,
+    with the given codebooks file."""
+    signal = os.path.join(tmp, "signal.csv")
+    with open(pipeline["out"] / "signal.csv", "rb") as src, open(signal, "wb") as dst:
+        dst.writelines(src.readlines()[:400])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([
+            "train", "--config", str(pipeline["config_path"]), "--out", tmp,
+            "--set", f"paths.signal={signal}", "--set", f"paths.codebooks={codebooks}",
+            "--set", "train.max_epochs=1",
+        ])
+    return rc, err.getvalue()
+
+
+class TestCodebooksSweep:
+    """Every mutated codebooks file either loads or raises a ValueError naming
+    the file; train then exits 1 with that message, never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_codebooks(self, pipeline, data):
+        blob = mutate_codebooks(data.draw, (pipeline["out"] / "codebooks.json").read_text())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "codebooks.json")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                load_codebooks(path)
+                failure = None
+            except ValueError as exc:
+                failure = str(exc)
+                assert failure.startswith(f"{path}: ")
+            rc, err = train_on(pipeline, tmp, path)
+        if failure is not None:
+            assert rc == 1 and f"error: {failure}" in err
+        else:
+            assert rc in (0, 1, 2)  # 2: a well-formed file that does not fit the config
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(K=4.0), "K and target_dim must be integers, got 4.0 and 1"),
+            (lambda doc: doc.update(target_dim=1.0), "got 4 and 1.0"),
+            (lambda doc: doc.update(target_dim=True), "got 4 and True"),
+            (lambda doc: doc["channels"][1].update(name=5), "channel 1: name must be a string"),
+            (lambda doc: doc.update(K=NESTED), "not a codebooks JSON document (maximum recursion"),
+        ],
+    )
+    def test_malformed_codebooks_names_file(self, pipeline, tmp_path, edit, message):
+        doc = json.loads((pipeline["out"] / "codebooks.json").read_text())
+        edit(doc)
+        path = tmp_path / "codebooks.json"
+        path.write_text(json.dumps(doc).replace(f'"{NESTED}"', "[" * 100_000 + "]" * 100_000))
+        with pytest.raises(ValueError) as exc:
+            load_codebooks(str(path))
+        assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+        rc, err = train_on(pipeline, str(tmp_path), path)
+        assert rc == 1 and f"error: {exc.value}" in err and "Traceback" not in err
+
+
 class TestStreamErrors:
     """A bad, stalled or absent tcp:// feed ends monitor with exit code 1 and
     a message naming tcp://host:port, never a traceback or a hang."""
@@ -779,6 +906,18 @@ class TestExitCodes:
         config_path.write_text("{nope")
         assert main(["synth", "--config", str(config_path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "\udcff"])
+    def test_config_file_too_deep_or_not_utf8_names_file(self, capsys, tmp_path, text):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(text, errors="surrogateescape")
+        assert main(["synth", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config_path}: invalid JSON (" in err and "Traceback" not in err
+
+    def test_deeply_nested_set_value_is_a_string(self, capsys):
+        assert main(["synth", "--set", "seed=" + "[" * 100_000 + "]" * 100_000]) == 2
+        assert "invalid literal for int()" in capsys.readouterr().err
 
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

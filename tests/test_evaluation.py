@@ -30,7 +30,7 @@ def three_cut_table():
 class TestWearTable:
     def test_lookups(self):
         table = three_cut_table()
-        assert table.cut_ids() == [1, 2, 3]
+        assert list(table.wear_by_cut()) == [1, 2, 3]
         assert table.cut_of(1) == 1
         assert table.cut_of(10) == 1
         assert table.cut_of(11) == 2
@@ -59,7 +59,7 @@ class TestWearTable:
                 WearEntry(cut_id=1, wear_um=100.0, first_window=1, last_window=5),
             ]
         )
-        assert table.cut_ids() == [1, 2]
+        assert list(table.wear_by_cut()) == [1, 2]
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlaps"):
@@ -96,8 +96,8 @@ class TestWearTable:
         path = tmp_path / "wear.csv"
         table.to_csv(str(path))
         loaded = WearTable.from_csv(str(path))
-        assert loaded.cut_ids() == table.cut_ids()
-        for cut in table.cut_ids():
+        assert list(loaded.wear_by_cut()) == list(table.wear_by_cut())
+        for cut in list(table.wear_by_cut()):
             assert loaded.wear_of_cut(cut) == table.wear_of_cut(cut)
         for e_in, e_out in zip(table.entries, loaded.entries):
             assert (e_in.first_window, e_in.last_window) == (
@@ -270,6 +270,19 @@ class TestMetricsJson:
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="JSON object"):
             write_metrics_json({"a": 1}, str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{nope", "Expecting property name"),
+         ("[" * 100_000 + "]" * 100_000, "maximum recursion")],
+    )
+    def test_unreadable_file_names_path(self, tmp_path, text, message):
+        path = tmp_path / "metrics.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            write_metrics_json({"a": 1}, str(path))
+        assert str(exc.value).startswith(f"{path}: not a JSON document (")
+        assert message in str(exc.value)
 
     def test_sorted_keys(self, tmp_path):
         path = tmp_path / "metrics.json"

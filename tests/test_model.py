@@ -4,11 +4,14 @@ against an independent double-precision reference, masking, and checkpoints."""
 import json
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
 
 from lorm.model import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     BackboneConfig,
     CheckpointError,
     backward_from_scores,
@@ -820,3 +823,25 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match=f"^{path}: parameter block holds non-finite"):
             load_checkpoint(str(path))
+
+    def test_huge_layer_count_rejected_at_once(self, tmp_path):
+        """The parameter block is measured against the claimed depth before
+        the per-layer shapes are built, so a small file claiming 10**9
+        layers is rejected at once."""
+        path = tmp_path / "m.lorm"
+        self._save(path, tiny_params(dtype=np.float32))
+        self._rewrite_meta(path, lambda m: m["config"].update(num_layers=10**9))
+        start = time.process_time()
+        with pytest.raises(CheckpointError, match="too few for 1000000000 layers") as exc:
+            load_checkpoint(str(path))
+        assert time.process_time() - start < 0.5
+        assert str(exc.value).startswith(f"{path}: parameter block holds ")
+
+    def test_deeply_nested_metadata_names_file(self, tmp_path):
+        path = tmp_path / "m.lorm"
+        blob = b"[" * 100_000 + b"]" * 100_000
+        header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob))
+        path.write_bytes(header + blob)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value).startswith(f"{path}: corrupt metadata block (maximum recursion")

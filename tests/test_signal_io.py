@@ -848,3 +848,122 @@ class TestFeedSweep:
         else:
             assert feed_rows == file_rows
             assert feed_windows == file_windows
+
+
+def as_rows(samples, kinds):
+    """The rows of samples as lists, tuples, contiguous row views or strided
+    row views (of a Fortran-ordered copy), kinds[i] choosing row i's type."""
+    strided = np.asfortranarray(samples)
+    make = {
+        "list": lambda i: samples[i].tolist(),
+        "tuple": lambda i: tuple(samples[i].tolist()),
+        "view": lambda i: samples[i],
+        "strided": lambda i: strided[i],
+    }
+    return [make[kind](i) for i, kind in enumerate(kinds)]
+
+
+@st.composite
+def stream_cases(draw, min_rows=0):
+    """(samples, rows, cfg, channel_count): strides below, equal to and
+    above W, channel_count None or given, rows of mixed types."""
+    w = draw(st.integers(2, 9))
+    stride = draw(st.one_of(st.integers(1, w - 1), st.just(w), st.integers(w + 1, 3 * w + 2)))
+    samples = draw(arrays(
+        np.float64,
+        st.tuples(st.integers(min_rows, 60), st.integers(1, 4)),
+        elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            st.sampled_from(EDGE_VALUES),
+        ),
+    ))
+    kinds = draw(st.lists(st.sampled_from(["list", "tuple", "view", "strided"]),
+                          min_size=len(samples), max_size=len(samples)))
+    channel_count = draw(st.sampled_from([None, samples.shape[1]]))
+    cfg = WindowingConfig(window_len=w, context_len=w - 1, stride=stride)
+    return samples, as_rows(samples, kinds), cfg, channel_count
+
+
+def bad_row(samples, index, kind):
+    """Row index of samples made bad in one way."""
+    row = samples[index].tolist()
+    if kind == "short":
+        return row[:-1]
+    if kind == "long":
+        return np.array(row + [0.0])
+    if kind == "non-numeric":
+        return tuple(row[:-1] + ["x"])
+    row[-1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    return np.array(row)
+
+
+BAD_KINDS = ["short", "long", "non-numeric", "nan", "inf", "-inf"]
+
+
+def assert_same_outcome(rows, cfg, channel_count):
+    """stream_windows yields the reference's windows bit for bit, and raises
+    its StreamFormatError (index and message) after the same windows."""
+    got, err = collect_until_error(stream_windows(iter(rows), cfg, channel_count))
+    want, want_err = collect_until_error(reference_stream_windows(iter(rows), cfg, channel_count))
+    assert_same_windows(got, want)
+    assert (err is None) == (want_err is None)
+    if err is not None:
+        assert (err.record_index, str(err)) == (want_err.record_index, str(want_err))
+    return err
+
+
+class TestStreamWindowsInPlace:
+    """Rows are copied into their window and checked when it completes, with
+    the windows and errors of the per-row assembly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=stream_cases())
+    def test_matches_reference(self, case):
+        _, rows, cfg, channel_count = case
+        assert assert_same_outcome(rows, cfg, channel_count) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=stream_cases(min_rows=1), data=st.data())
+    def test_bad_rows_anywhere(self, case, data):
+        """One bad row, or two: a non-finite row is named before a later bad
+        row of the same window, as when every row was checked on arrival."""
+        samples, rows, cfg, channel_count = case
+        for _ in range(data.draw(st.integers(1, 2))):
+            index = data.draw(st.integers(0, len(rows) - 1))
+            rows[index] = bad_row(samples, index, data.draw(st.sampled_from(BAD_KINDS)))
+        assert_same_outcome(rows, cfg, channel_count)
+
+    @pytest.mark.parametrize("kind", BAD_KINDS)
+    @pytest.mark.parametrize("channel_count", [None, 2])
+    @pytest.mark.parametrize(
+        "stride, index, where",
+        [(3, 0, "first row"), (15, 12, "skipped under stride > W"),
+         (16, 38, "trailing partial"), (4, 39, "trailing partial"),
+         (10, 10, "first row of a window"), (4, 9, "last row of a window")],
+    )
+    def test_bad_row_at(self, kind, channel_count, stride, index, where):
+        samples = make_series(t=40, c=2, seed=44).samples
+        rows = as_rows(samples, ["list"] * len(samples))
+        rows[index] = bad_row(samples, index, kind)
+        cfg = WindowingConfig(window_len=10, context_len=9, stride=stride)
+        err = assert_same_outcome(rows, cfg, channel_count)
+        # a first row of another length sets C, so the second row is the bad one
+        sets_c = index == 0 and channel_count is None and kind in ("short", "long")
+        assert err is not None and err.record_index == index + sets_c
+
+    def test_trailing_rows_are_checked(self):
+        rows = [[1.0], [2.0], [np.nan]]
+        cfg = WindowingConfig(window_len=2, context_len=1, stride=2)
+        got, err = collect_until_error(stream_windows(iter(rows), cfg, source="feed"))
+        assert len(got) == 1 and err.record_index == 2
+        assert str(err) == "feed: record 2: non-finite value"
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=stream_cases())
+    def test_edits_to_a_yielded_window_stay_in_it(self, case):
+        _, rows, cfg, channel_count = case
+        got = []
+        for window in stream_windows(iter(rows), cfg, channel_count):
+            got.append(window.copy())
+            window.fill(np.nan)
+        assert_same_windows(got, list(reference_stream_windows(iter(rows), cfg, channel_count)))
