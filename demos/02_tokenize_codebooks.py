@@ -44,9 +44,9 @@ targets = normalize_window(windows[:, windowing.context_len :], stats)
 
 K = 6
 books = fit_codebook_set(targets, k=K, seed=0, channel_names=run.series.channel_names)
-for book in books.codebooks:
-    cents = np.round(book.centroids.ravel(), 3)
-    print(f"channel {book.channel_index}: centroids {cents}")
+# one read-only (C, K, target_len) array holds every channel's centroids
+for c in range(books.num_channels):
+    print(f"channel {c}: centroids {np.round(books.centroids[c].ravel(), 3)}")
 
 # tokenising a window picks the nearest centroid per channel
 print(f"first window tokens: {tokenize_window(targets[0], books)}")
@@ -62,8 +62,5 @@ for c in range(books.num_channels):
 path = os.path.join(tempfile.mkdtemp(prefix="lorm_demo_"), "codebooks.json")
 save_codebooks(books, path)
 loaded = load_codebooks(path)
-same = all(
-    np.array_equal(a.centroids, b.centroids)
-    for a, b in zip(books.codebooks, loaded.codebooks)
-)
+same = np.array_equal(books.centroids, loaded.centroids)
 print(f"saved to {path}, reload exact: {same}")

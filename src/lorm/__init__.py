@@ -62,11 +62,9 @@ from .signal_io import (
 )
 from .synth import Harmonic, SynthConfig, SynthRun, default_harmonics, generate_run
 from .tokenizer import (
-    Codebook,
     CodebookSet,
     KMeansResult,
     codebook_file_hash,
-    fit_codebook,
     fit_codebook_set,
     kmeans_plusplus_init,
     lloyd_kmeans,

@@ -146,11 +146,6 @@ class ModelParameters:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        if name not in self.tensors:
-            raise KeyError(name)
-        self.tensors[name] = np.asarray(value, dtype=self.dtype).reshape(self.tensors[name].shape)
-
     def names(self) -> list[str]:
         return list(self.tensors.keys())
 

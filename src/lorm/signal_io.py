@@ -36,6 +36,7 @@ __all__ = [
 
 DEFAULT_EPSILON = 1e-8
 _BLOCK_CHARS = 1 << 16  # most bytes the CSV parser reads per block, so memory stays bounded
+_TEXT_TYPES = frozenset({str, bytes, np.str_, np.bytes_})
 
 
 @dataclass
@@ -240,7 +241,10 @@ def stream_windows(
     end = w  # the fill count at which the unchecked rows of window are checked
     for index, row in enumerate(samples):
         try:
-            if len(row) != expected:
+            # numpy would read a text row as one value for all channels, and a
+            # nested one-channel row (shape (1, 1)) as a flat one
+            if (len(row) != expected or type(row) in _TEXT_TYPES
+                    or expected == 1 and getattr(row, "ndim", 1) != 1):
                 raise ValueError
             window[filled] = row
         except (TypeError, ValueError):  # a bad row, or the first: the per-row checks say which

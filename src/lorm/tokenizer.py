@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Codebook",
     "CodebookSet",
     "KMeansResult",
     "kmeans_plusplus_init",
     "lloyd_kmeans",
-    "fit_codebook",
     "fit_codebook_set",
     "tokenize_window",
     "save_codebooks",
@@ -34,66 +32,40 @@ CODEBOOK_FORMAT_VERSION = 1
 MAX_KMEANS_ITER = 100
 
 
-@dataclass
-class Codebook:
-    """K centroids for one channel; tokens are 0-based centroid indices."""
-
-    channel_index: int
-    centroids: np.ndarray  # (K, target_dim)
-
-    def __post_init__(self) -> None:
-        self.centroids = np.asarray(self.centroids, dtype=np.float64)
-        if self.centroids.ndim != 2:
-            raise ValueError(f"centroids must be 2-D (K, dim), got {self.centroids.shape}")
-        if self.centroids.shape[0] < 1:
-            raise ValueError("codebook needs K >= 1 centroids")
-        if not np.all(np.isfinite(self.centroids)):
-            raise ValueError("centroids contain non-finite values")
-
-    @property
-    def K(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
-    def target_dim(self) -> int:
-        return self.centroids.shape[1]
-
-
-@dataclass
 class CodebookSet:
-    """One codebook per channel, all sharing K and the target dimension."""
+    """Every channel's codebook in one read-only (C, K, target_dim) array:
+    channel c's tokens are 0-based indices into ``centroids[c]``.
 
-    codebooks: list[Codebook]
-    channel_names: list[str] = field(default_factory=list)
-    # (C, K, target_dim) stack of every channel's centroids, read-only
-    centroids: np.ndarray = field(init=False, repr=False, compare=False)
+    The constructor copies ``centroids``, so later edits to the caller's
+    array change neither tokens nor saved files.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.codebooks:
-            raise ValueError("codebook set is empty")
-        k0 = self.codebooks[0].K
-        d0 = self.codebooks[0].target_dim
-        for cb in self.codebooks:
-            if cb.K != k0 or cb.target_dim != d0:
-                raise ValueError("all codebooks must share K and target_dim")
-        if not self.channel_names:
-            self.channel_names = [f"ch{i}" for i in range(len(self.codebooks))]
-        if len(self.channel_names) != len(self.codebooks):
-            raise ValueError("one channel name per codebook required")
-        self.centroids = np.stack([cb.centroids for cb in self.codebooks])
-        self.centroids.flags.writeable = False
+    def __init__(self, centroids: np.ndarray, channel_names: Sequence[str] | None = None) -> None:
+        stack = np.array(centroids, dtype=np.float64)
+        if stack.ndim != 3:
+            raise ValueError(f"centroids must be 3-D (C, K, target_dim), got shape {stack.shape}")
+        if stack.shape[0] < 1 or stack.shape[1] < 1:
+            raise ValueError(f"codebook set needs C >= 1 and K >= 1, got shape {stack.shape}")
+        if not np.isfinite(stack).all():
+            raise ValueError("centroids contain non-finite values")
+        names = list(channel_names) if channel_names else [f"ch{i}" for i in range(len(stack))]
+        if len(names) != len(stack):
+            raise ValueError(f"one channel name per codebook required, got {len(names)} names")
+        stack.flags.writeable = False
+        self.centroids = stack
+        self.channel_names = names
 
     @property
     def num_channels(self) -> int:
-        return len(self.codebooks)
+        return self.centroids.shape[0]
 
     @property
     def K(self) -> int:
-        return self.codebooks[0].K
+        return self.centroids.shape[1]
 
     @property
     def target_dim(self) -> int:
-        return self.codebooks[0].target_dim
+        return self.centroids.shape[2]
 
 
 @dataclass
@@ -201,25 +173,6 @@ def lloyd_kmeans(
     )
 
 
-def fit_codebook(
-    targets: Sequence[np.ndarray] | np.ndarray,
-    k: int,
-    seed: int,
-    channel_index: int = 0,
-) -> Codebook:
-    """Cluster a channel's target segments into K centroids.
-
-    Raises ValueError("insufficient samples") when fewer than K points are
-    given. Deterministic: identical (targets, k, seed) give identical
-    centroid bytes.
-    """
-    points = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if points.shape[0] < k:
-        raise ValueError("insufficient samples")
-    result = lloyd_kmeans(points, k, seed, max_iter=MAX_KMEANS_ITER)
-    return Codebook(channel_index=channel_index, centroids=result.centroids)
-
-
 def fit_codebook_set(
     targets: Sequence[np.ndarray] | np.ndarray,
     k: int,
@@ -232,18 +185,20 @@ def fit_codebook_set(
         targets: an (n, target_dim, C) array, or n (target_dim, C) arrays.
         k: clusters per channel.
         seed: shared k-means seed (channels differ by their data).
+
+    Raises ValueError("insufficient samples") when n < k. Deterministic:
+    identical (targets, k, seed) give identical centroid bytes.
     """
     if not len(targets):
         raise ValueError("insufficient samples")
     stacked = np.asarray(targets, dtype=np.float64)
     if stacked.ndim != 3:
         raise ValueError(f"targets must be (n, target_dim, C), got shape {stacked.shape}")
-    books = [
-        fit_codebook(stacked[:, :, ch], k, seed, channel_index=ch)
+    centroids = [
+        lloyd_kmeans(stacked[:, :, ch], k, seed, max_iter=MAX_KMEANS_ITER).centroids
         for ch in range(stacked.shape[2])
     ]
-    names = list(channel_names) if channel_names else []
-    return CodebookSet(codebooks=books, channel_names=names)
+    return CodebookSet(np.stack(centroids), channel_names)
 
 
 def tokenize_window(targets: np.ndarray, codebooks: CodebookSet) -> np.ndarray:
@@ -277,10 +232,10 @@ def save_codebooks(codebooks: CodebookSet, path: str) -> None:
         "target_dim": codebooks.target_dim,
         "channels": [
             {
-                "name": codebooks.channel_names[i],
-                "centroids": [[float(v) for v in row] for row in cb.centroids],
+                "name": name,
+                "centroids": codebooks.centroids[c].tolist(),
             }
-            for i, cb in enumerate(codebooks.codebooks)
+            for c, name in enumerate(codebooks.channel_names)
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -292,7 +247,8 @@ def load_codebooks(path: str) -> CodebookSet:
 
     Raises:
         ValueError: naming ``path``, for malformed JSON, an unsupported
-            version, a missing field, or centroids of the wrong shape.
+            version, a missing field, or a malformed channel (naming its
+            index and field).
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -315,19 +271,27 @@ def _codebooks_from_doc(doc) -> CodebookSet:
     shape = (doc["K"], doc["target_dim"])
     if not all(type(n) is int for n in shape):
         raise ValueError(f"K and target_dim must be integers, got {shape[0]!r} and {shape[1]!r}")
-    books = []
-    names = []
-    for i, ch in enumerate(doc["channels"]):
-        centroids = np.asarray(ch["centroids"], dtype=np.float64)
+    channels = doc["channels"]
+    if not isinstance(channels, list) or not channels:
+        raise ValueError("channels must be a non-empty list of channel objects")
+    stack = []
+    for i, ch in enumerate(channels):
+        if not isinstance(ch, dict):
+            raise ValueError(f"channel {i}: must be an object, got {type(ch).__name__}")
+        try:
+            centroids = np.asarray(ch["centroids"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+            raise ValueError(
+                f"channel {i}: centroids must be a {shape[0]} x {shape[1]} array of numbers"
+            ) from None
         if centroids.shape != shape:
             raise ValueError(
                 f"channel {i}: centroid shape mismatch, {centroids.shape} != {shape}"
             )
         if not isinstance(ch["name"], str):
             raise ValueError(f"channel {i}: name must be a string, got {ch['name']!r}")
-        books.append(Codebook(channel_index=i, centroids=centroids))
-        names.append(ch["name"])
-    return CodebookSet(codebooks=books, channel_names=names)
+        stack.append(centroids)
+    return CodebookSet(np.stack(stack), [ch["name"] for ch in channels])
 
 
 def codebook_file_hash(path: str) -> str:

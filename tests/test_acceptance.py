@@ -44,7 +44,6 @@ from lorm.signal_io import (
 )
 from lorm.synth import SynthConfig, generate_run
 from lorm.tokenizer import (
-    Codebook,
     CodebookSet,
     codebook_file_hash,
     fit_codebook_set,
@@ -228,11 +227,7 @@ class TestCriterion1:
         params = init_model(cfg, seed=1)
         params.tensors["head.w_c"] = np.zeros_like(params["head.w_c"])
         books = CodebookSet(
-            codebooks=[
-                Codebook(channel_index=c, centroids=np.linspace(-2, 2, 10)[:, None])
-                for c in range(2)
-            ],
-            channel_names=["a", "b"],
+            np.tile(np.linspace(-2, 2, 10)[:, None], (2, 1, 1)), channel_names=["a", "b"]
         )
         deployed = DeployedModel(
             checkpoint=Checkpoint(

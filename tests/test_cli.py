@@ -701,6 +701,12 @@ class TestCodebooksSweep:
             (lambda doc: doc.update(target_dim=True), "got 4 and True"),
             (lambda doc: doc["channels"][1].update(name=5), "channel 1: name must be a string"),
             (lambda doc: doc.update(K=NESTED), "not a codebooks JSON document (maximum recursion"),
+            (lambda doc: doc.update(channels=[1, 2]), "channel 0: must be an object, got int"),
+            (lambda doc: doc.update(channels={"a": 1}), "channels must be a non-empty list"),
+            (lambda doc: doc["channels"][0]["centroids"][1].append(0.5),
+             "channel 0: centroids must be a 4 x 1 array of numbers"),
+            (lambda doc: doc["channels"][1]["centroids"][3].__setitem__(0, "x"),
+             "channel 1: centroids must be a 4 x 1 array of numbers"),
         ],
     )
     def test_malformed_codebooks_names_file(self, pipeline, tmp_path, edit, message):

@@ -18,7 +18,7 @@ from lorm.monitor import (
 )
 from lorm.sequence import build_mcps
 from lorm.signal_io import ChannelStats, normalize_window, split_context_target
-from lorm.tokenizer import Codebook, CodebookSet, save_codebooks, tokenize_window
+from lorm.tokenizer import CodebookSet, save_codebooks, tokenize_window
 from lorm.train import window_loss
 
 
@@ -44,11 +44,7 @@ def tiny_deployed(seed=0, zero_head=False, num_tokens=4):
         params.tensors["head.w_c"] = np.zeros_like(params["head.w_c"])
     stats = ChannelStats(mean=np.zeros(2), std=np.ones(2))
     books = CodebookSet(
-        codebooks=[
-            Codebook(channel_index=c, centroids=np.linspace(-1, 1, num_tokens)[:, None])
-            for c in range(2)
-        ],
-        channel_names=["a", "b"],
+        np.tile(np.linspace(-1, 1, num_tokens)[:, None], (2, 1, 1)), channel_names=["a", "b"]
     )
     ckpt = Checkpoint(
         params=params,
@@ -204,12 +200,7 @@ def geometry_deployed(context_len, target_len, patch_len, seed=0):
         patch_len=patch_len,
     )
     rng = np.random.default_rng(seed)
-    books = CodebookSet(
-        codebooks=[
-            Codebook(channel_index=c, centroids=rng.normal(size=(num_tokens, target_len)))
-            for c in range(channels)
-        ]
-    )
+    books = CodebookSet(rng.normal(size=(channels, num_tokens, target_len)))
     ckpt = Checkpoint(
         params=init_model(cfg, seed=seed),
         config=cfg,
@@ -264,11 +255,7 @@ class TestDeployedModelFiles:
         cfg = tiny_cfg()
         params = init_model(cfg, seed=8)
         books = CodebookSet(
-            codebooks=[
-                Codebook(channel_index=c, centroids=np.linspace(-1, 1, 4)[:, None])
-                for c in range(2)
-            ],
-            channel_names=["a", "b"],
+            np.tile(np.linspace(-1, 1, 4)[:, None], (2, 1, 1)), channel_names=["a", "b"]
         )
         books_path = tmp_path / "codebooks.json"
         save_codebooks(books, str(books_path))

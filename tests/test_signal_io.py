@@ -893,11 +893,21 @@ def bad_row(samples, index, kind):
         return np.array(row + [0.0])
     if kind == "non-numeric":
         return tuple(row[:-1] + ["x"])
+    if kind == "text":  # one number, as long as the row
+        return "1.25"[: len(row)]
+    if kind == "bytes":
+        return b"1.25"[: len(row)]
+    if kind == "nested":  # shape (1, C)
+        return np.array([row])
     row[-1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
     return np.array(row)
 
 
-BAD_KINDS = ["short", "long", "non-numeric", "nan", "inf", "-inf"]
+BAD_KINDS = ["short", "long", "non-numeric", "nan", "inf", "-inf", "text", "bytes", "nested"]
+# (stride, index, where) for W = 10 over 40 rows
+PLACES = [(3, 0, "first row"), (15, 12, "skipped under stride > W"),
+          (16, 38, "trailing partial"), (4, 39, "trailing partial"),
+          (10, 10, "first row of a window"), (4, 9, "last row of a window")]
 
 
 def assert_same_outcome(rows, cfg, channel_count):
@@ -935,12 +945,7 @@ class TestStreamWindowsInPlace:
 
     @pytest.mark.parametrize("kind", BAD_KINDS)
     @pytest.mark.parametrize("channel_count", [None, 2])
-    @pytest.mark.parametrize(
-        "stride, index, where",
-        [(3, 0, "first row"), (15, 12, "skipped under stride > W"),
-         (16, 38, "trailing partial"), (4, 39, "trailing partial"),
-         (10, 10, "first row of a window"), (4, 9, "last row of a window")],
-    )
+    @pytest.mark.parametrize("stride, index, where", PLACES)
     def test_bad_row_at(self, kind, channel_count, stride, index, where):
         samples = make_series(t=40, c=2, seed=44).samples
         rows = as_rows(samples, ["list"] * len(samples))
@@ -950,6 +955,28 @@ class TestStreamWindowsInPlace:
         # a first row of another length sets C, so the second row is the bad one
         sets_c = index == 0 and channel_count is None and kind in ("short", "long")
         assert err is not None and err.record_index == index + sets_c
+
+    @pytest.mark.parametrize("kind", ["text", "bytes", "nested"])
+    @pytest.mark.parametrize("channel_count", [None, 1])
+    @pytest.mark.parametrize("stride, index, where", PLACES)
+    def test_one_channel_row_at(self, kind, channel_count, stride, index, where):
+        """numpy takes "1", b"1" and a (1, 1) array as a one-channel row:
+        each is still rejected as not flat, where it arrives."""
+        samples = make_series(t=40, c=1, seed=45).samples
+        rows = as_rows(samples, ["view"] * len(samples))
+        rows[index] = bad_row(samples, index, kind)
+        cfg = WindowingConfig(window_len=10, context_len=9, stride=stride)
+        err = assert_same_outcome(rows, cfg, channel_count)
+        assert err is not None and err.record_index == index
+        assert "expected a flat row, got shape" in str(err)
+
+    @pytest.mark.parametrize("row", ["1.5", b"1.5", np.str_("1.5"), np.bytes_(b"1.5")])
+    def test_text_row_is_not_spread_over_channels(self, row):
+        rows = [[0.0, 1.0, 2.0]] * 3 + [row]
+        cfg = WindowingConfig(window_len=2, context_len=1, stride=1)
+        got, err = collect_until_error(stream_windows(iter(rows), cfg, channel_count=3))
+        assert len(got) == 2 and err.record_index == 3
+        assert str(err) == "record 3: expected a flat row, got shape ()"
 
     def test_trailing_rows_are_checked(self):
         rows = [[1.0], [2.0], [np.nan]]

@@ -3,15 +3,18 @@ assignment rules, and file round trips."""
 
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lorm.tokenizer import (
-    Codebook,
     CodebookSet,
     codebook_file_hash,
-    fit_codebook,
     fit_codebook_set,
     kmeans_plusplus_init,
     lloyd_kmeans,
@@ -122,7 +125,7 @@ def nearest_centroid(target, centroids):
 
 
 def single_channel(centroids):
-    return CodebookSet(codebooks=[Codebook(channel_index=0, centroids=np.array(centroids))])
+    return CodebookSet(np.array(centroids)[None])
 
 
 class TestAssignment:
@@ -141,13 +144,7 @@ class TestAssignment:
             tokenize_window(np.array([[1.0]]), books)
 
     def test_tokenize_window_per_channel(self):
-        books = CodebookSet(
-            codebooks=[
-                Codebook(channel_index=0, centroids=np.array([[0.0], [5.0]])),
-                Codebook(channel_index=1, centroids=np.array([[-3.0], [3.0]])),
-            ],
-            channel_names=["a", "b"],
-        )
+        books = CodebookSet(np.array([[[0.0], [5.0]], [[-3.0], [3.0]]]), channel_names=["a", "b"])
         target = np.array([[4.4, -2.0]])  # (target_dim=1, C=2)
         assert tokenize_window(target, books).tolist() == [1, 0]
 
@@ -156,24 +153,17 @@ class TestAssignment:
         """Tokens for leading shapes (), (n,) and (n, m) equal a per-channel
         nearest-centroid loop on every target, ties included."""
         rng = np.random.default_rng(dim)
-        books = CodebookSet(
-            codebooks=[
-                Codebook(channel_index=c, centroids=rng.normal(size=(6, dim)))
-                for c in range(3)
-            ]
-        )
+        books = CodebookSet(rng.normal(size=(3, 6, dim)))
         targets = rng.normal(size=(8, 5, dim, 3))
-        targets[0, 0] = books.codebooks[0].centroids[2][:, None]  # exact hit
-        targets[1, 0, :, 1] = 0.5 * (  # tie
-            books.codebooks[1].centroids[0] + books.codebooks[1].centroids[3]
-        )
+        targets[0, 0] = books.centroids[0, 2][:, None]  # exact hit
+        targets[1, 0, :, 1] = 0.5 * (books.centroids[1, 0] + books.centroids[1, 3])  # tie
         for batch in [targets[0, 0], targets[:, 0], targets]:
             lead = batch.shape[:-2]
             got = tokenize_window(batch, books)
             assert got.shape == lead + (3,) and got.dtype == np.int64
             for index in np.ndindex(*lead):
                 want = [
-                    nearest_centroid(batch[index][:, c], books.codebooks[c].centroids)
+                    nearest_centroid(batch[index][:, c], books.centroids[c])
                     for c in range(3)
                 ]
                 assert got[index].tolist() == want
@@ -193,7 +183,7 @@ class TestAssignment:
 
     def test_tokens_in_range_property(self):
         pts = blob_points(13, n=100, dim=1, k=4)
-        books = CodebookSet(codebooks=[fit_codebook(pts, 4, seed=1)])
+        books = fit_codebook_set(pts[:, :, None], 4, seed=1)
         tokens = tokenize_window(pts[:, :, None], books)
         assert tokens.shape == (100, 1)
         assert np.all((0 <= tokens) & (tokens < 4))
@@ -202,7 +192,7 @@ class TestAssignment:
 class TestFitCodebook:
     def test_insufficient_samples(self):
         with pytest.raises(ValueError, match="insufficient samples"):
-            fit_codebook(np.zeros((3, 1)), 4, seed=0)
+            fit_codebook_set(np.zeros((3, 1, 2)), 4, seed=0)
 
     def test_fit_codebook_set_shapes(self):
         rng = np.random.default_rng(0)
@@ -217,8 +207,7 @@ class TestFitCodebook:
         targets = [rng.normal(size=(1, 2)) for _ in range(30)]
         a = fit_codebook_set(targets, k=3, seed=9, channel_names=["a", "b"])
         b = fit_codebook_set(targets, k=3, seed=9, channel_names=["a", "b"])
-        for ca, cb in zip(a.codebooks, b.codebooks):
-            assert np.array_equal(ca.centroids, cb.centroids)
+        assert a.centroids.tobytes() == b.centroids.tobytes()
 
 
 class TestCodebookFiles:
@@ -233,8 +222,7 @@ class TestCodebookFiles:
         save_codebooks(books, path)
         back = load_codebooks(path)
         assert back.channel_names == ["left", "right"]
-        for a, b in zip(books.codebooks, back.codebooks):
-            assert np.array_equal(a.centroids, b.centroids)
+        assert back.centroids.tobytes() == books.centroids.tobytes()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -295,6 +283,27 @@ class TestCodebookFiles:
         message = self._load_broken(tmp_path, json.dumps(doc))
         assert "channel 0: centroid shape mismatch" in message
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(channels=[1, 2]), "channel 0: must be an object, got int"),
+            (lambda doc: doc.update(channels={"a": 1}), "channels must be a non-empty list of channel objects"),
+            (lambda doc: doc.update(channels=[]), "channels must be a non-empty list of channel objects"),
+            (lambda doc: doc["channels"][0].update(centroids=[[0.0], [1.0, 2.0]]),
+             "channel 0: centroids must be a 2 x 1 array of numbers"),
+            (lambda doc: doc["channels"][1].update(centroids=[["x"], [1.0]]),
+             "channel 1: centroids must be a 2 x 1 array of numbers"),
+            (lambda doc: doc["channels"][1].update(centroids=[[10**400], [1.0]]),
+             "channel 1: centroids must be a 2 x 1 array of numbers"),
+            (lambda doc: doc["channels"][0].update(centroids=[[None], [1.0]]),
+             "centroids contain non-finite values"),
+        ],
+    )
+    def test_malformed_channel_names_field(self, tmp_path, edit, message):
+        doc = self._doc()
+        edit(doc)
+        assert self._load_broken(tmp_path, json.dumps(doc)) == f"{tmp_path / 'codebooks.json'}: {message}"
+
     def test_file_hash_is_sha256(self, tmp_path):
         books = self._books()
         path = str(tmp_path / "books.json")
@@ -305,10 +314,91 @@ class TestCodebookFiles:
 
     def test_set_validation(self):
         with pytest.raises(ValueError):
-            CodebookSet(
-                codebooks=[
-                    Codebook(channel_index=0, centroids=np.zeros((2, 1))),
-                    Codebook(channel_index=1, centroids=np.zeros((3, 1))),  # K differs
-                ],
-                channel_names=["a", "b"],
-            )
+            CodebookSet([np.zeros((2, 1)), np.zeros((3, 1))], channel_names=["a", "b"])  # K differs
+
+
+def reference_save_codebooks(books, path):
+    """The per-channel writer that codebooks.json bytes are pinned to: one
+    list of Python floats per centroid row, channel by channel."""
+    doc = {
+        "version": 1,
+        "K": books.K,
+        "target_dim": books.target_dim,
+        "channels": [
+            {
+                "name": books.channel_names[c],
+                "centroids": [[float(v) for v in row] for row in books.centroids[c]],
+            }
+            for c in range(books.num_channels)
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+@st.composite
+def codebook_sets(draw):
+    """(centroids, names): C, K and target_dim in 1-4, 1-10 and 1-4, any
+    finite float64 values, any channel names."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 10)), draw(st.integers(1, 4)))
+    centroids = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    names = draw(st.lists(st.text(max_size=4), min_size=shape[0], max_size=shape[0]))
+    return centroids, names
+
+
+class TestCodebookSet:
+    """One read-only (C, K, target_dim) array per set, checked when built."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=codebook_sets())
+    def test_file_round_trip(self, case):
+        centroids, names = case
+        books = CodebookSet(centroids, names)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = os.path.join(tmp, "books.json"), os.path.join(tmp, "reference.json")
+            save_codebooks(books, path)
+            reference_save_codebooks(books, reference)
+            back = load_codebooks(path)
+            with open(path, "rb") as got, open(reference, "rb") as want:
+                assert got.read() == want.read()
+        assert back.centroids.dtype == np.float64 and back.centroids.shape == centroids.shape
+        assert back.centroids.tobytes() == centroids.tobytes()
+        assert back.channel_names == names
+        assert (back.num_channels, back.K, back.target_dim) == centroids.shape
+
+    def test_later_edits_reach_neither_tokens_nor_file(self, tmp_path):
+        centroids = np.array([[[0.0], [1.0]]])
+        books = CodebookSet(centroids)
+        before = tmp_path / "before.json"
+        save_codebooks(books, str(before))
+        centroids[0, 1, 0] = 5.0
+        assert tokenize_window(np.array([[0.9]]), books).tolist() == [1]
+        after = tmp_path / "after.json"
+        save_codebooks(books, str(after))
+        assert after.read_bytes() == before.read_bytes()
+        with pytest.raises(ValueError, match="read-only"):
+            books.centroids[0, 1, 0] = 5.0
+
+    def test_equality_is_identity(self):
+        books = CodebookSet(np.zeros((2, 3, 1)))
+        assert books == books
+        assert books != CodebookSet(np.zeros((2, 3, 1)))
+
+    def test_default_names(self):
+        assert CodebookSet(np.zeros((3, 2, 1))).channel_names == ["ch0", "ch1", "ch2"]
+
+    @pytest.mark.parametrize(
+        "centroids, names, message",
+        [
+            (np.zeros((2, 1)), None, "must be 3-D"),
+            (np.zeros((1, 0, 1)), None, "K >= 1"),
+            (np.zeros((0, 2, 1)), None, "C >= 1"),
+            (np.array([[[0.0], [np.inf]]]), None, "non-finite"),
+            (np.array([[[0.0], [np.nan]]]), None, "non-finite"),
+            (np.zeros((2, 2, 1)), ["a"], "one channel name per codebook"),
+            (np.zeros((1, 2, 1)), ["a", "b"], "one channel name per codebook"),
+        ],
+    )
+    def test_rejects(self, centroids, names, message):
+        with pytest.raises(ValueError, match=message):
+            CodebookSet(centroids, names)

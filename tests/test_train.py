@@ -14,7 +14,7 @@ from lorm.signal_io import (
     segment_windows,
     split_context_target,
 )
-from lorm.tokenizer import Codebook, CodebookSet, tokenize_window
+from lorm.tokenizer import CodebookSet, tokenize_window
 from lorm.train import (
     PROB_FLOOR,
     Adam,
@@ -299,11 +299,7 @@ class TestBuildExamples:
         windows = segment_windows(series, windowing)
         stats = compute_channel_stats(series)
         books = CodebookSet(
-            codebooks=[
-                Codebook(channel_index=0, centroids=np.array([[-1.0], [1.0]])),
-                Codebook(channel_index=1, centroids=np.array([[-1.0], [1.0]])),
-            ],
-            channel_names=["a", "b"],
+            np.array([[[-1.0], [1.0]], [[-1.0], [1.0]]]), channel_names=["a", "b"]
         )
         p, y = build_examples(windows, stats, 30, books, patch_len=7)
         n = len(windows)
@@ -328,12 +324,7 @@ class TestBuildExamples:
         )
         stats = compute_channel_stats(series)
         target_len = window_len - context_len
-        books = CodebookSet(
-            codebooks=[
-                Codebook(channel_index=c, centroids=rng.normal(size=(5, target_len)))
-                for c in range(3)
-            ]
-        )
+        books = CodebookSet(rng.normal(size=(3, 5, target_len)))
         p, y = build_examples(windows, stats, context_len, books, patch_len)
 
         p_rows, y_rows = [], []
@@ -353,15 +344,12 @@ class TestBuildExamples:
     def test_non_finite_after_normalisation_rejected(self):
         windows = [np.full((11, 1), 1e308)]
         stats = ChannelStats(mean=np.array([-1e308]), std=np.ones(1))
-        books = CodebookSet(codebooks=[Codebook(channel_index=0, centroids=np.zeros((2, 1)))])
+        books = CodebookSet(np.zeros((1, 2, 1)))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             build_examples(windows, stats, 10, books, patch_len=4)
 
     def test_empty_rejected(self):
         stats = ChannelStats(mean=np.zeros(1), std=np.ones(1))
-        books = CodebookSet(
-            codebooks=[Codebook(channel_index=0, centroids=np.zeros((2, 1)))],
-            channel_names=["a"],
-        )
+        books = CodebookSet(np.zeros((1, 2, 1)), channel_names=["a"])
         with pytest.raises(ValueError, match="training set is empty"):
             build_examples([], stats, 10, books, patch_len=4)
