@@ -60,7 +60,7 @@ from .signal_io import (
     train_val_split,
     write_signal_csv,
 )
-from .synth import Harmonic, SynthConfig, SynthRun, default_harmonics, generate_run
+from .synth import SynthConfig, SynthRun, generate_run
 from .tokenizer import (
     CodebookSet,
     KMeansResult,

@@ -22,11 +22,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_real
 from .evaluation import (
     WearTable,
     compute_metrics,
@@ -100,9 +101,9 @@ DEFAULT_CONFIG: dict = {
     "model": _field_defaults(
         BackboneConfig, skip={"max_seq_len", "num_channels", "num_tokens", "patch_len"}
     ),
-    "train": {**_field_defaults(TrainConfig, skip={"seed"}), "val_fraction": 0.2},
-    "monitor": {**_field_defaults(MonitorConfig), "ma_window": None, "read_timeout_s": 60.0},
-    "synth": _field_defaults(SynthConfig, skip={"harmonics", "seed"}),
+    "train": _field_defaults(TrainConfig, skip={"seed"}),
+    "monitor": _field_defaults(MonitorConfig),
+    "synth": _field_defaults(SynthConfig, skip={"seed"}),
     "eval": {"wear_limit_um": 300.0},
     "paths": {
         "signal": "signal.csv",
@@ -122,19 +123,15 @@ def default_config() -> dict:
 
 @dataclass
 class RunConfig:
-    """Validated settings for one invocation."""
+    """Validated settings for one invocation. ``backbone`` holds the model, patch
+    and tokenizer sections; each command sets max_seq_len and num_channels."""
 
-    raw: dict
     seed: int
     out_dir: str
     windowing: WindowingConfig
-    patch_len: int
-    num_tokens: int
+    backbone: BackboneConfig
     train: TrainConfig
-    val_fraction: float
     monitor: MonitorConfig
-    ma_window: int | None
-    read_timeout_s: float | None
     synth: SynthConfig
     wear_limit_um: float
     paths: dict[str, str]
@@ -213,52 +210,25 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     try:
         seed = int(config["seed"])
         windowing = WindowingConfig(**config["windowing"])
-        patch_len = int(config["patch"]["patch_len"])
-        if patch_len < 1:
-            raise ValueError("patch.patch_len must be >= 1")
-        num_tokens = int(config["tokenizer"]["num_tokens"])
-        if num_tokens < 1:
-            raise ValueError("tokenizer.num_tokens must be >= 1")
-        train_section = dict(config["train"])
-        val_fraction = float(train_section.pop("val_fraction"))
-        if not 0 < val_fraction < 1:
-            raise ValueError("train.val_fraction must lie in (0, 1)")
-        train_cfg = TrainConfig(seed=seed, **train_section)
-        monitor_section = dict(config["monitor"])
-        ma_window = monitor_section.pop("ma_window")
-        if ma_window is not None:
-            ma_window = int(ma_window)
-            if ma_window < 1:
-                raise ValueError("monitor.ma_window must be >= 1 or null")
-        read_timeout_s = monitor_section.pop("read_timeout_s")
-        if read_timeout_s is not None:
-            if not (isinstance(read_timeout_s, (int, float)) and read_timeout_s > 0):
-                raise ValueError("monitor.read_timeout_s must be a positive number or null")
-            read_timeout_s = float(read_timeout_s)
-        monitor_cfg = MonitorConfig(
-            buffer_len=int(monitor_section["buffer_len"]),
-            threshold=float(monitor_section["threshold"]),
-        )
+        backbone = BackboneConfig(**config["model"], **config["patch"], **config["tokenizer"])
+        train_cfg = TrainConfig(seed=seed, **config["train"])
+        monitor_cfg = MonitorConfig(**config["monitor"])
         synth_cfg = SynthConfig(seed=seed, **config["synth"])
-        wear_limit = float(config["eval"]["wear_limit_um"])
-        if wear_limit <= 0:
-            raise ValueError("eval.wear_limit_um must be positive")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+        wear_limit = check_real("wear_limit_um", config["eval"]["wear_limit_um"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a dataclass message starts with its field name; name the section too
+        message = str(exc)
+        key = message.split(" ", 1)[0]
+        section = next((name for name, v in config.items() if isinstance(v, dict) and key in v), "")
+        raise ConfigError(f"{section}.{message}" if section else message) from None
 
-    out_dir = args.out or "."
     return RunConfig(
-        raw=config,
         seed=seed,
-        out_dir=out_dir,
+        out_dir=args.out or ".",
         windowing=windowing,
-        patch_len=patch_len,
-        num_tokens=num_tokens,
+        backbone=backbone,
         train=train_cfg,
-        val_fraction=val_fraction,
         monitor=monitor_cfg,
-        ma_window=ma_window,
-        read_timeout_s=read_timeout_s,
         synth=synth_cfg,
         wear_limit_um=wear_limit,
         paths={k: str(v) for k, v in config["paths"].items()},
@@ -288,20 +258,9 @@ def _prepare_splits(cfg: RunConfig, series: MultiChannelSeries):
             f"signal yields {len(windows)} windows; need at least 2 "
             f"(window_len {cfg.windowing.window_len}, stride {cfg.windowing.stride})"
         )
-    train_w, val_w = train_val_split(windows, cfg.val_fraction, seed=cfg.seed)
+    train_w, val_w = train_val_split(windows, cfg.train.val_fraction, seed=cfg.seed)
     stats = compute_channel_stats(np.concatenate(train_w))
     return train_w, val_w, stats
-
-
-def _backbone_for(cfg: RunConfig, channels: int) -> BackboneConfig:
-    n = num_patches(cfg.windowing.context_len, cfg.patch_len)
-    return BackboneConfig(
-        max_seq_len=n * channels,
-        num_tokens=cfg.num_tokens,
-        num_channels=channels,
-        patch_len=cfg.patch_len,
-        **cfg.raw["model"],
-    )
 
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -320,7 +279,7 @@ def cmd_fit_codebooks(cfg: RunConfig, args: argparse.Namespace) -> int:
     train_w, _, stats = _prepare_splits(cfg, series)
     targets = normalize_window(np.stack(train_w)[:, cfg.windowing.context_len :], stats)
     codebooks = fit_codebook_set(
-        targets, k=cfg.num_tokens, seed=cfg.seed, channel_names=series.channel_names
+        targets, k=cfg.backbone.num_tokens, seed=cfg.seed, channel_names=series.channel_names
     )
     save_codebooks(codebooks, cfg.out_path("codebooks.json"))
     print(f"wrote codebooks.json (K={codebooks.K}, channels={codebooks.num_channels})")
@@ -337,8 +296,14 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
             f"paths.codebooks: built for {codebooks.num_channels} channels, "
             f"signal has {series.num_channels}"
         )
+    if codebooks.K != cfg.backbone.num_tokens:
+        raise ConfigError(
+            f"paths.codebooks: built for K={codebooks.K}, "
+            f"the tokenizer section says {cfg.backbone.num_tokens}"
+        )
 
-    backbone = _backbone_for(cfg, series.num_channels)
+    seq_len = num_patches(cfg.windowing.context_len, cfg.backbone.patch_len) * series.num_channels
+    backbone = replace(cfg.backbone, max_seq_len=seq_len, num_channels=series.num_channels)
     init_path = cfg.paths.get("init_checkpoint", "")
     if init_path:
         ckpt = load_checkpoint(_require_file(cfg.resolve("init_checkpoint"), "init_checkpoint"))
@@ -352,10 +317,10 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
         params = init_model(backbone, seed=cfg.seed)
 
     p_train, y_train = build_examples(
-        train_w, stats, cfg.windowing.context_len, codebooks, cfg.patch_len
+        train_w, stats, cfg.windowing.context_len, codebooks, backbone.patch_len
     )
     p_val, y_val = build_examples(
-        val_w, stats, cfg.windowing.context_len, codebooks, cfg.patch_len
+        val_w, stats, cfg.windowing.context_len, codebooks, backbone.patch_len
     )
     report = train_model(
         p_train, y_train, p_val, y_val, params, backbone, cfg.train, freeze=freeze
@@ -413,7 +378,7 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
     except ValueError:
         raise ConfigError(f"paths.signal: bad port in {path!r}") from None
     return stream_windows(
-        socket_sample_source(host, port, timeout_s=cfg.read_timeout_s),
+        socket_sample_source(host, port, timeout_s=cfg.monitor.read_timeout_s),
         windowing,
         channel_count=channels,
         source=path,
@@ -442,12 +407,7 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
             )
         if record.alarm:
             print(format_alarm_line(record, cfg.monitor.threshold))
-    write_health_csv(
-        records,
-        cfg.out_path("hi.csv"),
-        cut_ids=cut_ids if wear is not None else None,
-        ma_window=cfg.ma_window,
-    )
+    write_health_csv(records, cfg.out_path("hi.csv"), cut_ids=cut_ids if wear is not None else None)
     alarms = sum(1 for r in records if r.alarm)
     print(f"monitored {len(records)} windows, {alarms} alarms")
     if len(records) < cfg.monitor.buffer_len:

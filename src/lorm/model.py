@@ -32,6 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._checks import check_int
 from .sequence import num_patches
 from .signal_io import ChannelStats
 
@@ -75,13 +76,15 @@ class BackboneConfig:
     def __post_init__(self) -> None:
         for name in ("hidden_dim", "num_layers", "num_heads", "ffn_dim", "max_seq_len",
                      "num_tokens", "num_channels", "patch_len"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_int(name, getattr(self, name))
         if self.hidden_dim % self.num_heads != 0:
-            raise ValueError("hidden_dim must be a positive multiple of num_heads")
+            raise ValueError(
+                f"num_heads must divide hidden_dim, got {self.num_heads} and {self.hidden_dim}"
+            )
         if self.attention_mode not in ("causal", "bidirectional"):
-            raise ValueError(f"unknown attention_mode: {self.attention_mode!r}")
+            raise ValueError(
+                f"attention_mode must be 'causal' or 'bidirectional', got {self.attention_mode!r}"
+            )
 
     @property
     def head_dim(self) -> int:

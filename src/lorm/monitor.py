@@ -17,12 +17,12 @@ so many streams may share one checkpoint.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._checks import check_int, check_real
 from .model import Checkpoint, forward_batch, load_checkpoint
 from .tokenizer import CodebookSet, codebook_file_hash, load_codebooks
 from .train import build_examples, window_loss
@@ -44,14 +44,20 @@ __all__ = [
 
 @dataclass
 class MonitorConfig:
-    """Baseline length and alarm threshold."""
+    """Baseline length, alarm threshold (any number but NaN; inf never
+    alarms), and how long a tcp:// feed may stay silent (None: forever)."""
 
     buffer_len: int = 20000
     threshold: float = 0.20
+    read_timeout_s: float | None = 60.0
 
     def __post_init__(self) -> None:
-        if self.buffer_len < 1:
-            raise ValueError("buffer_len must be >= 1")
+        check_int("buffer_len", self.buffer_len)
+        self.threshold = check_real(
+            "threshold", self.threshold, "a number other than NaN", lambda x: True
+        )
+        if self.read_timeout_s is not None:
+            self.read_timeout_s = check_real("read_timeout_s", self.read_timeout_s, "> 0 or None")
 
 
 @dataclass
@@ -191,27 +197,18 @@ def calibrate_threshold(
 
 
 def write_health_csv(
-    records: Sequence[HealthRecord],
-    path: str,
-    cut_ids: Sequence[int | None] | None = None,
-    ma_window: int | None = None,
+    records: Sequence[HealthRecord], path: str, cut_ids: Sequence[int | None] | None = None
 ) -> None:
     """window_index,wlf,hi,alarm rows; hi is empty during the baseline buffer.
 
     cut_ids, when given, must align with records and adds a cut_id column
-    (None entries render empty). ma_window adds a trailing moving average of
-    the defined HI values (hi_ma) for plotting; it never affects alarms.
+    (None entries render empty).
     """
     if cut_ids is not None and len(cut_ids) != len(records):
         raise ValueError("cut_ids must align one-to-one with records")
-    if ma_window is not None and ma_window < 1:
-        raise ValueError("ma_window must be >= 1")
     header = ["window_index", "wlf", "hi", "alarm"]
     if cut_ids is not None:
         header.append("cut_id")
-    if ma_window is not None:
-        header.append("hi_ma")
-    recent: deque[float] = deque(maxlen=ma_window or 1)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i, rec in enumerate(records):
@@ -223,12 +220,6 @@ def write_health_csv(
             ]
             if cut_ids is not None:
                 row.append("" if cut_ids[i] is None else str(cut_ids[i]))
-            if ma_window is not None:
-                if rec.hi is None:
-                    row.append("")
-                else:
-                    recent.append(rec.hi)
-                    row.append(repr(float(np.mean(recent))))
             fh.write(",".join(row) + "\n")
 
 

@@ -16,6 +16,8 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._checks import check_int
+
 __all__ = [
     "MultiChannelSeries",
     "ChannelStats",
@@ -103,14 +105,12 @@ class WindowingConfig:
     def __post_init__(self) -> None:
         if self.stride is None:
             self.stride = self.window_len  # consecutive windows by default
-        if self.window_len < 1:
-            raise ValueError("window_len must be positive")
-        if not 0 < self.context_len < self.window_len:
+        for name in ("window_len", "context_len", "stride"):
+            check_int(name, getattr(self, name))
+        if not self.context_len < self.window_len:
             raise ValueError(
                 f"context_len must satisfy 0 < S < W, got S={self.context_len} W={self.window_len}"
             )
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
 
     @property
     def target_len(self) -> int:

@@ -15,57 +15,28 @@ Pure given a config; the same seed always yields byte-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int, check_real
 from .evaluation import WearEntry, WearTable
 from .signal_io import MultiChannelSeries, WindowingConfig
 
-__all__ = [
-    "Harmonic",
-    "SynthConfig",
-    "SynthRun",
-    "default_harmonics",
-    "generate_run",
-]
+__all__ = ["SynthConfig", "SynthRun", "generate_run"]
 
 WEAR_START_UM = 150.0
 WEAR_END_UM = 400.0
 
 
 @dataclass
-class Harmonic:
-    """One sinusoidal component of a channel."""
-
-    frequency_hz: float
-    amplitude: float
-    phase: float = 0.0
-
-
-def default_harmonics(channels: int) -> list[list[Harmonic]]:
-    """A distinct small harmonic set per channel, all well below 500 Hz."""
-    sets = []
-    for c in range(channels):
-        base = 30.0 + 17.0 * c
-        sets.append(
-            [
-                Harmonic(frequency_hz=base, amplitude=1.0, phase=0.37 * c),
-                Harmonic(frequency_hz=2.0 * base, amplitude=0.5, phase=1.1 + 0.2 * c),
-                Harmonic(frequency_hz=3.3 * base, amplitude=0.25, phase=2.0),
-            ]
-        )
-    return sets
-
-
-@dataclass
 class SynthConfig:
-    """Generator settings; harmonics default per channel when omitted."""
+    """Generator settings."""
 
     channels: int = 3
     sample_rate_hz: float = 1000.0
     duration_samples: int = 200_000
-    harmonics: list[list[Harmonic]] | None = None
     noise_sigma: float = 0.1
     degradation_onset: int = 120_000
     degradation_rate: float = 0.0
@@ -74,20 +45,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.channels < 1 or self.duration_samples < 1:
-            raise ValueError("channels and duration_samples must be >= 1")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if not 0 <= self.degradation_onset <= self.duration_samples:
+        for name in ("channels", "duration_samples", "cuts"):
+            check_int(name, getattr(self, name))
+        for name in ("degradation_onset", "fault_channel", "seed"):
+            check_int(name, getattr(self, name), low=0)
+        check_real("sample_rate_hz", self.sample_rate_hz)
+        for name in ("noise_sigma", "degradation_rate"):
+            check_real(name, getattr(self, name), "a number >= 0", lambda x: 0 <= x < math.inf)
+        if self.degradation_onset > self.duration_samples:
             raise ValueError("degradation_onset must lie within the run")
-        if self.degradation_rate < 0:
-            raise ValueError("degradation_rate must be >= 0")
-        if self.cuts < 1:
-            raise ValueError("cuts must be >= 1")
-        if not 0 <= self.fault_channel < self.channels:
-            raise ValueError("fault_channel out of range")
-        if self.harmonics is not None and len(self.harmonics) != self.channels:
-            raise ValueError("need one harmonic set per channel")
+        if self.fault_channel >= self.channels:
+            raise ValueError("fault_channel must name one of the channels")
 
 
 @dataclass
@@ -118,7 +86,6 @@ def generate_run(cfg: SynthConfig, windowing: WindowingConfig) -> SynthRun:
     1-based to match monitoring records.
     """
     t = np.arange(cfg.duration_samples, dtype=np.float64) / cfg.sample_rate_hz
-    harmonic_sets = cfg.harmonics if cfg.harmonics is not None else default_harmonics(cfg.channels)
 
     rng = np.random.default_rng(cfg.seed)
     data = rng.normal(0.0, cfg.noise_sigma, size=(cfg.duration_samples, cfg.channels))
@@ -127,15 +94,15 @@ def generate_run(cfg: SynthConfig, windowing: WindowingConfig) -> SynthRun:
     after = np.maximum(np.arange(cfg.duration_samples, dtype=np.float64) - cfg.degradation_onset, 0.0)
     growth = cfg.degradation_rate * after
 
-    for c, hset in enumerate(harmonic_sets):
-        for j, h in enumerate(hset):
-            amp = np.full(cfg.duration_samples, h.amplitude)
-            if c == cfg.fault_channel and j == 0:
-                amp = h.amplitude * (1.0 + growth)
-            data[:, c] += amp * np.sin(2.0 * np.pi * h.frequency_hz * t + h.phase)
-        if c == cfg.fault_channel and hset:
-            f0, a0 = hset[0].frequency_hz, hset[0].amplitude
-            data[:, c] += (a0 * growth) * np.sin(2.0 * np.pi * 1.5 * f0 * t)
+    for c in range(cfg.channels):
+        base = 30.0 + 17.0 * c
+        # (frequency_hz, amplitude, phase) of the channel's three harmonics
+        harmonics = [(base, 1.0, 0.37 * c), (2 * base, 0.5, 1.1 + 0.2 * c), (3.3 * base, 0.25, 2.0)]
+        for j, (frequency_hz, amplitude, phase) in enumerate(harmonics):
+            amp = amplitude * (1.0 + growth) if c == cfg.fault_channel and j == 0 else amplitude
+            data[:, c] += amp * np.sin(2.0 * np.pi * frequency_hz * t + phase)
+        if c == cfg.fault_channel:
+            data[:, c] += growth * np.sin(2.0 * np.pi * 1.5 * base * t)
 
     series = MultiChannelSeries(
         samples=data, channel_names=[f"ch{c}" for c in range(cfg.channels)]

@@ -36,8 +36,9 @@ class CodebookSet:
     """Every channel's codebook in one read-only (C, K, target_dim) array:
     channel c's tokens are 0-based indices into ``centroids[c]``.
 
-    The constructor copies ``centroids``, so later edits to the caller's
-    array change neither tokens nor saved files.
+    The constructor copies ``centroids`` and keeps the names as a tuple of
+    str, so later edits to the caller's array or list change neither tokens
+    nor saved files.
     """
 
     def __init__(self, centroids: np.ndarray, channel_names: Sequence[str] | None = None) -> None:
@@ -48,9 +49,12 @@ class CodebookSet:
             raise ValueError(f"codebook set needs C >= 1 and K >= 1, got shape {stack.shape}")
         if not np.isfinite(stack).all():
             raise ValueError("centroids contain non-finite values")
-        names = list(channel_names) if channel_names else [f"ch{i}" for i in range(len(stack))]
+        names = tuple(channel_names or (f"ch{i}" for i in range(len(stack))))
         if len(names) != len(stack):
             raise ValueError(f"one channel name per codebook required, got {len(names)} names")
+        for i, name in enumerate(names):
+            if not isinstance(name, str):
+                raise ValueError(f"channel {i}: name must be a string, got {name!r}")
         stack.flags.writeable = False
         self.centroids = stack
         self.channel_names = names
@@ -278,8 +282,11 @@ def _codebooks_from_doc(doc) -> CodebookSet:
     for i, ch in enumerate(channels):
         if not isinstance(ch, dict):
             raise ValueError(f"channel {i}: must be an object, got {type(ch).__name__}")
+        rows = ch["centroids"]
         try:
-            centroids = np.asarray(ch["centroids"], dtype=np.float64)
+            centroids = np.asarray(rows, dtype=np.float64)
+            if centroids.shape == shape and {type(v) for row in rows for v in row} & {bool, str}:
+                raise TypeError  # numpy would read true and "1.5" as numbers
         except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
             raise ValueError(
                 f"channel {i}: centroids must be a {shape[0]} x {shape[1]} array of numbers"
@@ -288,8 +295,6 @@ def _codebooks_from_doc(doc) -> CodebookSet:
             raise ValueError(
                 f"channel {i}: centroid shape mismatch, {centroids.shape} != {shape}"
             )
-        if not isinstance(ch["name"], str):
-            raise ValueError(f"channel {i}: name must be a string, got {ch['name']!r}")
         stack.append(centroids)
     return CodebookSet(np.stack(stack), [ch["name"] for ch in channels])
 

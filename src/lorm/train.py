@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_int, check_real
 from .model import (
     BackboneConfig,
     ModelParameters,
@@ -48,7 +49,8 @@ PROB_FLOOR = 1e-12
 
 @dataclass
 class TrainConfig:
-    """Optimiser and loop settings."""
+    """Optimiser and loop settings, and the share of windows held out for
+    validation."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -57,13 +59,18 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 10
+    val_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("batch_size, max_epochs, and patience must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("batch_size", "max_epochs", "patience"):
+            check_int(name, getattr(self, name))
+        check_int("seed", self.seed, low=0)
+        check_real("learning_rate", self.learning_rate)
+        check_real("epsilon", self.epsilon)
+        for name in ("beta1", "beta2"):
+            check_real(name, getattr(self, name), "in [0, 1)", lambda x: 0 <= x < 1)
+        check_real("val_fraction", self.val_fraction, "in (0, 1)", lambda x: 0 < x < 1)
 
 
 @dataclass

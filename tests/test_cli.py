@@ -20,7 +20,7 @@ import lorm
 from lorm.cli import ConfigError, default_config, load_run_config, main
 from lorm.evaluation import WearTable
 from lorm.model import CheckpointError, load_checkpoint
-from lorm.monitor import read_health_csv
+from lorm.monitor import MonitorConfig, read_health_csv
 from lorm.synth import SynthConfig
 from lorm.tokenizer import load_codebooks
 
@@ -153,30 +153,6 @@ class TestPipeline:
         alarm_lines = [ln for ln in stdout.split("\n") if ln.startswith("ALARM window=")]
         assert len(alarm_lines) > 0
         assert "tau=-1000000.0" in alarm_lines[0]
-
-    def test_monitor_ma_column(self, pipeline, tmp_path_factory):
-        out = pipeline["out"]
-        rerun = tmp_path_factory.mktemp("ma")
-        args = [
-            "monitor",
-            "--config",
-            str(pipeline["config_path"]),
-            "--out",
-            str(rerun),
-            "--set",
-            f"paths.signal={out / 'signal.csv'}",
-            "--set",
-            f"paths.checkpoint={out / 'checkpoint.lorm'}",
-            "--set",
-            f"paths.codebooks={out / 'codebooks.json'}",
-            "--set",
-            "paths.wear=",
-            "--set",
-            "monitor.ma_window=5",
-        ]
-        assert main(args) == 0
-        header = (rerun / "hi.csv").read_text().split("\n", 1)[0]
-        assert header == "window_index,wlf,hi,alarm,hi_ma"
 
     def test_unfilled_baseline_is_explained(self, pipeline, tmp_path_factory, capsys):
         """A run shorter than monitor.buffer_len leaves hi empty: monitor says
@@ -707,6 +683,10 @@ class TestCodebooksSweep:
              "channel 0: centroids must be a 4 x 1 array of numbers"),
             (lambda doc: doc["channels"][1]["centroids"][3].__setitem__(0, "x"),
              "channel 1: centroids must be a 4 x 1 array of numbers"),
+            (lambda doc: doc["channels"][0].update(centroids=[[True], [False], [True], [False]]),
+             "channel 0: centroids must be a 4 x 1 array of numbers"),
+            (lambda doc: doc["channels"][1]["centroids"][2].__setitem__(0, "1.5"),
+             "channel 1: centroids must be a 4 x 1 array of numbers"),
         ],
     )
     def test_malformed_codebooks_names_file(self, pipeline, tmp_path, edit, message):
@@ -719,6 +699,22 @@ class TestCodebooksSweep:
         assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
         rc, err = train_on(pipeline, str(tmp_path), path)
         assert rc == 1 and f"error: {exc.value}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_codebooks_of_other_k_exit_2(self, pipeline, tmp_path, capsys, k):
+        """Codebooks fitted at K=4 do not fit a tokenizer section that says
+        otherwise: train stops before any training, and says why."""
+        out = pipeline["out"]
+        rc = main([
+            "train", "--config", str(pipeline["config_path"]), "--out", str(tmp_path),
+            "--set", f"paths.signal={out / 'signal.csv'}",
+            "--set", f"paths.codebooks={out / 'codebooks.json'}",
+            "--set", f"tokenizer.num_tokens={k}",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert f"error: paths.codebooks: built for K=4, the tokenizer section says {k}" in err
+        assert not (tmp_path / "checkpoint.lorm").exists()
 
 
 class TestStreamErrors:
@@ -825,6 +821,79 @@ def test_readme_degrading_run_wears_after_onset(tmp_path):
     assert wear[-1] > 300.0
 
 
+# one bad value per row: the setting, and the value as --set gives it
+BAD_SETTINGS = [
+    ("synth.duration_samples", "4000.5"),
+    ("synth.channels", '"3"'),
+    ("synth.channels", "true"),
+    ("windowing.stride", "2.5"),
+    ("patch.patch_len", "16.9"),
+    ("patch.patch_len", "0"),
+    ("tokenizer.num_tokens", "0"),
+    ("model.hidden_dim", "0"),
+    ("model.num_heads", "3"),
+    ("model.attention_mode", "sideways"),
+    ("train.max_epochs", "2.5"),
+    ("train.beta1", "2"),
+    ("train.epsilon", "-1"),
+    ("train.batch_size", "true"),
+    ("monitor.buffer_len", "2.5"),
+    ("monitor.threshold", "NaN"),
+    ("monitor.ma_window", "5"),
+    ("eval.wear_limit_um", "NaN"),
+]
+
+
+class TestConfigModel:
+    """Every config value is checked when the config loads, by the dataclass
+    that owns it, so any command fails before it does any work."""
+
+    @pytest.mark.parametrize("key, value", BAD_SETTINGS)
+    def test_bad_value_is_named_before_any_work(self, tmp_path, capsys, key, value):
+        rc = main(["synth", "--out", str(tmp_path), "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert key in err
+        assert not (tmp_path / "signal.csv").exists()
+
+    def test_dataclass_message_gets_its_section(self, capsys, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--set", "monitor.buffer_len=2.5"]) == 2
+        err = capsys.readouterr().err
+        assert "error: monitor.buffer_len must be an integer >= 1, got 2.5" in err
+
+    def test_no_key_is_in_two_sections(self):
+        """The section prefix of a message is found by its key, so every key
+        names one place in the config."""
+        config = default_config()
+        keys = [k for k, v in config.items() if not isinstance(v, dict)]
+        keys += [k for v in config.values() if isinstance(v, dict) for k in v]
+        assert len(keys) == len(set(keys))
+
+    def test_infinite_threshold_is_accepted(self):
+        assert MonitorConfig(threshold=float("inf")).threshold == float("inf")
+        cfg = load_run_config(namespace(set=["monitor.threshold=Infinity"]))
+        assert cfg.monitor.threshold == float("inf")
+
+    def test_integer_threshold_is_kept_as_a_float(self):
+        cfg = load_run_config(namespace(set=["monitor.threshold=1"]))
+        assert repr(cfg.monitor.threshold) == "1.0"
+
+    def test_hi_csv_with_moving_average_column_still_loads(self, tmp_path):
+        """hi.csv files from before hi_ma was dropped load; the extra column
+        is ignored."""
+        path = tmp_path / "hi.csv"
+        path.write_text(
+            "window_index,wlf,hi,alarm,cut_id,hi_ma\n"
+            "1,0.5,,0,1,\n2,0.75,0.25,0,1,0.25\n3,1.0,0.5,1,2,0.375\n"
+        )
+        records, cuts = read_health_csv(str(path))
+        assert [(r.window_index, r.wlf, r.hi, r.alarm) for r in records] == [
+            (1, 0.5, None, False), (2, 0.75, 0.25, False), (3, 1.0, 0.5, True)
+        ]
+        assert cuts == [1, 1, 2]
+
+
 class TestConfigHandling:
     def test_set_parses_json_scalars(self):
         cfg = load_run_config(
@@ -840,7 +909,7 @@ class TestConfigHandling:
         )
         assert cfg.train.max_epochs == 7
         assert cfg.monitor.threshold == 0.5
-        assert cfg.raw["model"]["attention_mode"] == "bidirectional"
+        assert cfg.backbone.attention_mode == "bidirectional"
         assert cfg.resolve("signal") == os.path.join("workdir", "sig.csv")
 
     def test_seed_flag_wins_over_config_file(self, tmp_path):

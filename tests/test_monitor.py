@@ -362,20 +362,6 @@ class TestHealthCsv:
         loaded, cuts = read_health_csv(str(path))
         assert cuts == [1, 1, 2, 2, None]
 
-    def test_moving_average_column(self, tmp_path):
-        records = self._records()
-        path = tmp_path / "hi.csv"
-        write_health_csv(records, str(path), ma_window=2)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "window_index,wlf,hi,alarm,hi_ma"
-        # first two rows have no hi, so no ma either
-        assert lines[1].split(",")[4] == ""
-        # ma over the last 2 defined hi values
-        his = [r.hi for r in records if r.hi is not None]
-        assert float(lines[5].split(",")[4]) == pytest.approx(
-            np.mean(his[-2:]), abs=1e-12
-        )
-
 
 class TestAlarmLine:
     def test_exact_format(self):

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from lorm.signal_io import WindowingConfig, segment_windows
-from lorm.synth import (
-    WEAR_END_UM,
-    WEAR_START_UM,
-    Harmonic,
-    SynthConfig,
-    default_harmonics,
-    generate_run,
-)
+from lorm.synth import WEAR_END_UM, WEAR_START_UM, SynthConfig, generate_run
 
 WINDOWING = WindowingConfig(window_len=101, context_len=100, stride=50)
 
@@ -54,36 +47,28 @@ class TestDeterminism:
 class TestHealthySignal:
     def test_matches_plain_reconstruction(self):
         # rate 0: noise plus fixed-amplitude sinusoids, rebuilt here with loops
+        # from each channel's three harmonics (frequency_hz, amplitude, phase)
         cfg = small_cfg()
         run = generate_run(cfg, WINDOWING)
 
         rng = np.random.default_rng(cfg.seed)
         expected = rng.normal(0.0, cfg.noise_sigma, size=(cfg.duration_samples, cfg.channels))
         t = np.arange(cfg.duration_samples) / cfg.sample_rate_hz
-        for c, hset in enumerate(default_harmonics(cfg.channels)):
-            for h in hset:
-                expected[:, c] += h.amplitude * np.sin(
-                    2.0 * np.pi * h.frequency_hz * t + h.phase
-                )
+        for c in range(cfg.channels):
+            base = 30.0 + 17.0 * c
+            harmonics = [
+                (base, 1.0, 0.37 * c),
+                (2.0 * base, 0.5, 1.1 + 0.2 * c),
+                (3.3 * base, 0.25, 2.0),
+            ]
+            for frequency_hz, amplitude, phase in harmonics:
+                expected[:, c] += amplitude * np.sin(2.0 * np.pi * frequency_hz * t + phase)
         assert np.array_equal(run.series.samples, expected)
 
     def test_wear_constant_at_start_level(self):
         run = generate_run(small_cfg(), WINDOWING)
         for e in run.wear.entries:
             assert e.wear_um == WEAR_START_UM
-
-    def test_custom_harmonics_respected(self):
-        cfg = small_cfg(
-            channels=1,
-            noise_sigma=0.0,
-            fault_channel=0,
-            harmonics=[[Harmonic(frequency_hz=50.0, amplitude=2.0)]],
-        )
-        run = generate_run(cfg, WINDOWING)
-        t = np.arange(cfg.duration_samples) / cfg.sample_rate_hz
-        assert np.array_equal(
-            run.series.samples[:, 0], 2.0 * np.sin(2.0 * np.pi * 50.0 * t)
-        )
 
 
 class TestDegradation:
@@ -189,10 +174,6 @@ class TestValidation:
     def test_fault_channel_range(self):
         with pytest.raises(ValueError, match="fault_channel"):
             small_cfg(fault_channel=2)
-
-    def test_harmonics_length(self):
-        with pytest.raises(ValueError, match="per channel"):
-            small_cfg(harmonics=[[Harmonic(frequency_hz=10.0, amplitude=1.0)]])
 
     def test_cuts_positive(self):
         with pytest.raises(ValueError, match="cuts"):

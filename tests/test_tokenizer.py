@@ -221,7 +221,7 @@ class TestCodebookFiles:
         path = str(tmp_path / "books.json")
         save_codebooks(books, path)
         back = load_codebooks(path)
-        assert back.channel_names == ["left", "right"]
+        assert back.channel_names == ("left", "right")
         assert back.centroids.tobytes() == books.centroids.tobytes()
 
     def test_version_check(self, tmp_path):
@@ -252,7 +252,7 @@ class TestCodebookFiles:
     def test_valid_doc_loads(self, tmp_path):
         path = tmp_path / "codebooks.json"
         path.write_text(json.dumps(self._doc()))
-        assert load_codebooks(str(path)).channel_names == ["left", "right"]
+        assert load_codebooks(str(path)).channel_names == ("left", "right")
 
     def test_malformed_json_names_file(self, tmp_path):
         assert "not a codebooks JSON document" in self._load_broken(tmp_path, '{"version": 1,')
@@ -363,7 +363,7 @@ class TestCodebookSet:
                 assert got.read() == want.read()
         assert back.centroids.dtype == np.float64 and back.centroids.shape == centroids.shape
         assert back.centroids.tobytes() == centroids.tobytes()
-        assert back.channel_names == names
+        assert back.channel_names == tuple(names)
         assert (back.num_channels, back.K, back.target_dim) == centroids.shape
 
     def test_later_edits_reach_neither_tokens_nor_file(self, tmp_path):
@@ -384,8 +384,21 @@ class TestCodebookSet:
         assert books == books
         assert books != CodebookSet(np.zeros((2, 3, 1)))
 
+    def test_names_are_a_tuple_of_str(self, tmp_path):
+        """Names are kept as a tuple, so an edit after construction cannot
+        make save_codebooks write a file that load_codebooks rejects."""
+        names = ["a", "b"]
+        books = CodebookSet(np.zeros((2, 2, 1)), names)
+        names[0] = 5
+        assert books.channel_names == ("a", "b")
+        with pytest.raises(TypeError):
+            books.channel_names[0] = 5
+        path = tmp_path / "books.json"
+        save_codebooks(books, str(path))
+        assert load_codebooks(str(path)).channel_names == ("a", "b")
+
     def test_default_names(self):
-        assert CodebookSet(np.zeros((3, 2, 1))).channel_names == ["ch0", "ch1", "ch2"]
+        assert CodebookSet(np.zeros((3, 2, 1))).channel_names == ("ch0", "ch1", "ch2")
 
     @pytest.mark.parametrize(
         "centroids, names, message",
@@ -397,6 +410,8 @@ class TestCodebookSet:
             (np.array([[[0.0], [np.nan]]]), None, "non-finite"),
             (np.zeros((2, 2, 1)), ["a"], "one channel name per codebook"),
             (np.zeros((1, 2, 1)), ["a", "b"], "one channel name per codebook"),
+            (np.zeros((2, 2, 1)), ["a", 5], "channel 1: name must be a string, got 5"),
+            (np.zeros((1, 2, 1)), [b"a"], "channel 0: name must be a string"),
         ],
     )
     def test_rejects(self, centroids, names, message):
