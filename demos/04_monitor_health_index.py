@@ -102,13 +102,13 @@ run("eval")
 
 # the strict wear>300 labelling counts alarms in the 150-300 ramp as false
 # positives, so break the alarms down by what the tool actually looked like
-records, cuts = read_health_csv(os.path.join(workdir, "hi.csv"))
-wear_of = WearTable.from_csv(os.path.join(workdir, "wear.csv")).wear_by_cut()
+records = read_health_csv(os.path.join(workdir, "hi.csv"))
+table = WearTable.from_csv(os.path.join(workdir, "wear.csv"))
 zones = {"flat-healthy": 0, "wear rising to the limit": 0, "past the limit": 0}
-for rec, cut in zip(records, cuts):
+for rec, pos in zip(records, table.locate([r.window_index for r in records])):
     if not rec.alarm:
         continue
-    wear = wear_of[cut]
+    wear = table.entries[pos].wear_um
     if wear <= 150.0:
         zones["flat-healthy"] += 1
     elif wear <= 300.0:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_real
+from ._checks import check_int, check_real
 from .evaluation import (
     WearTable,
     compute_metrics,
@@ -44,6 +44,7 @@ from .model import (
 )
 from .monitor import (
     DeployedModel,
+    HealthRecord,
     MonitorConfig,
     calibrate_threshold,
     format_alarm_line,
@@ -208,7 +209,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         config["seed"] = args.seed
 
     try:
-        seed = int(config["seed"])
+        seed = config["seed"]
+        check_int("seed", seed, low=0)
         windowing = WindowingConfig(**config["windowing"])
         backbone = BackboneConfig(**config["model"], **config["patch"], **config["tokenizer"])
         train_cfg = TrainConfig(seed=seed, **config["train"])
@@ -390,24 +392,12 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
     codebooks_path = _require_file(cfg.resolve("codebooks"), "codebooks")
     deployed = DeployedModel.from_files(ckpt_path, codebooks_path)
 
-    wear: WearTable | None = None
-    wear_path = cfg.paths.get("wear", "")
-    if wear_path:
-        resolved = cfg.resolve("wear")
-        if os.path.exists(resolved):
-            wear = WearTable.from_csv(resolved)
-
     records = []
-    cut_ids: list[int | None] = []
     for record in monitor_stream(deployed, _window_source(cfg, deployed), cfg.monitor):
         records.append(record)
-        if wear is not None:
-            cut_ids.append(
-                wear.cut_of(record.window_index) if wear.covers(record.window_index) else None
-            )
         if record.alarm:
             print(format_alarm_line(record, cfg.monitor.threshold))
-    write_health_csv(records, cfg.out_path("hi.csv"), cut_ids=cut_ids if wear is not None else None)
+    write_health_csv(records, cfg.out_path("hi.csv"))
     alarms = sum(1 for r in records if r.alarm)
     print(f"monitored {len(records)} windows, {alarms} alarms")
     if len(records) < cfg.monitor.buffer_len:
@@ -420,33 +410,38 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _group_hi_by_cut(records, cut_ids, wear: WearTable) -> dict[int, list[float | None]]:
-    grouped: dict[int, list[float | None]] = {}
-    for i, record in enumerate(records):
-        if cut_ids is not None:
-            cut = cut_ids[i]
-        else:
-            cut = wear.cut_of(record.window_index) if wear.covers(record.window_index) else None
-        if cut is None:
-            continue
-        grouped.setdefault(cut, []).append(record.hi)
-    return grouped
+def _read_health_and_wear(cfg: RunConfig) -> tuple[list[HealthRecord], np.ndarray, WearTable]:
+    """hi.csv's records, wear.csv's table, and for each record the position of
+    its cut in the table: -1 for a window without a health index or outside
+    every cut. Stops when no window has both."""
+    hi_path = _require_file(cfg.resolve("hi"), "hi")
+    records = read_health_csv(hi_path)
+    wear_path = _require_file(cfg.resolve("wear"), "wear")
+    wear = WearTable.from_csv(wear_path)
+    defined = np.array([r.hi is not None for r in records], dtype=bool)
+    positions = np.where(defined, wear.locate([r.window_index for r in records]), -1)
+    if not (positions >= 0).any():
+        hint = ""
+        if records and not defined.any():
+            hint = (
+                f": all {len(records)} windows fell in the baseline, so monitor.buffer_len was "
+                "at least the run's window count; monitor again with a smaller "
+                "monitor.buffer_len"
+            )
+        raise ValueError(
+            f"{hi_path}: no post-buffer window overlaps the wear table {wear_path}{hint}"
+        )
+    return records, positions, wear
 
 
 def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    hi_path = _require_file(cfg.resolve("hi"), "hi")
-    records, cut_ids = read_health_csv(hi_path)
-    if records and all(r.hi is None for r in records):
-        raise ValueError(
-            f"{hi_path}: no window has a health index: all {len(records)} windows fell in "
-            "the baseline, so monitor.buffer_len was at least the run's window count; "
-            "monitor again with a smaller monitor.buffer_len"
-        )
-    wear = WearTable.from_csv(_require_file(cfg.resolve("wear"), "wear"))
+    records, positions, wear = _read_health_and_wear(cfg)
+    hi_by_cut: dict[int, list[float]] = {}
+    for record, pos in zip(records, positions):
+        if pos >= 0:
+            hi_by_cut.setdefault(wear.entries[pos].cut_id, []).append(record.hi)
     calibration = calibrate_threshold(
-        _group_hi_by_cut(records, cut_ids, wear),
-        wear.wear_by_cut(),
-        wear_limit_um=cfg.wear_limit_um,
+        hi_by_cut, wear.wear_by_cut(), wear_limit_um=cfg.wear_limit_um
     )
     write_metrics_json(
         {
@@ -463,19 +458,19 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
-    hi_path = _require_file(cfg.resolve("hi"), "hi")
-    records, _ = read_health_csv(hi_path)
-    wear_path = _require_file(cfg.resolve("wear"), "wear")
-    wear = WearTable.from_csv(wear_path)
-    scored = [r for r in records if r.hi is not None and wear.covers(r.window_index)]
-    if not scored:
-        raise ValueError(f"{hi_path}: no post-buffer window overlaps the wear table {wear_path}")
+    records, positions, wear = _read_health_and_wear(cfg)
+    scored = [r for r, pos in zip(records, positions) if pos >= 0]
     labels = label_windows(wear, cfg.wear_limit_um, [r.window_index for r in scored])
     predictions = np.array([r.alarm for r in scored], dtype=bool)
     report = compute_metrics(predictions, labels)
-    first_alarm = next((r.window_index for r in records if r.alarm), None)
-    if first_alarm is not None and not wear.covers(first_alarm):
-        raise ValueError(f"{hi_path}: first alarm, window {first_alarm}, is outside {wear_path}")
+    # an alarm always has a health index, so -1 here means outside every cut
+    first = next((i for i, r in enumerate(records) if r.alarm), None)
+    first_alarm = None if first is None else records[first].window_index
+    if first is not None and positions[first] < 0:
+        raise ValueError(
+            f"{cfg.resolve('hi')}: first alarm, window {first_alarm}, is outside "
+            f"{cfg.resolve('wear')}"
+        )
     deviation = detection_deviation(first_alarm, wear, cfg.wear_limit_um)
     write_metrics_json(
         {

@@ -53,7 +53,7 @@ class WearEntry:
 
 @dataclass
 class WearTable:
-    """Ordered cuts with disjoint window spans; every window maps to one cut."""
+    """Ordered cuts with disjoint window spans; a covered window maps to one cut."""
 
     entries: list[WearEntry] = field(default_factory=list)
 
@@ -69,23 +69,15 @@ class WearTable:
             if prev is not None and e.first_window <= prev.last_window:
                 raise ValueError(f"cut {e.cut_id}: window span overlaps the previous cut")
 
-    def covers(self, window_index: int) -> bool:
-        return any(e.first_window <= window_index <= e.last_window for e in self.entries)
-
-    def cut_of(self, window_index: int) -> int:
-        for e in self.entries:
-            if e.first_window <= window_index <= e.last_window:
-                return e.cut_id
-        raise ValueError(f"window {window_index} is not covered by any cut")
-
-    def wear_of_cut(self, cut_id: int) -> float:
-        for e in self.entries:
-            if e.cut_id == cut_id:
-                return e.wear_um
-        raise ValueError(f"unknown cut id {cut_id}")
-
-    def wear_of_window(self, window_index: int) -> float:
-        return self.wear_of_cut(self.cut_of(window_index))
+    def locate(self, window_indices: Sequence[int]) -> np.ndarray:
+        """Position in ``entries`` of the cut covering each window; -1 where no
+        cut does."""
+        windows = np.asarray(window_indices)
+        first = np.array([e.first_window for e in self.entries])
+        last = np.array([e.last_window for e in self.entries])
+        pos = np.searchsorted(first, windows, side="right") - 1
+        covered = (pos >= 0) & (windows <= last[np.maximum(pos, 0)])
+        return np.where(covered, pos, -1)
 
     def wear_by_cut(self) -> dict[int, float]:
         return {e.cut_id: e.wear_um for e in self.entries}
@@ -176,11 +168,18 @@ class MetricReport:
         return asdict(self)
 
 
+def _wear_of_windows(wear: WearTable, window_indices: Sequence[int]) -> np.ndarray:
+    pos = wear.locate(window_indices)
+    if (pos < 0).any():
+        raise ValueError(f"window {window_indices[int(np.argmin(pos))]} is not covered by any cut")
+    return np.array([e.wear_um for e in wear.entries])[pos]
+
+
 def label_windows(
     wear: WearTable, limit_um: float, window_indices: Sequence[int]
 ) -> np.ndarray:
     """Boolean abnormal labels: wear of the window's cut strictly above limit."""
-    return np.asarray([wear.wear_of_window(i) > limit_um for i in window_indices], dtype=bool)
+    return _wear_of_windows(wear, window_indices) > limit_um
 
 
 def _ratio(num: int, den: int, name: str, degenerate: list[str]) -> float:
@@ -225,7 +224,7 @@ def detection_deviation(
     """|wear at the first alarm - limit|, or None when no alarm ever fired."""
     if first_alarm_window is None:
         return None
-    return abs(wear.wear_of_window(first_alarm_window) - limit_um)
+    return abs(float(_wear_of_windows(wear, [first_alarm_window])[0]) - limit_um)
 
 
 def format_metrics_table(report: MetricReport, deviation_um: float | None = None) -> str:
@@ -248,10 +247,10 @@ def format_metrics_table(report: MetricReport, deviation_um: float | None = None
     return "\n".join(lines)
 
 
-def write_metrics_json(payload: dict, path: str, merge: bool = True) -> None:
+def write_metrics_json(payload: dict, path: str) -> None:
     """Write (or update) a JSON metrics file; existing top-level keys survive."""
     doc: dict = {}
-    if merge and os.path.exists(path):
+    if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)

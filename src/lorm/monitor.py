@@ -116,11 +116,11 @@ class DeployedModel:
             raise ValueError("codebooks are incompatible with the checkpoint configuration")
 
     @classmethod
-    def from_files(
-        cls, checkpoint_path: str, codebooks_path: str, verify_hash: bool = True
-    ) -> "DeployedModel":
+    def from_files(cls, checkpoint_path: str, codebooks_path: str) -> "DeployedModel":
+        """Load a pair; codebooks that do not hash as the checkpoint recorded
+        are rejected."""
         ckpt = load_checkpoint(checkpoint_path)
-        if verify_hash and ckpt.codebook_hash:
+        if ckpt.codebook_hash:
             actual = codebook_file_hash(codebooks_path)
             if actual != ckpt.codebook_hash:
                 raise ValueError(
@@ -196,35 +196,17 @@ def calibrate_threshold(
     return ThresholdCalibration(tau=tau, cut_id=cut_id, wear_um=float(wear_by_cut[cut_id]))
 
 
-def write_health_csv(
-    records: Sequence[HealthRecord], path: str, cut_ids: Sequence[int | None] | None = None
-) -> None:
-    """window_index,wlf,hi,alarm rows; hi is empty during the baseline buffer.
-
-    cut_ids, when given, must align with records and adds a cut_id column
-    (None entries render empty).
-    """
-    if cut_ids is not None and len(cut_ids) != len(records):
-        raise ValueError("cut_ids must align one-to-one with records")
-    header = ["window_index", "wlf", "hi", "alarm"]
-    if cut_ids is not None:
-        header.append("cut_id")
+def write_health_csv(records: Sequence[HealthRecord], path: str) -> None:
+    """window_index,wlf,hi,alarm rows; hi is empty during the baseline buffer."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, rec in enumerate(records):
-            row = [
-                str(rec.window_index),
-                repr(rec.wlf),
-                "" if rec.hi is None else repr(rec.hi),
-                "1" if rec.alarm else "0",
-            ]
-            if cut_ids is not None:
-                row.append("" if cut_ids[i] is None else str(cut_ids[i]))
-            fh.write(",".join(row) + "\n")
+        fh.write("window_index,wlf,hi,alarm\n")
+        for rec in records:
+            hi = "" if rec.hi is None else repr(rec.hi)
+            fh.write(f"{rec.window_index},{rec.wlf!r},{hi},{'1' if rec.alarm else '0'}\n")
 
 
-def read_health_csv(path: str) -> tuple[list[HealthRecord], list[int | None] | None]:
-    """Parse a health CSV back into records plus the cut_id column if present.
+def read_health_csv(path: str) -> list[HealthRecord]:
+    """Parse a health CSV back into records; columns after alarm are ignored.
 
     Raises:
         ValueError: naming ``path`` and the 1-based line for a malformed row.
@@ -240,9 +222,7 @@ def read_health_csv(path: str) -> tuple[list[HealthRecord], list[int | None] | N
     required = ["window_index", "wlf", "hi", "alarm"]
     if header[: len(required)] != required:
         raise ValueError(f"{path}: unexpected header {lines[0][1]!r}")
-    cut_col = header.index("cut_id") if "cut_id" in header else None
     records: list[HealthRecord] = []
-    cuts: list[int | None] = []
     for n, ln in lines[1:]:
         parts = ln.split(",")
         try:
@@ -257,11 +237,9 @@ def read_health_csv(path: str) -> tuple[list[HealthRecord], list[int | None] | N
             records.append(
                 HealthRecord(window_index=int(parts[0]), wlf=wlf, hi=hi, alarm=parts[3] == "1")
             )
-            if cut_col is not None:
-                cuts.append(None if parts[cut_col] == "" else int(parts[cut_col]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {n}: {exc}") from None
-    return records, (cuts if cut_col is not None else None)
+    return records
 
 
 def format_alarm_line(record: HealthRecord, tau: float) -> str:

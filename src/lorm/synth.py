@@ -64,7 +64,6 @@ class SynthRun:
 
     series: MultiChannelSeries
     wear: WearTable
-    window_cuts: list[int]  # cut id per window, aligned with window order
 
 
 def _wear_curve(cfg: SynthConfig, cut_mid_samples: np.ndarray) -> np.ndarray:
@@ -79,7 +78,7 @@ def _wear_curve(cfg: SynthConfig, cut_mid_samples: np.ndarray) -> np.ndarray:
 
 
 def generate_run(cfg: SynthConfig, windowing: WindowingConfig) -> SynthRun:
-    """Generate the signal, segment it into windows, and attach wear per cut.
+    """Generate the signal and the wear table of its cuts.
 
     Cuts split the sample axis into equal spans; a window belongs to the cut
     containing its midpoint sample. Window indices in the wear table are
@@ -108,30 +107,26 @@ def generate_run(cfg: SynthConfig, windowing: WindowingConfig) -> SynthRun:
         samples=data, channel_names=[f"ch{c}" for c in range(cfg.channels)]
     )
 
-    # window midpoints decide cut membership
+    # window midpoints decide cut membership; cut_index is 0-based and
+    # nondecreasing along the windows
     w, stride = windowing.window_len, windowing.stride
-    offsets = list(range(0, cfg.duration_samples - w + 1, stride))
     span = cfg.duration_samples / cfg.cuts
-    window_cuts = []
-    for off in offsets:
-        mid = off + w // 2
-        window_cuts.append(min(cfg.cuts - 1, int(mid / span)) + 1)  # 1-based cut ids
+    mids = np.arange(0, cfg.duration_samples - w + 1, stride) + w // 2
+    cut_index = np.minimum(cfg.cuts - 1, (mids / span).astype(np.int64))
+    present, first, count = np.unique(cut_index, return_index=True, return_counts=True)
 
     cut_mids = np.array([(j + 0.5) * span for j in range(cfg.cuts)])
     wear_values = _wear_curve(cfg, cut_mids)
 
-    entries = []
-    for j in range(cfg.cuts):
-        cut_id = j + 1
-        members = [i + 1 for i, c in enumerate(window_cuts) if c == cut_id]
-        if not members:
-            continue  # degenerate config: more cuts than windows
-        entries.append(
-            WearEntry(
-                cut_id=cut_id,
-                wear_um=float(wear_values[j]),
-                first_window=members[0],
-                last_window=members[-1],
-            )
+    # cuts without a window (more cuts than windows) get no entry; ids and
+    # window indices are 1-based
+    entries = [
+        WearEntry(
+            cut_id=int(j) + 1,
+            wear_um=float(wear_values[j]),
+            first_window=int(f) + 1,
+            last_window=int(f + n),
         )
-    return SynthRun(series=series, wear=WearTable(entries=entries), window_cuts=window_cuts)
+        for j, f, n in zip(present, first, count)
+    ]
+    return SynthRun(series=series, wear=WearTable(entries=entries))

@@ -198,9 +198,9 @@ def tool_runs(trained_stack):
 
     dev_run, dev_records = monitor(seed=13, threshold=float("inf"))
     hi_by_cut: dict[int, list] = {}
-    for rec in dev_records:
-        cut = dev_run.window_cuts[rec.window_index - 1]
-        hi_by_cut.setdefault(cut, []).append(rec.hi)
+    positions = dev_run.wear.locate([rec.window_index for rec in dev_records])
+    for rec, pos in zip(dev_records, positions):
+        hi_by_cut.setdefault(dev_run.wear.entries[pos].cut_id, []).append(rec.hi)
     calibration = calibrate_threshold(hi_by_cut, dev_run.wear.wear_by_cut(), 300.0)
 
     test_run, test_records = monitor(seed=14, threshold=calibration.tau)
@@ -287,10 +287,10 @@ class TestCriterion3:
         wear_by_cut = test_run.wear.wear_by_cut()
         crossing_cut = min(c for c, wear in wear_by_cut.items() if wear > 300.0)
         first_alarm = next((r.window_index for r in records if r.alarm), None)
-        alarm_in_time = (
-            first_alarm is not None
-            and test_run.window_cuts[first_alarm - 1] <= crossing_cut + 10
-        )
+        alarm_cut = None
+        if first_alarm is not None:
+            alarm_cut = test_run.wear.entries[test_run.wear.locate([first_alarm])[0]].cut_id
+        alarm_in_time = alarm_cut is not None and alarm_cut <= crossing_cut + 10
 
         pre_hi = [r.hi for r in pre if r.hi is not None]
         post_hi = [r.hi for r in post if r.hi is not None]
@@ -298,7 +298,6 @@ class TestCriterion3:
         separated = float(np.median(post_hi)) >= float(np.median(pre_hi)) + 3.0 * iqr
 
         ok = fpr_zero and alarm_in_time and separated
-        alarm_cut = None if first_alarm is None else test_run.window_cuts[first_alarm - 1]
         tau = tool_runs["calibration"].tau
         acceptance_log(
             3,

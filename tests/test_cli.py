@@ -90,10 +90,10 @@ class TestPipeline:
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) >= 2
 
-    def test_hi_csv_has_cut_column(self, pipeline):
-        # wear.csv sat next to the signal, so monitoring attaches cut ids
+    def test_hi_csv_has_one_layout(self, pipeline):
+        # wear.csv sits next to the signal, and monitoring does not read it
         header = (pipeline["out"] / "hi.csv").read_text().split("\n", 1)[0]
-        assert header == "window_index,wlf,hi,alarm,cut_id"
+        assert header == "window_index,wlf,hi,alarm"
 
     def test_metrics_json_accumulates_stages(self, pipeline):
         doc = json.loads((pipeline["out"] / "metrics.json").read_text())
@@ -126,6 +126,17 @@ class TestPipeline:
             reruns.append((rerun / "hi.csv").read_bytes())
         assert reruns[0] == reruns[1]
         assert reruns[0] == (out / "hi.csv").read_bytes()
+
+    def test_monitor_ignores_a_malformed_wear_csv(self, pipeline, tmp_path_factory):
+        out = pipeline["out"]
+        rerun = tmp_path_factory.mktemp("bad_wear")
+        (rerun / "wear.csv").write_text("not,a,wear,table\n")
+        args = ["monitor", "--config", str(pipeline["config_path"]), "--out", str(rerun)]
+        for key, name in [("signal", "signal.csv"), ("codebooks", "codebooks.json"),
+                          ("checkpoint", "checkpoint.lorm")]:
+            args += ["--set", f"paths.{key}={out / name}"]
+        assert main(args) == 0
+        assert (rerun / "hi.csv").read_bytes() == (out / "hi.csv").read_bytes()
 
     def test_forced_alarms_print_lines(self, pipeline, tmp_path_factory, capsys):
         out = pipeline["out"]
@@ -379,6 +390,34 @@ class TestHealthAndWearErrors:
             f"error: {tmp_path / 'hi.csv'}: no post-buffer window overlaps the wear table "
             f"{tmp_path / 'wear.csv'}"
         ) in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "eval"])
+    @pytest.mark.parametrize(
+        "hi",
+        ["window_index,wlf,hi,alarm\n",
+         "window_index,wlf,hi,alarm\n5,0.5,0.1,0\n6,0.7,0.3,0\n"],
+        ids=["header-only", "outside-wear"],
+    )
+    def test_no_scored_window_names_both_files(self, tmp_path, capsys, command, hi):
+        rc, err = self.run(tmp_path, capsys, command, hi=hi)
+        assert rc == 1
+        assert (
+            f"error: {tmp_path / 'hi.csv'}: no post-buffer window overlaps the wear table "
+            f"{tmp_path / 'wear.csv'}"
+        ) in err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_calibrate_reads_cuts_from_wear_csv_only(self, tmp_path, capsys):
+        """A stale cut_id column in hi.csv, here putting every window in cut 1,
+        changes nothing: windows 3 and 4 lie in cut 2 of wear.csv."""
+        stale = "window_index,wlf,hi,alarm,cut_id\n" + "".join(
+            line + ",1\n" for line in HI_CSV.splitlines()[1:]
+        )
+        calibrations = []
+        for hi in (HI_CSV, stale):
+            assert self.run(tmp_path, capsys, "calibrate", hi=hi)[0] == 0
+            calibrations.append(json.loads((tmp_path / "metrics.json").read_text())["calibration"])
+        assert calibrations[0] == calibrations[1] == {"tau": 0.5, "cut_id": 2, "wear_um": 320.0}
 
     def test_eval_first_alarm_outside_wear_names_both_files(self, tmp_path, capsys):
         hi = "window_index,wlf,hi,alarm\n1,0.5,,0\n2,0.7,0.4,1\n3,0.9,0.4,1\n"
@@ -887,11 +926,10 @@ class TestConfigModel:
             "window_index,wlf,hi,alarm,cut_id,hi_ma\n"
             "1,0.5,,0,1,\n2,0.75,0.25,0,1,0.25\n3,1.0,0.5,1,2,0.375\n"
         )
-        records, cuts = read_health_csv(str(path))
+        records = read_health_csv(str(path))
         assert [(r.window_index, r.wlf, r.hi, r.alarm) for r in records] == [
             (1, 0.5, None, False), (2, 0.75, 0.25, False), (3, 1.0, 0.5, True)
         ]
-        assert cuts == [1, 1, 2]
 
 
 class TestConfigHandling:
@@ -992,7 +1030,16 @@ class TestExitCodes:
 
     def test_deeply_nested_set_value_is_a_string(self, capsys):
         assert main(["synth", "--set", "seed=" + "[" * 100_000 + "]" * 100_000]) == 2
-        assert "invalid literal for int()" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0, got '[[[")
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("2.5", "2.5"), ("true", "True"), ("1e999", "inf"), ("x", "'x'"), ("-1", "-1")],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, capsys, tmp_path, value, shown):
+        assert main(["synth", "--out", str(tmp_path), "--set", f"seed={value}"]) == 2
+        assert capsys.readouterr().err == f"error: seed must be an integer >= 0, got {shown}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

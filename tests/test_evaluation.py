@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorm.evaluation import (
     ConfusionCounts,
@@ -31,26 +33,35 @@ class TestWearTable:
     def test_lookups(self):
         table = three_cut_table()
         assert list(table.wear_by_cut()) == [1, 2, 3]
-        assert table.cut_of(1) == 1
-        assert table.cut_of(10) == 1
-        assert table.cut_of(11) == 2
-        assert table.wear_of_cut(3) == 335.18
-        assert table.wear_of_window(25) == 335.18
+        assert table.locate([1, 10, 11, 25, 30]).tolist() == [0, 0, 1, 2, 2]
         assert table.wear_by_cut() == {1: 285.61, 2: 301.21, 3: 335.18}
 
-    def test_covers(self):
+    def test_uncovered_windows_locate_to_minus_one(self):
         table = three_cut_table()
-        assert table.covers(30)
-        assert not table.covers(31)
-        assert not table.covers(0)
+        assert table.locate([0, 31, -5, 10**30]).tolist() == [-1, -1, -1, -1]
+        assert table.locate([]).tolist() == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spans=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=6),
+        windows=st.lists(st.integers(-2, 30), max_size=20),
+    )
+    def test_locate_matches_a_scan(self, spans, windows):
+        """Spans laid end to end with gaps of 0-3 windows and lengths of 1-4."""
+        entries, start = [], 1
+        for cut_id, (gap, extra) in enumerate(spans, start=1):
+            entries.append(WearEntry(cut_id, 100.0, start + gap, start + gap + extra))
+            start += gap + extra + 1
+        table = WearTable(entries=entries[::-1])
+        bounds = [(e.first_window, e.last_window) for e in table.entries]
+        expected = [next((i for i, (a, b) in enumerate(bounds) if a <= w <= b), -1) for w in windows]
+        assert table.locate(windows).tolist() == expected
 
     def test_uncovered_window_rejected(self):
-        with pytest.raises(ValueError, match="not covered"):
-            three_cut_table().cut_of(31)
-
-    def test_unknown_cut_rejected(self):
-        with pytest.raises(ValueError, match="unknown cut"):
-            three_cut_table().wear_of_cut(9)
+        with pytest.raises(ValueError, match="window 31 is not covered"):
+            label_windows(three_cut_table(), 300.0, [5, 31])
+        with pytest.raises(ValueError, match="window 0 is not covered"):
+            detection_deviation(0, three_cut_table(), 300.0)
 
     def test_entries_sorted_by_span(self):
         table = WearTable(
@@ -96,9 +107,7 @@ class TestWearTable:
         path = tmp_path / "wear.csv"
         table.to_csv(str(path))
         loaded = WearTable.from_csv(str(path))
-        assert list(loaded.wear_by_cut()) == list(table.wear_by_cut())
-        for cut in list(table.wear_by_cut()):
-            assert loaded.wear_of_cut(cut) == table.wear_of_cut(cut)
+        assert loaded.wear_by_cut() == table.wear_by_cut()
         for e_in, e_out in zip(table.entries, loaded.entries):
             assert (e_in.first_window, e_in.last_window) == (
                 e_out.first_window,
@@ -258,12 +267,6 @@ class TestMetricsJson:
         doc = json.loads(path.read_text())
         assert doc["calibration"] == {"tau": 0.2}
         assert doc["classification"] == {"accuracy": 1.0}
-
-    def test_no_merge_overwrites(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        write_metrics_json({"a": 1}, str(path))
-        write_metrics_json({"b": 2}, str(path), merge=False)
-        assert json.loads(path.read_text()) == {"b": 2}
 
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "metrics.json"

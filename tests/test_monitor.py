@@ -290,8 +290,6 @@ class TestDeployedModelFiles:
         ckpt, books = self._write_pair(tmp_path, tamper=True)
         with pytest.raises(ValueError, match="does not match"):
             DeployedModel.from_files(ckpt, books)
-        deployed = DeployedModel.from_files(ckpt, books, verify_hash=False)
-        assert deployed.checkpoint.config.num_tokens == 4
 
 
 class TestCalibrateThreshold:
@@ -335,8 +333,7 @@ class TestHealthCsv:
         records = self._records()
         path = tmp_path / "hi.csv"
         write_health_csv(records, str(path))
-        loaded, cuts = read_health_csv(str(path))
-        assert cuts is None
+        loaded = read_health_csv(str(path))
         assert [r.window_index for r in loaded] == [1, 2, 3, 4, 5]
         assert [r.hi for r in loaded] == [r.hi for r in records]
         assert [r.alarm for r in loaded] == [r.alarm for r in records]
@@ -350,17 +347,6 @@ class TestHealthCsv:
         assert lines[0] == "window_index,wlf,hi,alarm"
         assert lines[1].split(",")[2] == ""
         assert lines[3].split(",")[2] != ""
-
-    def test_cut_column(self, tmp_path):
-        records = self._records()
-        path = tmp_path / "hi.csv"
-        write_health_csv(records, str(path), cut_ids=[1, 1, 2, 2, None])
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "window_index,wlf,hi,alarm,cut_id"
-        assert lines[1].split(",")[4] == "1"
-        assert lines[5].split(",")[4] == ""
-        loaded, cuts = read_health_csv(str(path))
-        assert cuts == [1, 1, 2, 2, None]
 
 
 class TestAlarmLine:

@@ -29,7 +29,6 @@ class TestDeterminism:
     def test_same_seed_byte_identical(self):
         runs = [generate_run(small_cfg(degradation_rate=1e-3), WINDOWING) for _ in range(2)]
         assert runs[0].series.samples.tobytes() == runs[1].series.samples.tobytes()
-        assert runs[0].window_cuts == runs[1].window_cuts
         assert [
             (e.cut_id, e.wear_um, e.first_window, e.last_window)
             for e in runs[0].wear.entries
@@ -130,16 +129,20 @@ class TestWearTable:
         assert max(wears) > 300.0
         assert min(wears) < 300.0
 
-    def test_window_cuts_match_table_spans(self):
+    def test_every_window_is_in_its_midpoint_cut(self):
+        # span = 4000/8 = 500 samples; window k starts at (k - 1) * 50
         run = generate_run(small_cfg(degradation_rate=1e-3), WINDOWING)
-        for i, cut in enumerate(run.window_cuts, start=1):
-            assert run.wear.cut_of(i) == cut
+        n_windows = len(segment_windows(run.series, WINDOWING))
+        windows = np.arange(1, n_windows + 1)
+        cuts = [run.wear.entries[p].cut_id for p in run.wear.locate(windows)]
+        mids = (windows - 1) * WINDOWING.stride + WINDOWING.window_len // 2
+        assert cuts == [min(8, m // 500 + 1) for m in mids]
 
     def test_covers_every_window_contiguously(self):
         cfg = small_cfg()
         run = generate_run(cfg, WINDOWING)
         n_windows = len(segment_windows(run.series, WINDOWING))
-        assert len(run.window_cuts) == n_windows
+        assert (run.wear.locate(range(1, n_windows + 1)) >= 0).all()
         assert run.wear.entries[0].first_window == 1
         assert run.wear.entries[-1].last_window == n_windows
         for prev, nxt in zip(run.wear.entries, run.wear.entries[1:]):
@@ -150,16 +153,16 @@ class TestWearTable:
         # landing in the second cut
         run = generate_run(small_cfg(), WindowingConfig(window_len=101, context_len=100, stride=450))
         # offsets 0, 450, 900, ... midpoints 50, 500, 950, ...
-        assert run.window_cuts[0] == 1
-        assert run.window_cuts[1] == 2
-        assert run.window_cuts[2] == 2
+        positions = run.wear.locate([1, 2, 3])
+        assert [run.wear.entries[p].cut_id for p in positions] == [1, 2, 2]
 
     def test_more_cuts_than_windows(self):
         cfg = small_cfg(duration_samples=500, degradation_onset=400, cuts=50)
-        run = generate_run(cfg, WindowingConfig(window_len=101, context_len=100, stride=100))
-        assert len(run.window_cuts) == 4
-        for i in range(1, 5):
-            assert run.wear.covers(i)
+        windowing = WindowingConfig(window_len=101, context_len=100, stride=100)
+        run = generate_run(cfg, windowing)
+        assert len(segment_windows(run.series, windowing)) == 4
+        assert (run.wear.locate([1, 2, 3, 4]) >= 0).all()
+        assert run.wear.entries[-1].last_window == 4
 
 
 class TestValidation:
