@@ -82,7 +82,7 @@ backbone = BackboneConfig(
     patch_len=PATCH,
 )
 params = init_model(backbone, seed=0)
-print(f"model: {params.total_size} parameters in {len(params.names())} tensors")
+print(f"model: {params.flat.size} parameters in {len(params.names())} tensors")
 
 # sanity-check the hand-written backward pass before spending any epochs
 cfg64 = backbone

@@ -265,7 +265,7 @@ def _prepare_splits(cfg: RunConfig, series: MultiChannelSeries):
     return train_w, val_w, stats
 
 
-def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_synth(cfg: RunConfig) -> int:
     run = generate_run(cfg.synth, cfg.windowing)
     write_signal_csv(run.series, cfg.out_path("signal.csv"))
     run.wear.to_csv(cfg.out_path("wear.csv"))
@@ -276,7 +276,7 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fit_codebooks(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_fit_codebooks(cfg: RunConfig) -> int:
     series = _read_series(cfg, "signal")
     train_w, _, stats = _prepare_splits(cfg, series)
     targets = normalize_window(np.stack(train_w)[:, cfg.windowing.context_len :], stats)
@@ -345,12 +345,12 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
     return 0
 
 
-def cmd_pretrain(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_pretrain(cfg: RunConfig) -> int:
     key = "pretrain_signal" if cfg.paths.get("pretrain_signal") else "signal"
     return _run_training(cfg, freeze=False, signal_key=key)
 
 
-def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_train(cfg: RunConfig) -> int:
     return _run_training(cfg, freeze=True, signal_key="signal")
 
 
@@ -387,7 +387,7 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
     )
 
 
-def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_monitor(cfg: RunConfig) -> int:
     ckpt_path = _require_file(cfg.resolve("checkpoint"), "checkpoint")
     codebooks_path = _require_file(cfg.resolve("codebooks"), "codebooks")
     deployed = DeployedModel.from_files(ckpt_path, codebooks_path)
@@ -434,7 +434,7 @@ def _read_health_and_wear(cfg: RunConfig) -> tuple[list[HealthRecord], np.ndarra
     return records, positions, wear
 
 
-def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_calibrate(cfg: RunConfig) -> int:
     records, positions, wear = _read_health_and_wear(cfg)
     hi_by_cut: dict[int, list[float]] = {}
     for record, pos in zip(records, positions):
@@ -457,7 +457,7 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_eval(cfg: RunConfig) -> int:
     records, positions, wear = _read_health_and_wear(cfg)
     scored = [r for r, pos in zip(records, positions) if pos >= 0]
     labels = label_windows(wear, cfg.wear_limit_um, [r.window_index for r in scored])
@@ -521,7 +521,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_run_config(args)
         os.makedirs(cfg.out_dir, exist_ok=True)
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

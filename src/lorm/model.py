@@ -11,9 +11,9 @@ distribution over K tokens per channel:
     v = u @ W_c                      K*C scores, C blocks of K
     pi_c = softmax(v block c)
 
-Parameters live in a flat name -> array mapping with a canonical order
-(embed, pos, per-layer attention, per-layer ffn, norms, head) used both for
-deterministic initialisation and for checkpoint serialisation. Attention and
+Parameters live in one flat vector in a canonical order (embed, pos,
+per-layer attention, per-layer ffn, norms, head) that gradients, Adam's
+moments and the checkpoint's parameter block share. Attention and
 feed-forward tensors form the frozen set during fine-tuning; embeddings,
 norms, and the head stay trainable.
 
@@ -28,11 +28,12 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, quote
 from .sequence import num_patches
 from .signal_io import ChannelStats
 
@@ -82,9 +83,8 @@ class BackboneConfig:
                 f"num_heads must divide hidden_dim, got {self.num_heads} and {self.hidden_dim}"
             )
         if self.attention_mode not in ("causal", "bidirectional"):
-            raise ValueError(
-                f"attention_mode must be 'causal' or 'bidirectional', got {self.attention_mode!r}"
-            )
+            raise ValueError("attention_mode must be 'causal' or 'bidirectional', "
+                             f"got {quote(self.attention_mode)}")
 
     @property
     def head_dim(self) -> int:
@@ -140,31 +140,32 @@ def param_shapes(cfg: BackboneConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-@dataclass
 class ModelParameters:
-    """All weights, keyed by canonical name in canonical order."""
+    """Every weight in one C-contiguous vector ``flat``, laid out by the
+    (name, shape) list ``shapes`` of :func:`param_shapes` exactly as a
+    checkpoint's parameter block. ``params[name]`` is a reshaped view of
+    ``flat``, written in place; the read-only ``tensors`` maps every name to
+    its view. Gradients share the class and the layout.
+    """
 
-    tensors: dict[str, np.ndarray]
+    def __init__(self, shapes: list[tuple[str, tuple[int, ...]]], flat: np.ndarray) -> None:
+        self.shapes, self.flat = shapes, flat
+        tensors, start = {}, 0
+        for name, shape in shapes:
+            tensors[name] = flat[start : start + math.prod(shape)].reshape(shape)
+            start += math.prod(shape)
+        if start != flat.size:
+            raise ValueError(f"the layout holds {start} values, the vector {flat.size}")
+        self.tensors = MappingProxyType(tensors)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
     def names(self) -> list[str]:
-        return list(self.tensors.keys())
-
-    @property
-    def dtype(self) -> np.dtype:
-        return next(iter(self.tensors.values())).dtype
-
-    @property
-    def total_size(self) -> int:
-        return sum(v.size for v in self.tensors.values())
+        return list(self.tensors)
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters({k: v.copy() for k, v in self.tensors.items()})
-
-    def astype(self, dtype) -> "ModelParameters":
-        return ModelParameters({k: v.astype(dtype) for k, v in self.tensors.items()})
+        return ModelParameters(self.shapes, self.flat.copy())
 
 
 @dataclass
@@ -193,16 +194,14 @@ def init_model(cfg: BackboneConfig, seed: int, dtype=np.float32) -> ModelParamet
     """Deterministic initialisation: matrices ~ truncated normal(0, 0.02),
     all biases 0, layer-norm gains 1."""
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg):
+    shapes = param_shapes(cfg)
+    params = ModelParameters(shapes, np.zeros(sum(math.prod(s) for _, s in shapes), dtype))
+    for name, shape in shapes:
         if name.endswith(".gain"):
-            value = np.ones(shape)
-        elif len(shape) == 1:  # every bias vector
-            value = np.zeros(shape)
-        else:
-            value = _truncated_normal(rng, shape, INIT_STD)
-        tensors[name] = np.ascontiguousarray(value, dtype=dtype)
-    return ModelParameters(tensors)
+            params[name][...] = 1.0
+        elif len(shape) > 1:  # biases stay 0
+            params[name][...] = _truncated_normal(rng, shape, INIT_STD)
+    return params
 
 
 def partition_parameters(params: ModelParameters) -> ParameterPartition:
@@ -424,14 +423,18 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return y, xhat, inv_std
 
 
-def _layer_norm_backward(dy, xhat, inv_std, gain):
-    dgain = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    dbias = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+def _layer_norm_backward(dy, xhat, inv_std, gain, dgain=None, dbias=None):
+    """d loss / dx of :func:`_layer_norm`; the gain and bias gradients are
+    written into ``dgain`` and ``dbias`` where they are given."""
+    axes = tuple(range(dy.ndim - 1))
+    if dgain is not None:
+        np.add.reduce(dy * xhat, axis=axes, out=dgain)
+    if dbias is not None:
+        np.add.reduce(dy, axis=axes, out=dbias)
     dxhat = dy * gain
     mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
     mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-    return dx, dgain, dbias
+    return inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
 
 
 def _softmax_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -448,14 +451,6 @@ def _softmax_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _causal_mask(t: int) -> np.ndarray:
-    """Read-only (t, t) mask, True above the diagonal: the future positions."""
-    mask = np.triu(np.ones((t, t), dtype=bool), k=1)
-    mask.flags.writeable = False
-    return mask
-
-
-@functools.lru_cache(maxsize=8)
 def _causal_bias(t: int, dtype: type) -> np.ndarray:
     """Read-only (t, t) additive mask: -inf at the future positions, 0 elsewhere.
 
@@ -464,7 +459,7 @@ def _causal_bias(t: int, dtype: type) -> np.ndarray:
     bits). Unlike a -inf fill it lets a non-finite future score spoil its
     row, which finite inputs never produce.
     """
-    bias = np.where(_causal_mask(t), dtype(-np.inf), dtype(0.0))
+    bias = np.triu(np.full((t, t), dtype(-np.inf)), k=1)
     bias.flags.writeable = False
     return bias
 
@@ -508,7 +503,7 @@ def forward_batch(
     is next used, and concurrent calls must not share one.
     """
     w = params.tensors
-    dtype = params.dtype.type
+    dtype = params.flat.dtype.type
     x_in = np.ascontiguousarray(p_batch, dtype=dtype)
     if x_in.ndim != 3 or x_in.shape[1] != cfg.max_seq_len or x_in.shape[2] != cfg.patch_len:
         raise ValueError("window shape differs from training configuration")
@@ -588,74 +583,73 @@ def forward_batch(
 
 def backward_from_scores(
     cache: dict, d_scores: np.ndarray, trainable: Iterable[str] | None = None
-) -> dict[str, np.ndarray]:
+) -> ModelParameters:
     """Backpropagate d loss / d v (shape (B, K*C) or (B, C, K)) to the parameters.
 
-    Returns the gradients of the names in ``trainable``, or of every
-    parameter when it is None. Weight-gradient products of the other tensors
-    are skipped, while d loss / dx still flows through every layer down to
-    the embedding. Large temporaries come from the workspace the forward
-    pass used, if any.
+    Returns one gradient vector in the parameters' layout, holding the
+    gradients of the names in ``trainable``, or of every parameter when it
+    is None. The other entries are 0: their weight-gradient products are
+    skipped, while d loss / dx still flows through every layer down to the
+    embedding. The vector and the large temporaries come from the workspace
+    the forward pass used, if any, and the vector stays valid only until
+    that workspace next computes gradients.
     """
     cfg: BackboneConfig = cache["cfg"]
     params: ModelParameters = cache["params"]
     work = cache["work"]
-    dtype = params.dtype.type
+    dtype = params.flat.dtype.type
     b, t = cache["p"].shape[0], cfg.max_seq_len
     nh, dh = cfg.num_heads, cfg.head_dim
     scale = dtype(1.0 / np.sqrt(dh))
-    keep = None if trainable is None else list(trainable)
-    skip = frozenset() if keep is None else frozenset(params.names()).difference(keep)
-    grads: dict[str, np.ndarray] = {}
+    flat = _buffer(work, "grads", params.flat.shape, dtype)
+    grads = ModelParameters(params.shapes, np.empty_like(params.flat) if flat is None else flat)
+    wanted = grads.tensors
+    if trainable is not None:
+        grads.flat.fill(0)
+        wanted = {n: grads[n] for n in trainable}
 
-    def dense(w_name: str, b_name: str | None, x_rows: np.ndarray, dy_rows: np.ndarray) -> None:
-        """Gradients of w and b in y = x @ w + b, unless skipped."""
-        if w_name not in skip:
-            grads[w_name] = x_rows.T @ dy_rows
-        if b_name is not None and b_name not in skip:
-            grads[b_name] = dy_rows.sum(axis=0)
+    def dense(w_name: str, b_name: str | None, x: np.ndarray, dy: np.ndarray) -> None:
+        """Gradients of w and b in y = x @ w + b, over all leading axes, where wanted."""
+        x_rows, dy_rows = x.reshape(-1, x.shape[-1]), dy.reshape(-1, dy.shape[-1])
+        if w_name in wanted:
+            np.matmul(x_rows.T, dy_rows, out=wanted[w_name])
+        if b_name in wanted:
+            np.add.reduce(dy_rows, axis=0, out=wanted[b_name])
+
+    def norm(pre: str, dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+        """d loss / dx of the layer norm ``pre``; writes its wanted gradients."""
+        dgain, dbias = wanted.get(pre + ".gain"), wanted.get(pre + ".bias")
+        return _layer_norm_backward(dy, xhat, inv_std, params[pre + ".gain"], dgain, dbias)
 
     dv = np.ascontiguousarray(d_scores, dtype=dtype).reshape(b, -1)
 
     dense("head.w_c", None, cache["u"], dv)
     du = dv @ params["head.w_c"].T
-    dg_act, grads["head_ln.gain"], grads["head_ln.bias"] = _layer_norm_backward(
-        du, cache["xhat_h"], cache["inv_h"], params["head_ln.gain"]
-    )
+    dg_act = norm("head_ln", du, cache["xhat_h"], cache["inv_h"])
     dg = dg_act * gelu_grad(cache["g"], cache["g_cdf"])
     dz = np.repeat(dg[:, None, :], t, axis=1) / dtype(t)
-    dx, grads["final_ln.gain"], grads["final_ln.bias"] = _layer_norm_backward(
-        dz, cache["xhat_f"], cache["inv_f"], params["final_ln.gain"]
-    )
+    dx = norm("final_ln", dz, cache["xhat_f"], cache["inv_f"])
 
     for l in range(cfg.num_layers - 1, -1, -1):
         pre = f"layers.{l}"
         lc = cache["layers"][l]
 
         # feed-forward branch
-        d_ffn_out = dx
-        flat_dffn = d_ffn_out.reshape(b * t, -1)
-        dense(f"{pre}.ffn.w2", f"{pre}.ffn.b2", lc["h_act"].reshape(b * t, -1), flat_dffn)
+        dense(f"{pre}.ffn.w2", f"{pre}.ffn.b2", lc["h_act"], dx)
         ffn_shape = (b, t, cfg.ffn_dim)
         dh_pre = np.matmul(
-            d_ffn_out, params[f"{pre}.ffn.w2"].T, out=_buffer(work, "dh_pre", ffn_shape, dtype)
+            dx, params[f"{pre}.ffn.w2"].T, out=_buffer(work, "dh_pre", ffn_shape, dtype)
         )
         dh_pre *= gelu_grad(
             lc["h_pre"], lc["h_cdf"], out=_buffer(work, "gelu_grad", ffn_shape, dtype)
         )
-        dense(f"{pre}.ffn.w1", f"{pre}.ffn.b1", lc["f_in"].reshape(b * t, -1),
-              dh_pre.reshape(b * t, -1))
+        dense(f"{pre}.ffn.w1", f"{pre}.ffn.b1", lc["f_in"], dh_pre)
         df_in = dh_pre @ params[f"{pre}.ffn.w1"].T
-        dx_mid_ln, grads[f"{pre}.ln2.gain"], grads[f"{pre}.ln2.bias"] = _layer_norm_backward(
-            df_in, lc["xhat2"], lc["inv2"], params[f"{pre}.ln2.gain"]
-        )
-        dx_mid = dx + dx_mid_ln
+        dx_mid = dx + norm(pre + ".ln2", df_in, lc["xhat2"], lc["inv2"])
 
         # attention branch
-        d_attn_out = dx_mid
-        dense(f"{pre}.attn.w_o", f"{pre}.attn.b_o", lc["heads"].reshape(b * t, -1),
-              d_attn_out.reshape(b * t, -1))
-        d_heads = _split_heads(d_attn_out @ params[f"{pre}.attn.w_o"].T, nh)
+        dense(f"{pre}.attn.w_o", f"{pre}.attn.b_o", lc["heads"], dx_mid)
+        d_heads = _split_heads(dx_mid @ params[f"{pre}.attn.w_o"].T, nh)
 
         a = lc["attn"]
         d_scores_attn = np.matmul(
@@ -671,24 +665,20 @@ def backward_from_scores(
         dq_f = _merge_heads(dq).reshape(b * t, -1)
         dk_f = _merge_heads(dk).reshape(b * t, -1)
         dv_f = _merge_heads(dv_h).reshape(b * t, -1)
-        flat_ain = lc["a_in"].reshape(b * t, -1)
         for name, d_rows in (("q", dq_f), ("k", dk_f), ("v", dv_f)):
-            dense(f"{pre}.attn.w_{name}", f"{pre}.attn.b_{name}", flat_ain, d_rows)
+            dense(f"{pre}.attn.w_{name}", f"{pre}.attn.b_{name}", lc["a_in"], d_rows)
 
         da_in = (
             dq_f @ params[f"{pre}.attn.w_q"].T
             + dk_f @ params[f"{pre}.attn.w_k"].T
             + dv_f @ params[f"{pre}.attn.w_v"].T
         ).reshape(b, t, -1)
-        dx_ln, grads[f"{pre}.ln1.gain"], grads[f"{pre}.ln1.bias"] = _layer_norm_backward(
-            da_in, lc["xhat1"], lc["inv1"], params[f"{pre}.ln1.gain"]
-        )
-        dx = dx_mid + dx_ln
+        dx = dx_mid + norm(pre + ".ln1", da_in, lc["xhat1"], lc["inv1"])
 
-    if "pos.p_pos" not in skip:
-        grads["pos.p_pos"] = dx.sum(axis=0)
-    dense("embed.w_e", None, cache["p"].reshape(b * t, -1), dx.reshape(b * t, -1))
-    return grads if keep is None else {n: grads[n] for n in keep}
+    if "pos.p_pos" in wanted:
+        np.add.reduce(dx, axis=0, out=wanted["pos.p_pos"])
+    dense("embed.w_e", None, cache["p"], dx)
+    return grads
 
 
 class CheckpointError(ValueError):
@@ -719,8 +709,7 @@ def save_checkpoint(
     codebook_hash: str,
 ) -> None:
     """Write the binary checkpoint: LORM magic, u32 version, length-prefixed
-    JSON metadata, then all parameters as little-endian float32 in canonical
-    order."""
+    JSON metadata, then the parameter vector as little-endian float32."""
     meta = {
         "config": asdict(cfg),
         "windowing": {"window_len": window_len, "context_len": context_len},
@@ -733,16 +722,14 @@ def save_checkpoint(
         "codebook_hash": codebook_hash,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    expected = [name for name, _ in param_shapes(cfg)]
-    if params.names() != expected:
-        raise CheckpointError("parameters do not match the configuration's canonical order")
+    if params.shapes != param_shapes(cfg):
+        raise CheckpointError("parameters do not match the configuration's canonical layout")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name in expected:
-            fh.write(np.ascontiguousarray(params[name], dtype="<f4").tobytes())
+        fh.write(params.flat.astype("<f4", copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -786,7 +773,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: metadata lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid metadata ({exc})") from None
-    raw = data[12 + meta_len :]
+    raw = memoryview(data)[12 + meta_len :]
     # each layer holds at least four d x d float32 matrices: a block too small
     # for the claimed depth is rejected before param_shapes loops over it
     if len(raw) < 16 * cfg.num_layers * cfg.hidden_dim**2:
@@ -794,18 +781,16 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: parameter block holds {len(raw)} bytes, too few for {cfg.num_layers} layers"
         )
     shapes = param_shapes(cfg)
-    sizes = [math.prod(shape) for _, shape in shapes]
-    if len(raw) != 4 * sum(sizes):
+    size = sum(math.prod(shape) for _, shape in shapes)
+    if len(raw) != 4 * size:
         raise CheckpointError(
-            f"{path}: parameter block holds {len(raw)} bytes, expected {4 * sum(sizes)}"
+            f"{path}: parameter block holds {len(raw)} bytes, expected {4 * size}"
         )
-    flat = np.frombuffer(raw, dtype="<f4")
+    flat = np.frombuffer(raw, dtype="<f4").astype(np.float32)
     if not np.isfinite(flat).all():
         raise CheckpointError(f"{path}: parameter block holds non-finite values")
-    pieces = np.split(flat, np.cumsum(sizes)[:-1])
-    tensors = {name: piece.reshape(shape).copy() for (name, shape), piece in zip(shapes, pieces)}
     return Checkpoint(
-        params=ModelParameters(tensors),
+        params=ModelParameters(shapes, flat),
         config=cfg,
         stats=stats,
         window_len=window_len,

@@ -12,6 +12,7 @@ head; pre-training updates everything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -86,9 +87,11 @@ class TrainReport:
 
 
 class Adam(object):
-    """Adam with bias correction; one shared step counter, per-tensor moments.
+    """Adam with bias correction: theta -= lr * m_hat / (sqrt(v_hat) + eps).
 
-    theta -= lr * m_hat / (sqrt(v_hat) + eps)
+    The moments are two vectors in the parameters' layout, updated in place
+    as a whole; of the parameters only the entries of ``names`` are ever
+    written, whatever the gradient holds elsewhere.
     """
 
     def __init__(
@@ -106,20 +109,30 @@ class Adam(object):
         self.beta2 = beta2
         self.eps = epsilon
         self.t = 0
-        self.m = {n: np.zeros_like(params[n]) for n in self.names}
-        self.v = {n: np.zeros_like(params[n]) for n in self.names}
-
-    def step(self, params: ModelParameters, grads: dict[str, np.ndarray]) -> None:
-        self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        self.m, self.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        self._step, self._scratch = np.empty_like(params.flat), np.empty_like(params.flat)
+        mask = ModelParameters(params.shapes, np.zeros(params.flat.shape, bool))
         for n in self.names:
-            g = np.asarray(grads[n], dtype=params[n].dtype)
-            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
-            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[n] / b1c
-            v_hat = self.v[n] / b2c
-            params.tensors[n] = params[n] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            mask[n][...] = True
+        self._where = True if mask.flat.all() else mask.flat
+
+    def step(self, params: ModelParameters, grads: ModelParameters) -> None:
+        """One update from the gradient vector ``grads``, in place, with the
+        float operations of the textbook formula in its order."""
+        self.t += 1
+        g, m, v, step, scratch = grads.flat, self.m, self.v, self._step, self._scratch
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=scratch)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=scratch)
+        scratch *= g
+        v += scratch
+        np.divide(m, 1.0 - self.beta1**self.t, out=step)  # m_hat
+        step *= self.lr
+        np.sqrt(np.divide(v, 1.0 - self.beta2**self.t, out=scratch), out=scratch)
+        scratch += self.eps
+        step /= scratch
+        np.subtract(params.flat, step, out=params.flat, where=self._where)
 
 
 def window_loss(dists: np.ndarray, tokens: np.ndarray) -> float:
@@ -180,14 +193,15 @@ def loss_and_grad(
     cfg: BackboneConfig,
     trainable: Sequence[str] | None = None,
     work: dict | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch loss and the gradients of the names in ``trainable`` (every
-    parameter when None).
+) -> tuple[float, ModelParameters]:
+    """Batch loss and the gradient vector of the names in ``trainable``
+    (every parameter when None; the other entries are 0).
 
     The gradient at the scores is (pi - onehot(y)) / (B * C); channels whose
     picked probability sits below the clamp floor contribute no gradient.
-    ``work`` is an optional workspace for the large activations, see
-    :func:`lorm.model.forward_batch`.
+    ``work`` is an optional workspace for the large activations and the
+    gradient vector, see :func:`lorm.model.forward_batch` and
+    :func:`lorm.model.backward_from_scores`.
     """
     y = np.asarray(y_batch, dtype=np.int64)
     dists, cache = forward_batch(p_batch, params, cfg, want_cache=True, work=work)
@@ -247,23 +261,14 @@ def train_model(
     if p_val.shape[0] == 0:
         raise ValueError("validation set is empty")
 
-    if freeze:
-        trainable = sorted(partition_parameters(params).trainable)
-    else:
-        trainable = params.names()
-    adam = Adam(
-        params,
-        trainable,
-        learning_rate=train_cfg.learning_rate,
-        beta1=train_cfg.beta1,
-        beta2=train_cfg.beta2,
-        epsilon=train_cfg.epsilon,
-    )
+    trainable = sorted(partition_parameters(params).trainable) if freeze else params.names()
+    adam = Adam(params, trainable, train_cfg.learning_rate, train_cfg.beta1, train_cfg.beta2,
+                train_cfg.epsilon)
 
     rng = np.random.default_rng(train_cfg.seed)
     work: dict[str, np.ndarray] = {}
     report = TrainReport()
-    best_state: ModelParameters | None = None
+    best_state = np.empty_like(params.flat)  # epoch 1 always improves on inf
     since_best = 0
     y_train = np.asarray(y_train, dtype=np.int64)
 
@@ -292,7 +297,7 @@ def train_model(
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best_state = params.copy()
+            best_state[...] = params.flat
             since_best = 0
         else:
             since_best += 1
@@ -300,9 +305,7 @@ def train_model(
                 report.stopped_early = True
                 break
 
-    if best_state is not None:
-        for name in params.names():
-            params.tensors[name] = best_state[name]
+    params.flat[...] = best_state
     return report
 
 
@@ -328,7 +331,7 @@ def gradient_check(
     Runs entirely in float64. Checks every coordinate of small tensors and a
     seeded sample of larger ones.
     """
-    work = params.astype(np.float64)
+    work = ModelParameters(params.shapes, params.flat.astype(np.float64))
     y = np.asarray(y_batch, dtype=np.int64)
     p64 = np.asarray(p_batch, dtype=np.float64)
 
@@ -339,17 +342,14 @@ def gradient_check(
 
     _, grads = loss_and_grad(p64, y, work, cfg)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name in work.names():
-        tensor = work.tensors[name]
-        flat = tensor.reshape(-1)
-        size = flat.shape[0]
+    worst, start, flat = 0.0, 0, work.flat
+    for _, shape in work.shapes:
+        size = math.prod(shape)
         if size <= max_coords_per_tensor:
             coords = np.arange(size)
         else:
             coords = rng.choice(size, size=max_coords_per_tensor, replace=False)
-        analytic_flat = grads[name].reshape(-1)
-        for i in coords:
+        for i in start + coords:
             keep = flat[i]
             flat[i] = keep + step
             up = loss_at()
@@ -357,7 +357,7 @@ def gradient_check(
             down = loss_at()
             flat[i] = keep
             fd = (up - down) / (2.0 * step)
-            a = float(analytic_flat[i])
-            err = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-            worst = max(worst, err)
+            a = float(grads.flat[i])
+            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
+        start += size
     return worst

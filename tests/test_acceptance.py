@@ -225,7 +225,7 @@ class TestCriterion1:
             patch_len=5,
         )
         params = init_model(cfg, seed=1)
-        params.tensors["head.w_c"] = np.zeros_like(params["head.w_c"])
+        params["head.w_c"][...] = 0.0
         books = CodebookSet(
             np.tile(np.linspace(-2, 2, 10)[:, None], (2, 1, 1)), channel_names=["a", "b"]
         )

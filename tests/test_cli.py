@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorm
+from lorm._checks import QUOTE_LIMIT
 from lorm.cli import ConfigError, default_config, load_run_config, main
 from lorm.evaluation import WearTable
 from lorm.model import CheckpointError, load_checkpoint
@@ -1031,6 +1032,27 @@ class TestExitCodes:
     def test_deeply_nested_set_value_is_a_string(self, capsys):
         assert main(["synth", "--set", "seed=" + "[" * 100_000 + "]" * 100_000]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0, got '[[[")
+
+    @pytest.mark.parametrize(
+        "key, prefix",
+        [
+            ("seed", "seed must be an integer >= 0"),
+            ("monitor.buffer_len", "monitor.buffer_len must be an integer >= 1"),
+            ("monitor.threshold", "monitor.threshold must be a number other than NaN"),
+            ("model.attention_mode", "model.attention_mode must be 'causal' or 'bidirectional'"),
+        ],
+    )
+    def test_long_rejected_value_is_cut(self, capsys, tmp_path, key, prefix):
+        """A rejected value of any length is quoted in at most QUOTE_LIMIT
+        characters; a short one in full."""
+        value = "[" * 100_000 + "]" * 100_000
+        assert main(["synth", "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
+        shown = repr(value)[: QUOTE_LIMIT - 3] + "..."
+        assert capsys.readouterr().err == f"error: {prefix}, got {shown}\n"
+        value = "x" * (QUOTE_LIMIT - 2)  # its repr is exactly QUOTE_LIMIT long
+        assert main(["synth", "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {prefix}, got {value!r}\n"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "value, shown",

@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,12 +27,10 @@ from lorm.model import (
     _ERF_BLOCK,
     _ERF_SMALL,
     _causal_bias,
-    _causal_mask,
     _erf,
     _erf_tail,
     _layer_norm,
     _mean,
-    _layer_norm_backward,
     _merge_heads,
     _softmax_last,
     _split_heads,
@@ -145,7 +144,7 @@ class TestParameterRegistry:
             + d * cfg.num_tokens * cfg.num_channels
         )
         params = tiny_params()
-        assert params.total_size == expected_total
+        assert params.flat.size == expected_total
         assert params.names() == [name for name, _ in param_shapes(cfg)]
 
     def test_serialization_order(self):
@@ -211,7 +210,37 @@ class TestInit:
         assert not np.array_equal(a["embed.w_e"], c["embed.w_e"])
 
     def test_default_dtype_float32(self):
-        assert tiny_params(dtype=np.float32).dtype == np.float32
+        assert tiny_params(dtype=np.float32).flat.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tensors_are_views_of_one_vector(self, dtype, assert_one_vector):
+        params = tiny_params(dtype=dtype)
+        assert params.flat.dtype == dtype
+        assert_one_vector(params, TINY)
+        assert_one_vector(params.copy(), TINY)
+        params["head.w_c"][0, 0] = 7.0
+        assert params.flat[-params["head.w_c"].size] == 7.0
+        with pytest.raises(TypeError):
+            params.tensors["head.w_c"] = np.zeros_like(params["head.w_c"])
+
+    def test_same_draws_as_per_tensor_arrays(self):
+        """The vector holds the values of the per-tensor initialisation that
+        drew each matrix from one generator in canonical order."""
+        rng = np.random.default_rng(4)
+        want = []
+        for name, shape in param_shapes(TINY):
+            if name.endswith(".gain"):
+                value = np.ones(shape)
+            elif len(shape) == 1:
+                value = np.zeros(shape)
+            else:
+                value = rng.normal(0.0, 0.02, size=shape)
+                bad = np.abs(value) > 0.04
+                while np.any(bad):
+                    value[bad] = rng.normal(0.0, 0.02, size=int(bad.sum()))
+                    bad = np.abs(value) > 0.04
+            want.append(np.ascontiguousarray(value, dtype=np.float32).reshape(-1))
+        assert tiny_params(seed=4, dtype=np.float32).flat.tobytes() == np.concatenate(want).tobytes()
 
 
 class TestForward:
@@ -385,7 +414,7 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(len(shape))
         x = rng.normal(0.0, 4.0, size=shape).astype(dtype)
         if len(shape) == 4:
-            np.copyto(x, dtype(-np.inf), where=_causal_mask(shape[-1]))
+            np.copyto(x, dtype(-np.inf), where=np.triu(np.ones(shape[-2:], bool), k=1))
         before = x.copy()
         got = _softmax_last(x)
         want = old_softmax_last(x)
@@ -401,10 +430,21 @@ def old_gelu(x):
     return x * cdf, cdf, grad
 
 
+def old_layer_norm_backward(dy, xhat, inv_std, gain):
+    """The allocating layer-norm backward formula: (dx, dgain, dbias)."""
+    dgain = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
+    dbias = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * gain
+    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    return dx, dgain, dbias
+
+
 def old_forward_backward(p, params, cfg, d_scores):
     """The allocating forward and backward passes that the workspace and the
     frozen-gradient skip replaced, kept as the reference: (dists, z, grads)."""
-    dtype = params.dtype.type
+    dtype = params.flat.dtype.type
     x_in = np.ascontiguousarray(p, dtype=dtype)
     b, t, _ = x_in.shape
     nh = cfg.num_heads
@@ -420,7 +460,7 @@ def old_forward_backward(p, params, cfg, d_scores):
         )
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
         if cfg.attention_mode == "causal":
-            scores = np.where(_causal_mask(t), dtype(-np.inf), scores)
+            scores = np.where(np.triu(np.ones((t, t), bool), k=1), dtype(-np.inf), scores)
         attn = old_softmax_last(scores)
         heads = _merge_heads(attn @ v)
         x_mid = x + (heads @ params[f"{pre}.attn.w_o"] + params[f"{pre}.attn.b_o"])
@@ -440,11 +480,11 @@ def old_forward_backward(p, params, cfg, d_scores):
     grads = {}
     dv = np.ascontiguousarray(d_scores, dtype=dtype).reshape(b, -1)
     grads["head.w_c"] = u.T @ dv
-    dg_act, grads["head_ln.gain"], grads["head_ln.bias"] = _layer_norm_backward(
+    dg_act, grads["head_ln.gain"], grads["head_ln.bias"] = old_layer_norm_backward(
         dv @ params["head.w_c"].T, xhat_h, inv_h, params["head_ln.gain"]
     )
     dz = np.repeat((dg_act * g_grad)[:, None, :], t, axis=1) / dtype(t)
-    dx, grads["final_ln.gain"], grads["final_ln.bias"] = _layer_norm_backward(
+    dx, grads["final_ln.gain"], grads["final_ln.bias"] = old_layer_norm_backward(
         dz, xhat_f, inv_f, params["final_ln.gain"]
     )
     for l in range(cfg.num_layers - 1, -1, -1):
@@ -456,7 +496,7 @@ def old_forward_backward(p, params, cfg, d_scores):
         dh_pre = (dx @ params[f"{pre}.ffn.w2"].T) * h_grad
         grads[f"{pre}.ffn.w1"] = flat(f_in).T @ flat(dh_pre)
         grads[f"{pre}.ffn.b1"] = flat(dh_pre).sum(axis=0)
-        dx_mid_ln, grads[f"{pre}.ln2.gain"], grads[f"{pre}.ln2.bias"] = _layer_norm_backward(
+        dx_mid_ln, grads[f"{pre}.ln2.gain"], grads[f"{pre}.ln2.bias"] = old_layer_norm_backward(
             dh_pre @ params[f"{pre}.ffn.w1"].T, xhat2, inv2, params[f"{pre}.ln2.gain"]
         )
         dx_mid = dx + dx_mid_ln
@@ -478,7 +518,7 @@ def old_forward_backward(p, params, cfg, d_scores):
             + d_rows["k"] @ params[f"{pre}.attn.w_k"].T
             + d_rows["v"] @ params[f"{pre}.attn.w_v"].T
         ).reshape(b, t, -1)
-        dx_ln, grads[f"{pre}.ln1.gain"], grads[f"{pre}.ln1.bias"] = _layer_norm_backward(
+        dx_ln, grads[f"{pre}.ln1.gain"], grads[f"{pre}.ln1.bias"] = old_layer_norm_backward(
             da_in, xhat1, inv1, params[f"{pre}.ln1.gain"]
         )
         dx = dx_mid + dx_ln
@@ -514,25 +554,32 @@ class TestBufferedPasses:
         assert cache["z"].tobytes() == want_z.tobytes()
         assert forward_batch(p, params, cfg)[0].tobytes() == want_dists.tobytes()
         grads = backward_from_scores(cache, d)
-        assert list(grads) == list(want_grads)
+        assert sorted(grads.names()) == sorted(want_grads)
         for name in params.names():
             assert grads[name].dtype == dtype
             assert grads[name].tobytes() == want_grads[name].tobytes(), name
 
     def test_trainable_set_gives_those_gradients(self, mode, dtype):
+        """The wanted entries hold the full pass's bytes and every other
+        entry is 0, also in a workspace vector that held full gradients."""
         cfg, params, p, d = self._case(mode, dtype, 5)
         full = backward_from_scores(forward_batch(p, params, cfg, want_cache=True)[1], d)
         trainable = sorted(partition_parameters(params).trainable)
-        for work in (None, {}):
-            cache = forward_batch(p, params, cfg, want_cache=True, work=work)[1]
-            grads = backward_from_scores(cache, d, trainable)
-            assert sorted(grads) == trainable
-            for name in trainable:
-                assert grads[name].tobytes() == full[name].tobytes(), name
-        only = ["layers.1.ffn.b1", "layers.0.attn.w_k", "embed.w_e"]
-        grads = backward_from_scores(forward_batch(p, params, cfg, want_cache=True)[1], d, only)
-        assert list(grads) == only
-        assert all(grads[n].tobytes() == full[n].tobytes() for n in only)
+        only = ["layers.1.ffn.b1", "layers.0.attn.w_k", "embed.w_e", "final_ln.bias"]
+        work = {}
+        backward_from_scores(forward_batch(p, params, cfg, want_cache=True, work=work)[1], d)
+        for names in (trainable, only):
+            for w in (None, work):
+                cache = forward_batch(p, params, cfg, want_cache=True, work=w)[1]
+                grads = backward_from_scores(cache, d, names)
+                assert grads.names() == params.names()
+                assert (w is None) != np.shares_memory(grads.flat, work["grads"])
+                for name in params.names():
+                    if name in names:
+                        assert grads[name].tobytes() == full[name].tobytes(), name
+                    else:
+                        assert not grads[name].any(), name
+                        assert full[name].any(), name
 
     def test_workspace_matches_and_is_reused(self, mode, dtype):
         work = {}
@@ -543,6 +590,7 @@ class TestBufferedPasses:
             grads = backward_from_scores(cache, d)
             assert dists.tobytes() == want_dists.tobytes()
             assert all(grads[n].tobytes() == want_grads[n].tobytes() for n in params.names())
+            assert grads.flat.base is work["grads"]
             if seed == 0:
                 buffers = dict(work)
         # a smaller batch borrows leading rows; nothing was reallocated
@@ -552,12 +600,14 @@ class TestBufferedPasses:
 
 class TestCausalMask:
     def test_cached_read_only_upper_triangle(self):
-        mask = _causal_mask(6)
-        assert mask is _causal_mask(6)
-        assert not mask.flags.writeable
-        assert np.array_equal(mask, np.triu(np.ones((6, 6), dtype=bool), k=1))
+        bias = _causal_bias(6, np.float32)
+        assert bias is _causal_bias(6, np.float32)
+        assert not bias.flags.writeable and bias.dtype == np.float32
+        future = np.triu(np.ones((6, 6), dtype=bool), k=1)
+        assert np.all(bias[future] == -np.inf)
+        assert np.all(bias[~future] == 0.0) and not np.signbit(bias[~future]).any()
         with pytest.raises(ValueError):
-            mask[0, 0] = True
+            bias[0, 0] = 1.0
 
 
 class TestMasking:
@@ -657,7 +707,7 @@ class TestReferenceScaleBitwise:
         bias = _causal_bias(t, dtype)
         assert not bias.flags.writeable and bias is _causal_bias(t, dtype)
         added = scores + bias
-        filled = np.where(_causal_mask(t), dtype(-np.inf), scores)
+        filled = np.where(np.triu(np.ones((t, t), bool), k=1), dtype(-np.inf), scores)
         assert np.array_equal(added, filled)
         assert not np.array_equal(np.signbit(added), np.signbit(filled))
         assert _softmax_last(added).tobytes() == old_softmax_last(filled).tobytes()
@@ -720,6 +770,27 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
         for name in params.names():
             assert np.array_equal(ckpt.params[name], params[name])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameter_block_is_the_flat_vector(self, tmp_path, dtype, assert_one_vector):
+        params = tiny_params(seed=3, dtype=dtype)
+        path = tmp_path / "m.lorm"
+        self._save(path, params)
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", data, 8)
+        assert data[12 + meta_len :] == params.flat.astype("<f4").tobytes()
+        ckpt = load_checkpoint(str(path))
+        assert_one_vector(ckpt.params, TINY)
+        assert ckpt.params.flat.dtype == np.float32 and ckpt.params.flat.flags.writeable
+        assert ckpt.params.flat.tobytes() == params.flat.astype(np.float32).tobytes()
+
+    def test_other_layout_is_rejected(self, tmp_path):
+        """A vector laid out for another model is not written, even when it
+        holds the same names."""
+        params = init_model(replace(TINY, num_tokens=TINY.num_tokens + 1), seed=1)
+        with pytest.raises(CheckpointError, match="canonical layout"):
+            self._save(tmp_path / "m.lorm", params)
+        assert not (tmp_path / "m.lorm").exists()
 
     def test_metadata_round_trip(self, tmp_path):
         path = tmp_path / "m.lorm"

@@ -41,7 +41,7 @@ def tiny_deployed(seed=0, zero_head=False, num_tokens=4):
     cfg = tiny_cfg(num_tokens=num_tokens)
     params = init_model(cfg, seed=seed)
     if zero_head:
-        params.tensors["head.w_c"] = np.zeros_like(params["head.w_c"])
+        params["head.w_c"][...] = 0.0
     stats = ChannelStats(mean=np.zeros(2), std=np.ones(2))
     books = CodebookSet(
         np.tile(np.linspace(-1, 1, num_tokens)[:, None], (2, 1, 1)), channel_names=["a", "b"]

@@ -99,8 +99,8 @@ class TestLossAndGrad:
 
 
 class TestWorkspace:
-    """One workspace reused across calls gives the bytes of fresh calls, and
-    nothing a call returns lives in it."""
+    """One workspace reused across calls gives the bytes of fresh calls. Of
+    what a call returns only the gradient vector lives in it."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_reused_workspace_matches_fresh_calls(self, dtype):
@@ -113,28 +113,35 @@ class TestWorkspace:
             for names in (None, trainable):
                 loss, grads = loss_and_grad(p, y, params, CFG, names, work)
                 assert loss == want_loss
-                assert sorted(grads) == sorted(names or params.names())
-                for name in grads:
-                    assert grads[name].tobytes() == want[name].tobytes(), name
+                assert np.shares_memory(grads.flat, work["grads"])
+                for name in params.names():
+                    if names is None or name in names:
+                        assert grads[name].tobytes() == want[name].tobytes(), name
+                    else:  # frozen: 0, although the full pass before wrote it
+                        assert not grads[name].any() and want[name].any(), name
             assert dataset_loss(p, y, params, CFG, 8, work) == dataset_loss(p, y, params, CFG, 8)
 
     def test_results_outlive_the_next_call(self):
+        """Distributions outlive later calls; the gradient vector outlives
+        forward passes and is overwritten only by the next gradient call."""
         params = init_model(CFG, seed=8, dtype=np.float32)
         work = {}
         p, y = make_batch(8, seed=40)
         _, grads = loss_and_grad(p, y, params, CFG, work=work)
         dists, _ = forward_batch(p, params, CFG, work=work)
-        kept_grads = {n: g.copy() for n, g in grads.items()}
+        kept_grads = grads.flat.copy()
         kept_dists = dists.copy()
         p2, y2 = make_batch(8, seed=41)
-        loss_and_grad(p2, y2, params, CFG, work=work)
         dataset_loss(p2, y2, params, CFG, 8, work)
+        forward_batch(p2, params, CFG, want_cache=True, work=work)
+        assert grads.flat.tobytes() == kept_grads.tobytes()
+        _, grads2 = loss_and_grad(p2, y2, params, CFG, work=work)
         assert dists.tobytes() == kept_dists.tobytes()
-        for n, g in grads.items():
-            assert g.tobytes() == kept_grads[n].tobytes(), n
-        for buf in work.values():
+        assert np.shares_memory(grads.flat, grads2.flat)
+        assert grads.flat.tobytes() == loss_and_grad(p2, y2, params, CFG)[1].flat.tobytes()
+        for key, buf in work.items():
             assert not np.shares_memory(dists, buf)
-            assert not any(np.shares_memory(g, buf) for g in grads.values())
+            assert np.shares_memory(grads.flat, buf) == (key == "grads")
 
 
 class TestAdam:
@@ -143,7 +150,8 @@ class TestAdam:
         # theta' = theta - lr * g / (|g| + eps)
         params = init_model(CFG, seed=7, dtype=np.float64)
         before = params.copy()
-        grads = {n: np.ones_like(params[n]) * 0.5 for n in params.names()}
+        grads = params.copy()
+        grads.flat[...] = 0.5
         opt = Adam(params, params.names(), learning_rate=0.01, epsilon=1e-8)
         opt.step(params, grads)
         for n in params.names():
@@ -157,8 +165,11 @@ class TestAdam:
         theta0 = params[name].copy()
         opt = Adam(params, [name], learning_rate=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
         g1, g2 = 0.3, -0.2
-        opt.step(params, {name: np.full_like(theta0, g1)})
-        opt.step(params, {name: np.full_like(theta0, g2)})
+        grads = params.copy()
+        grads.flat[...] = 0.0
+        for g in (g1, g2):
+            grads[name][...] = g
+            opt.step(params, grads)
 
         m = v = 0.0
         theta = 0.0
@@ -174,10 +185,52 @@ class TestAdam:
         params = init_model(CFG, seed=9, dtype=np.float64)
         before = params.copy()
         opt = Adam(params, ["head.w_c"], learning_rate=0.1)
-        grads = {n: np.ones_like(params[n]) for n in params.names()}
+        grads = params.copy()
+        grads.flat[...] = 1.0
         opt.step(params, grads)
         assert not np.array_equal(params["head.w_c"], before["head.w_c"])
         assert np.array_equal(params["embed.w_e"], before["embed.w_e"])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_other_entries_bitwise_untouched(self, dtype):
+        """Entries outside the names keep their bits over many steps, even
+        under large non-zero gradients and with non-finite values."""
+        params = init_model(CFG, seed=9, dtype=dtype)
+        params["layers.0.attn.w_q"][0, :3] = [np.nan, np.inf, -0.0]
+        names = sorted(partition_parameters(params).trainable)
+        before = params.copy()
+        opt = Adam(params, names, learning_rate=0.1)
+        grads = params.copy()
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            grads.flat[...] = rng.normal(0.0, 1e3, size=grads.flat.size)
+            opt.step(params, grads)
+        for name in params.names():
+            moved = params[name].tobytes() != before[name].tobytes()
+            assert moved == (name in names), name
+
+    def test_whole_vector_step_matches_per_tensor_formula(self):
+        """The in-place vector update gives the bits of the out-of-place
+        textbook formula applied tensor by tensor."""
+        params = init_model(CFG, seed=4)
+        want = {n: params[n].copy() for n in params.names()}
+        m = {n: np.zeros_like(w) for n, w in want.items()}
+        v = {n: np.zeros_like(w) for n, w in want.items()}
+        opt = Adam(params, params.names(), learning_rate=1e-2)
+        grads = params.copy()
+        rng = np.random.default_rng(5)
+        for t in range(1, 6):
+            grads.flat[...] = rng.normal(0.0, 0.1, size=grads.flat.size)
+            opt.step(params, grads)
+            for n in want:
+                g = grads[n]
+                m[n] = 0.9 * m[n] + (1.0 - 0.9) * g
+                v[n] = 0.999 * v[n] + (1.0 - 0.999) * g * g
+                m_hat, v_hat = m[n] / (1.0 - 0.9**t), v[n] / (1.0 - 0.999**t)
+                want[n] = want[n] - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for n in want:
+            assert params[n].dtype == np.float32
+            assert params[n].tobytes() == want[n].tobytes(), n
 
 
 class TestGradientCheck:
@@ -259,6 +312,21 @@ class TestTrainModel:
             params["head.w_c"], init_model(CFG, seed=20, dtype=np.float32)["head.w_c"]
         )
 
+    def test_params_stay_one_vector(self, assert_one_vector):
+        """Both phases update and restore the parameters in place: every
+        tensor stays a view of the one vector the model started with."""
+        p_train, y_train, p_val, y_val = self._data()
+        params = init_model(CFG, seed=23, dtype=np.float32)
+        flat = params.flat
+        start = flat.copy()
+        for freeze in (False, True):
+            cfg = TrainConfig(learning_rate=5e-2, batch_size=8, max_epochs=6, patience=2)
+            report = train_model(p_train, y_train, p_val, y_val, params, CFG, cfg, freeze=freeze)
+            assert params.flat is flat
+            assert_one_vector(params, CFG)
+            assert report.best_epoch >= 1
+        assert not np.array_equal(flat, start)
+
     def test_empty_train_rejected(self):
         p, y = make_batch(2)
         with pytest.raises(ValueError, match="training set is empty"):
@@ -267,7 +335,7 @@ class TestTrainModel:
     def test_non_finite_abort(self):
         p_train, y_train, p_val, y_val = self._data(8, 4)
         params = init_model(CFG, seed=21, dtype=np.float64)
-        params.tensors["embed.w_e"][0, 0] = np.nan
+        params["embed.w_e"][0, 0] = np.nan
         with pytest.raises(RuntimeError, match="non-finite"):
             train_model(p_train, y_train, p_val, y_val, params, CFG, TrainConfig(max_epochs=1))
 
