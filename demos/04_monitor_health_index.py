@@ -108,7 +108,7 @@ zones = {"flat-healthy": 0, "wear rising to the limit": 0, "past the limit": 0}
 for rec, pos in zip(records, table.locate([r.window_index for r in records])):
     if not rec.alarm:
         continue
-    wear = table.entries[pos].wear_um
+    wear = table.wear_um[pos]
     if wear <= 150.0:
         zones["flat-healthy"] += 1
     elif wear <= 300.0:

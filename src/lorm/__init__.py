@@ -9,7 +9,6 @@ prediction error serves as a health index with threshold alarms.
 from .evaluation import (
     ConfusionCounts,
     MetricReport,
-    WearEntry,
     WearTable,
     compute_metrics,
     detection_deviation,

@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -137,55 +137,62 @@ class RunConfig:
     wear_limit_um: float
     paths: dict[str, str]
 
-    def resolve(self, key: str) -> str:
-        """Path for a config entry: relative names live under the out dir."""
-        value = self.paths.get(key, "")
+    def resolve(self, key: str, feed: bool = False) -> str:
+        """The existing file that paths.<key> names, a relative name under the
+        out dir. Only where ``feed`` is set may it be a tcp://host:port source,
+        which is returned as given."""
+        value = self.paths[key]
         if not value:
             raise ConfigError(f"paths.{key} is required for this command")
-        if value.startswith("tcp://") or os.path.isabs(value):
+        if value.startswith("tcp://"):
+            if not feed:
+                raise ConfigError(f"paths.{key}: this command needs a file, not a socket")
             return value
-        return os.path.join(self.out_dir, value)
+        path = os.path.join(self.out_dir, value)
+        if not os.path.exists(path):
+            raise ConfigError(f"paths.{key}: no such file: {path}")
+        return path
 
     def out_path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
 
 def _merge(base: dict, extra: dict, prefix: str = "") -> None:
+    """Write extra over base, key by key: every key must be in base, a section
+    takes only an object, and a scalar takes no object with keys."""
     for key, value in extra.items():
         where = f"{prefix}{key}"
-        if key not in base:
+        section = isinstance(base.get(key), dict)
+        if key not in base or (isinstance(value, dict) and value and not section):
+            # the whole dotted key, as --set spells it
+            while isinstance(value, dict) and value:
+                sub, value = next(iter(value.items()))
+                where = f"{where}.{sub}"
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
+        if section:
             if not isinstance(value, dict):
-                raise ConfigError(f"{where} must be an object")
+                raise ConfigError(f"{where} is a section, not a scalar")
             _merge(base[key], value, prefix=f"{where}.")
         else:
             base[key] = value
 
 
-def _parse_scalar(text: str):
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError):
-        return text
-
-
-def _apply_set(config: dict, assignment: str) -> None:
+def _set_update(assignment: str) -> dict:
+    """--set a.b=v as the config fragment {a: {b: v}}. v is its JSON value, or
+    the text itself where that is not JSON or is an object: --set writes one
+    scalar, never a section."""
     if "=" not in assignment:
         raise ConfigError(f"--set expects section.key=value, got {assignment!r}")
-    dotted, value = assignment.split("=", 1)
-    parts = dotted.strip().split(".")
-    node = config
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config key: {dotted}")
-        node = node[part]
-    leaf = parts[-1]
-    if leaf not in node:
-        raise ConfigError(f"unknown config key: {dotted}")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"{dotted} is a section, not a scalar")
-    node[leaf] = _parse_scalar(value)
+    dotted, text = assignment.split("=", 1)
+    try:
+        value = json.loads(text)
+    except (json.JSONDecodeError, RecursionError):
+        value = text
+    *sections, leaf = dotted.strip().split(".")
+    update = {leaf: text if isinstance(value, dict) else value}
+    for section in reversed(sections):
+        update = {section: update}
+    return update
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -204,9 +211,9 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{args.config}: config must be a JSON object")
         _merge(config, user)
     for assignment in args.set or []:
-        _apply_set(config, assignment)
+        _merge(config, _set_update(assignment))
     if args.seed is not None:
-        config["seed"] = args.seed
+        _merge(config, {"seed": args.seed})
 
     try:
         seed = config["seed"]
@@ -237,21 +244,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _require_file(path: str, field: str) -> str:
-    if path.startswith("tcp://"):
-        return path
-    if not os.path.exists(path):
-        raise ConfigError(f"paths.{field}: no such file: {path}")
-    return path
-
-
-def _read_series(cfg: RunConfig, key: str) -> MultiChannelSeries:
-    path = _require_file(cfg.resolve(key), key)
-    if path.startswith("tcp://"):
-        raise ConfigError(f"paths.{key}: this command needs a file, not a socket")
-    return read_signal_csv(path)
-
-
 def _prepare_splits(cfg: RunConfig, series: MultiChannelSeries):
     """Shared deterministic prep: windows, split, training-split stats."""
     windows = segment_windows(series, cfg.windowing)
@@ -271,13 +263,13 @@ def cmd_synth(cfg: RunConfig) -> int:
     run.wear.to_csv(cfg.out_path("wear.csv"))
     print(
         f"wrote {run.series.num_samples} samples x {run.series.num_channels} channels, "
-        f"{len(run.wear.entries)} cuts"
+        f"{run.wear.cut_id.size} cuts"
     )
     return 0
 
 
 def cmd_fit_codebooks(cfg: RunConfig) -> int:
-    series = _read_series(cfg, "signal")
+    series = read_signal_csv(cfg.resolve("signal"))
     train_w, _, stats = _prepare_splits(cfg, series)
     targets = normalize_window(np.stack(train_w)[:, cfg.windowing.context_len :], stats)
     codebooks = fit_codebook_set(
@@ -289,9 +281,11 @@ def cmd_fit_codebooks(cfg: RunConfig) -> int:
 
 
 def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
-    series = _read_series(cfg, signal_key)
+    signal_path = cfg.resolve(signal_key)
+    codebooks_path = cfg.resolve("codebooks")
+    init_path = cfg.resolve("init_checkpoint") if cfg.paths["init_checkpoint"] else ""
+    series = read_signal_csv(signal_path)
     train_w, val_w, stats = _prepare_splits(cfg, series)
-    codebooks_path = _require_file(cfg.resolve("codebooks"), "codebooks")
     codebooks = load_codebooks(codebooks_path)
     if codebooks.num_channels != series.num_channels:
         raise ConfigError(
@@ -306,9 +300,8 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
 
     seq_len = num_patches(cfg.windowing.context_len, cfg.backbone.patch_len) * series.num_channels
     backbone = replace(cfg.backbone, max_seq_len=seq_len, num_channels=series.num_channels)
-    init_path = cfg.paths.get("init_checkpoint", "")
     if init_path:
-        ckpt = load_checkpoint(_require_file(cfg.resolve("init_checkpoint"), "init_checkpoint"))
+        ckpt = load_checkpoint(init_path)
         if ckpt.config != backbone:
             raise ConfigError(
                 "paths.init_checkpoint: checkpoint architecture differs from the "
@@ -346,7 +339,7 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    key = "pretrain_signal" if cfg.paths.get("pretrain_signal") else "signal"
+    key = "pretrain_signal" if cfg.paths["pretrain_signal"] else "signal"
     return _run_training(cfg, freeze=False, signal_key=key)
 
 
@@ -357,7 +350,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def _window_source(cfg: RunConfig, deployed: DeployedModel):
     """Raw windows for monitoring: a file is read whole and segmented, a
     tcp:// source is windowed as its samples arrive."""
-    path = _require_file(cfg.resolve("signal"), "signal")
+    path = cfg.resolve("signal", feed=True)
     windowing = WindowingConfig(
         window_len=deployed.checkpoint.window_len,
         context_len=deployed.checkpoint.context_len,
@@ -388,9 +381,7 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
 
 
 def cmd_monitor(cfg: RunConfig) -> int:
-    ckpt_path = _require_file(cfg.resolve("checkpoint"), "checkpoint")
-    codebooks_path = _require_file(cfg.resolve("codebooks"), "codebooks")
-    deployed = DeployedModel.from_files(ckpt_path, codebooks_path)
+    deployed = DeployedModel.from_files(cfg.resolve("checkpoint"), cfg.resolve("codebooks"))
 
     records = []
     for record in monitor_stream(deployed, _window_source(cfg, deployed), cfg.monitor):
@@ -411,12 +402,11 @@ def cmd_monitor(cfg: RunConfig) -> int:
 
 
 def _read_health_and_wear(cfg: RunConfig) -> tuple[list[HealthRecord], np.ndarray, WearTable]:
-    """hi.csv's records, wear.csv's table, and for each record the position of
-    its cut in the table: -1 for a window without a health index or outside
+    """hi.csv's records, wear.csv's table, and for each record the row of its
+    cut in the table: -1 for a window without a health index or outside
     every cut. Stops when no window has both."""
-    hi_path = _require_file(cfg.resolve("hi"), "hi")
+    hi_path, wear_path = cfg.resolve("hi"), cfg.resolve("wear")
     records = read_health_csv(hi_path)
-    wear_path = _require_file(cfg.resolve("wear"), "wear")
     wear = WearTable.from_csv(wear_path)
     defined = np.array([r.hi is not None for r in records], dtype=bool)
     positions = np.where(defined, wear.locate([r.window_index for r in records]), -1)
@@ -436,23 +426,9 @@ def _read_health_and_wear(cfg: RunConfig) -> tuple[list[HealthRecord], np.ndarra
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     records, positions, wear = _read_health_and_wear(cfg)
-    hi_by_cut: dict[int, list[float]] = {}
-    for record, pos in zip(records, positions):
-        if pos >= 0:
-            hi_by_cut.setdefault(wear.entries[pos].cut_id, []).append(record.hi)
-    calibration = calibrate_threshold(
-        hi_by_cut, wear.wear_by_cut(), wear_limit_um=cfg.wear_limit_um
-    )
-    write_metrics_json(
-        {
-            "calibration": {
-                "tau": calibration.tau,
-                "cut_id": calibration.cut_id,
-                "wear_um": calibration.wear_um,
-            }
-        },
-        cfg.out_path("metrics.json"),
-    )
+    hi = np.array([r.hi for r in records], dtype=np.float64)  # a missing hi reads as NaN
+    calibration = calibrate_threshold(hi, positions, wear, cfg.wear_limit_um)
+    write_metrics_json({"calibration": asdict(calibration)}, cfg.out_path("metrics.json"))
     print(f"tau={calibration.tau!r} cut={calibration.cut_id} wear_um={calibration.wear_um!r}")
     return 0
 

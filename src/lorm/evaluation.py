@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "WearEntry",
     "WearTable",
     "ConfusionCounts",
     "MetricReport",
@@ -33,60 +32,63 @@ __all__ = [
 ]
 
 
-@dataclass
-class WearEntry:
-    """One ring cut: measured wear plus the inclusive window span it covers."""
-
-    cut_id: int
-    wear_um: float
-    first_window: int
-    last_window: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.wear_um):
-            raise ValueError(f"cut {self.cut_id}: wear must be finite")
-        if self.wear_um < 0:
-            raise ValueError(f"cut {self.cut_id}: wear must be >= 0")
-        if self.first_window > self.last_window:
-            raise ValueError(f"cut {self.cut_id}: empty window span")
+def _check_cut(cut_id: int, wear_um: float, first_window: int, last_window: int) -> None:
+    """Reject a cut whose wear is not finite or negative, or whose span is empty."""
+    if not math.isfinite(wear_um):
+        raise ValueError(f"cut {cut_id}: wear must be finite")
+    if wear_um < 0:
+        raise ValueError(f"cut {cut_id}: wear must be >= 0")
+    if first_window > last_window:
+        raise ValueError(f"cut {cut_id}: empty window span")
 
 
-@dataclass
 class WearTable:
-    """Ordered cuts with disjoint window spans; a covered window maps to one cut."""
+    """Ring cuts as four read-only columns sorted by first_window: cut_id,
+    wear_um and the inclusive window span first_window..last_window. Spans
+    are disjoint, so a covered window maps to one cut."""
 
-    entries: list[WearEntry] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, cut_id, wear_um, first_window, last_window) -> None:
+        values = (cut_id, wear_um, first_window, last_window)
+        dtypes = (np.int64, np.float64, np.int64, np.int64)
+        try:
+            columns = [np.array(v, dtype=t) for v, t in zip(values, dtypes)]
+        except OverflowError:
+            raise ValueError("cut ids and window indices must fit in 64 bits") from None
+        if any(c.shape != columns[0].shape or c.ndim != 1 for c in columns):
+            raise ValueError("the four columns must be 1-D and of one length")
+        if columns[0].size == 0:
             raise ValueError("empty input")
-        self.entries = sorted(self.entries, key=lambda x: x.first_window)
-        seen = set()
-        for prev, e in zip([None] + self.entries, self.entries):
-            if e.cut_id in seen:
-                raise ValueError(f"duplicate cut id {e.cut_id}")
-            seen.add(e.cut_id)
-            if prev is not None and e.first_window <= prev.last_window:
-                raise ValueError(f"cut {e.cut_id}: window span overlaps the previous cut")
+        for row in zip(*(c.tolist() for c in columns)):
+            _check_cut(*row)
+        order = np.argsort(columns[2], kind="stable")
+        for column in columns:
+            column[:] = column[order]
+            column.setflags(write=False)
+        self.cut_id, self.wear_um, self.first_window, self.last_window = columns
+        # in span order, a cut id seen before, or a span that starts inside the
+        # previous one; the first such row is reported
+        repeat = np.ones(order.size, dtype=bool)
+        repeat[np.unique(self.cut_id, return_index=True)[1]] = False
+        overlap = np.r_[False, self.first_window[1:] <= self.last_window[:-1]]
+        bad = np.flatnonzero(repeat | overlap)
+        if bad.size and repeat[bad[0]]:
+            raise ValueError(f"duplicate cut id {self.cut_id[bad[0]]}")
+        if bad.size:
+            raise ValueError(f"cut {self.cut_id[bad[0]]}: window span overlaps the previous cut")
 
     def locate(self, window_indices: Sequence[int]) -> np.ndarray:
-        """Position in ``entries`` of the cut covering each window; -1 where no
-        cut does."""
+        """Row of the cut covering each window; -1 where no cut does."""
         windows = np.asarray(window_indices)
-        first = np.array([e.first_window for e in self.entries])
-        last = np.array([e.last_window for e in self.entries])
-        pos = np.searchsorted(first, windows, side="right") - 1
-        covered = (pos >= 0) & (windows <= last[np.maximum(pos, 0)])
+        pos = np.searchsorted(self.first_window, windows, side="right") - 1
+        covered = (pos >= 0) & (windows <= self.last_window[np.maximum(pos, 0)])
         return np.where(covered, pos, -1)
 
-    def wear_by_cut(self) -> dict[int, float]:
-        return {e.cut_id: e.wear_um for e in self.entries}
-
     def to_csv(self, path: str) -> None:
+        columns = (self.cut_id, self.wear_um, self.first_window, self.last_window)
+        rows = zip(*(c.tolist() for c in columns))  # Python numbers: repr is the literal
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("cut_id,wear_um,first_window,last_window\n")
-            for e in self.entries:
-                fh.write(f"{e.cut_id},{e.wear_um!r},{e.first_window},{e.last_window}\n")
+            fh.write("".join(f"{c},{w!r},{a},{b}\n" for c, w, a, b in rows))
 
     @classmethod
     def from_csv(cls, path: str) -> "WearTable":
@@ -98,24 +100,20 @@ class WearTable:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
         if not lines or lines[0][1] != "cut_id,wear_um,first_window,last_window":
             raise ValueError(f"{path}: expected wear-table header")
-        entries = []
+        columns: tuple[list, ...] = ([], [], [], [])
         for n, ln in lines[1:]:
             parts = ln.split(",")
             try:
                 if len(parts) != 4:
                     raise ValueError(f"expected 4 fields, got {len(parts)}")
-                entries.append(
-                    WearEntry(
-                        cut_id=int(parts[0]),
-                        wear_um=float(parts[1]),
-                        first_window=int(parts[2]),
-                        last_window=int(parts[3]),
-                    )
-                )
+                row = (int(parts[0]), float(parts[1]), int(parts[2]), int(parts[3]))
+                _check_cut(*row)  # here as well, so that the message names the line
             except ValueError as exc:
                 raise ValueError(f"{path}: line {n}: {exc}") from None
+            for column, value in zip(columns, row):
+                column.append(value)
         try:
-            return cls(entries=entries)
+            return cls(*columns)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -172,7 +170,7 @@ def _wear_of_windows(wear: WearTable, window_indices: Sequence[int]) -> np.ndarr
     pos = wear.locate(window_indices)
     if (pos < 0).any():
         raise ValueError(f"window {window_indices[int(np.argmin(pos))]} is not covered by any cut")
-    return np.array([e.wear_um for e in wear.entries])[pos]
+    return wear.wear_um[pos]
 
 
 def label_windows(

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._checks import check_int, check_real
+from .evaluation import WearTable
 from .model import Checkpoint, forward_batch, load_checkpoint
 from .tokenizer import CodebookSet, codebook_file_hash, load_codebooks
 from .train import build_examples, window_loss
@@ -172,28 +173,27 @@ class ThresholdCalibration:
 
 
 def calibrate_threshold(
-    hi_by_cut: Mapping[int, Sequence[float | None]],
-    wear_by_cut: Mapping[int, float],
-    wear_limit_um: float = 300.0,
+    hi: Sequence[float], positions: Sequence[int], wear: WearTable, wear_limit_um: float = 300.0
 ) -> ThresholdCalibration:
-    """Pick the cut whose wear is closest to the limit (ties: earliest cut) and
-    return the mean HI over that cut's windows as the threshold.
-
-    Cuts without any defined HI are not eligible.
+    """Threshold read at the wear limit: hi[i] is window i's health index and
+    positions[i] the row of its cut in ``wear``, -1 for a window left out.
+    Of the cuts holding a window, the one whose wear is nearest the limit
+    (ties: lowest cut id) gives tau, its windows' mean HI in the order given.
     """
-    if not wear_by_cut:
-        raise ValueError("empty input")
-    candidates: list[tuple[float, int, float]] = []
-    for cut_id in sorted(wear_by_cut):
-        series = [h for h in hi_by_cut.get(cut_id, []) if h is not None]
-        if not series:
-            continue
-        wear = float(wear_by_cut[cut_id])
-        candidates.append((abs(wear - wear_limit_um), cut_id, float(np.mean(series))))
-    if not candidates:
+    hi = np.asarray(hi, dtype=np.float64)
+    positions = np.asarray(positions)
+    if hi.shape != positions.shape:
+        raise ValueError("hi and positions must have equal length")
+    held = np.unique(positions[positions >= 0])
+    if held.size == 0:
         raise ValueError("no cut with a defined health index")
-    gap, cut_id, tau = min(candidates, key=lambda item: (item[0], item[1]))
-    return ThresholdCalibration(tau=tau, cut_id=cut_id, wear_um=float(wear_by_cut[cut_id]))
+    gap = np.abs(wear.wear_um[held] - wear_limit_um)
+    row = held[np.lexsort((wear.cut_id[held], gap))[0]]
+    return ThresholdCalibration(
+        tau=float(np.mean(hi[positions == row])),
+        cut_id=int(wear.cut_id[row]),
+        wear_um=float(wear.wear_um[row]),
+    )
 
 
 def write_health_csv(records: Sequence[HealthRecord], path: str) -> None:

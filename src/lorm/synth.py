@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_int, check_real
-from .evaluation import WearEntry, WearTable
+from .evaluation import WearTable
 from .signal_io import MultiChannelSeries, WindowingConfig
 
 __all__ = ["SynthConfig", "SynthRun", "generate_run"]
@@ -118,15 +118,7 @@ def generate_run(cfg: SynthConfig, windowing: WindowingConfig) -> SynthRun:
     cut_mids = np.array([(j + 0.5) * span for j in range(cfg.cuts)])
     wear_values = _wear_curve(cfg, cut_mids)
 
-    # cuts without a window (more cuts than windows) get no entry; ids and
+    # cuts without a window (more cuts than windows) get no row; ids and
     # window indices are 1-based
-    entries = [
-        WearEntry(
-            cut_id=int(j) + 1,
-            wear_um=float(wear_values[j]),
-            first_window=int(f) + 1,
-            last_window=int(f + n),
-        )
-        for j, f, n in zip(present, first, count)
-    ]
-    return SynthRun(series=series, wear=WearTable(entries=entries))
+    wear = WearTable(present + 1, wear_values[present], first + 1, first + count)
+    return SynthRun(series=series, wear=wear)

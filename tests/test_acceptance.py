@@ -31,7 +31,7 @@ from lorm.monitor import (
     monitor_stream,
     score_window,
 )
-from lorm.evaluation import compute_metrics, detection_deviation, WearEntry, WearTable
+from lorm.evaluation import compute_metrics, detection_deviation, WearTable
 from lorm.sequence import build_mcps, num_patches
 from lorm.signal_io import (
     ChannelStats,
@@ -197,11 +197,10 @@ def tool_runs(trained_stack):
         return run, records
 
     dev_run, dev_records = monitor(seed=13, threshold=float("inf"))
-    hi_by_cut: dict[int, list] = {}
-    positions = dev_run.wear.locate([rec.window_index for rec in dev_records])
-    for rec, pos in zip(dev_records, positions):
-        hi_by_cut.setdefault(dev_run.wear.entries[pos].cut_id, []).append(rec.hi)
-    calibration = calibrate_threshold(hi_by_cut, dev_run.wear.wear_by_cut(), 300.0)
+    hi = np.array([rec.hi for rec in dev_records], dtype=np.float64)  # NaN in the baseline
+    located = dev_run.wear.locate([rec.window_index for rec in dev_records])
+    positions = np.where(np.isnan(hi), -1, located)
+    calibration = calibrate_threshold(hi, positions, dev_run.wear, 300.0)
 
     test_run, test_records = monitor(seed=14, threshold=calibration.tau)
     return {
@@ -284,12 +283,12 @@ class TestCriterion3:
         pre_alarms = sum(1 for r in pre if r.alarm)
         fpr_zero = pre_alarms == 0
 
-        wear_by_cut = test_run.wear.wear_by_cut()
-        crossing_cut = min(c for c, wear in wear_by_cut.items() if wear > 300.0)
+        wear = test_run.wear
+        crossing_cut = int(wear.cut_id[wear.wear_um > 300.0].min())
         first_alarm = next((r.window_index for r in records if r.alarm), None)
         alarm_cut = None
         if first_alarm is not None:
-            alarm_cut = test_run.wear.entries[test_run.wear.locate([first_alarm])[0]].cut_id
+            alarm_cut = int(wear.cut_id[wear.locate([first_alarm])[0]])
         alarm_in_time = alarm_cut is not None and alarm_cut <= crossing_cut + 10
 
         pre_hi = [r.hi for r in pre if r.hi is not None]
@@ -419,10 +418,7 @@ class TestCriterion7:
 class TestCriterion8:
     def test_detection_deviation_arithmetic(self, acceptance_log):
         table = WearTable(
-            entries=[
-                WearEntry(cut_id=1, wear_um=285.61, first_window=1, last_window=10),
-                WearEntry(cut_id=2, wear_um=335.18, first_window=11, last_window=20),
-            ]
+            cut_id=[1, 2], wear_um=[285.61, 335.18], first_window=[1, 11], last_window=[10, 20]
         )
         late = detection_deviation(11, table, 300.0)
         early = detection_deviation(1, table, 300.0)

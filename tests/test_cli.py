@@ -934,7 +934,8 @@ class TestConfigModel:
 
 
 class TestConfigHandling:
-    def test_set_parses_json_scalars(self):
+    def test_set_parses_json_scalars(self, tmp_path):
+        (tmp_path / "sig.csv").write_text("a\n1\n")
         cfg = load_run_config(
             namespace(
                 set=[
@@ -943,13 +944,13 @@ class TestConfigHandling:
                     "model.attention_mode=bidirectional",
                     "paths.signal=sig.csv",
                 ],
-                out="workdir",
+                out=str(tmp_path),
             )
         )
         assert cfg.train.max_epochs == 7
         assert cfg.monitor.threshold == 0.5
         assert cfg.backbone.attention_mode == "bidirectional"
-        assert cfg.resolve("signal") == os.path.join("workdir", "sig.csv")
+        assert cfg.resolve("signal") == os.path.join(str(tmp_path), "sig.csv")
 
     def test_seed_flag_wins_over_config_file(self, tmp_path):
         config_path = tmp_path / "c.json"
@@ -959,13 +960,54 @@ class TestConfigHandling:
         assert cfg.train.seed == 9
         assert cfg.synth.seed == 9
 
-    def test_absolute_paths_bypass_out_dir(self):
-        cfg = load_run_config(namespace(set=["paths.signal=/data/sig.csv"], out="w"))
-        assert cfg.resolve("signal") == "/data/sig.csv"
+    def test_absolute_paths_bypass_out_dir(self, tmp_path):
+        signal = tmp_path / "sig.csv"
+        signal.write_text("a\n1\n")
+        cfg = load_run_config(namespace(set=[f"paths.signal={signal}"], out="w"))
+        assert cfg.resolve("signal") == str(signal)
 
     def test_tcp_paths_bypass_out_dir(self):
+        """A tcp:// source is returned as given where a feed is allowed, and
+        rejected where a file is needed."""
         cfg = load_run_config(namespace(set=["paths.signal=tcp://h:1"], out="w"))
-        assert cfg.resolve("signal") == "tcp://h:1"
+        assert cfg.resolve("signal", feed=True) == "tcp://h:1"
+        with pytest.raises(ConfigError, match="paths.signal: this command needs a file"):
+            cfg.resolve("signal")
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("fit-codebooks", "signal"),
+            ("pretrain", "signal"),
+            ("pretrain", "pretrain_signal"),
+            ("pretrain", "codebooks"),
+            ("pretrain", "init_checkpoint"),
+            ("train", "signal"),
+            ("train", "codebooks"),
+            ("train", "init_checkpoint"),
+            ("monitor", "checkpoint"),
+            ("monitor", "codebooks"),
+            ("calibrate", "hi"),
+            ("calibrate", "wear"),
+            ("eval", "hi"),
+            ("eval", "wear"),
+        ],
+    )
+    def test_socket_on_a_file_key_exits_2(self, pipeline, tmp_path, capsys, command, key):
+        """Only monitor's paths.signal may be a feed; every other file a
+        command reads must be a file, and the message names the key."""
+        out = pipeline["out"]
+        files = {"signal": "signal.csv", "codebooks": "codebooks.json", "hi": "hi.csv",
+                 "checkpoint": "checkpoint.lorm", "wear": "wear.csv"}
+        args = ["--config", str(pipeline["config_path"]), "--out", str(tmp_path)]
+        for name, file in files.items():
+            args += ["--set", f"paths.{name}={out / file}"]
+        args += ["--set", f"paths.{key}=tcp://h:1"]
+        assert main([command] + args) == 2
+        assert capsys.readouterr().err == (
+            f"error: paths.{key}: this command needs a file, not a socket\n"
+        )
+        assert not any(tmp_path.iterdir())
 
     def test_empty_path_is_an_error(self):
         cfg = load_run_config(namespace(set=["paths.init_checkpoint="]))
@@ -982,9 +1024,35 @@ class TestExitCodes:
         assert main(["synth", "--set", "train.max_epochs"]) == 2
         assert "--set expects" in capsys.readouterr().err
 
-    def test_set_on_section(self, capsys):
-        assert main(["synth", "--set", "model=3"]) == 2
-        assert "section, not a scalar" in capsys.readouterr().err
+    @pytest.mark.parametrize("value", ["3", "{}", '{"hidden_dim": 8}'])
+    def test_set_on_section(self, capsys, value):
+        """--set writes one scalar: a JSON object is kept as text, so it
+        cannot write a section either."""
+        assert main(["synth", "--set", f"model={value}"]) == 2
+        assert capsys.readouterr().err == "error: model is a section, not a scalar\n"
+
+    @pytest.mark.parametrize(
+        "assignment, document, message",
+        [
+            ("model=3", {"model": 3}, "model is a section, not a scalar"),
+            ("seed.x=1", {"seed": {"x": 1}}, "unknown config key: seed.x"),
+            ("nosuch.key=1", {"nosuch": {"key": 1}}, "unknown config key: nosuch.key"),
+            ("paths.hi.x.y=1", {"paths": {"hi": {"x": {"y": 1}}}},
+             "unknown config key: paths.hi.x.y"),
+        ],
+    )
+    def test_same_mistake_same_message_on_both_routes(
+        self, capsys, tmp_path, assignment, document, message
+    ):
+        """--set a.b=v and a config file {a: {b: v}} go through one writer."""
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(document))
+        errors = []
+        for route in (["--set", assignment], ["--config", str(config_path)]):
+            assert main(["synth", "--out", str(tmp_path / "out")] + route) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: {message}\n"] * 2
+        assert not (tmp_path / "out").exists()
 
     def test_sample_rate_must_be_positive(self, capsys, tmp_path):
         rc = main(["synth", "--out", str(tmp_path), "--set", "synth.sample_rate_hz=0"])

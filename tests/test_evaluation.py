@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lorm.evaluation import (
     ConfusionCounts,
-    WearEntry,
     WearTable,
     compute_metrics,
     detection_deviation,
@@ -21,20 +20,46 @@ from lorm.evaluation import (
 
 def three_cut_table():
     return WearTable(
-        entries=[
-            WearEntry(cut_id=1, wear_um=285.61, first_window=1, last_window=10),
-            WearEntry(cut_id=2, wear_um=301.21, first_window=11, last_window=20),
-            WearEntry(cut_id=3, wear_um=335.18, first_window=21, last_window=30),
-        ]
+        cut_id=[1, 2, 3],
+        wear_um=[285.61, 301.21, 335.18],
+        first_window=[1, 11, 21],
+        last_window=[10, 20, 30],
     )
+
+
+def columns(table):
+    return [
+        c.tolist() for c in (table.cut_id, table.wear_um, table.first_window, table.last_window)
+    ]
 
 
 class TestWearTable:
     def test_lookups(self):
         table = three_cut_table()
-        assert list(table.wear_by_cut()) == [1, 2, 3]
         assert table.locate([1, 10, 11, 25, 30]).tolist() == [0, 0, 1, 2, 2]
-        assert table.wear_by_cut() == {1: 285.61, 2: 301.21, 3: 335.18}
+        assert columns(table) == [
+            [1, 2, 3], [285.61, 301.21, 335.18], [1, 11, 21], [10, 20, 30]
+        ]
+
+    def test_columns_are_read_only_arrays(self):
+        table = three_cut_table()
+        assert [c.dtype for c in (table.cut_id, table.wear_um, table.first_window)] == [
+            np.int64, np.float64, np.int64
+        ]
+        with pytest.raises(ValueError, match="read-only"):
+            table.wear_um[0] = 0.0
+
+    def test_columns_of_other_lengths_rejected(self):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            WearTable([1, 2], [1.0], [1, 3], [2, 4])
+
+    def test_ids_beyond_64_bits_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="64 bits"):
+            WearTable([2**63], [1.0], [1], [2])
+        path = tmp_path / "wear.csv"
+        path.write_text("cut_id,wear_um,first_window,last_window\n1,1.0,1,1" + "0" * 30 + "\n")
+        with pytest.raises(ValueError, match=f"^{path}: cut ids and window indices must fit"):
+            WearTable.from_csv(str(path))
 
     def test_uncovered_windows_locate_to_minus_one(self):
         table = three_cut_table()
@@ -45,16 +70,18 @@ class TestWearTable:
     @given(
         spans=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=6),
         windows=st.lists(st.integers(-2, 30), max_size=20),
+        data=st.data(),
     )
-    def test_locate_matches_a_scan(self, spans, windows):
-        """Spans laid end to end with gaps of 0-3 windows and lengths of 1-4."""
-        entries, start = [], 1
+    def test_locate_matches_a_scan(self, spans, windows, data):
+        """Spans laid end to end with gaps of 0-3 windows and lengths of 1-4,
+        given in any order; the table holds them sorted by span."""
+        rows, start = [], 1
         for cut_id, (gap, extra) in enumerate(spans, start=1):
-            entries.append(WearEntry(cut_id, 100.0, start + gap, start + gap + extra))
+            rows.append((cut_id, 100.0 + cut_id, start + gap, start + gap + extra))
             start += gap + extra + 1
-        table = WearTable(entries=entries[::-1])
-        bounds = [(e.first_window, e.last_window) for e in table.entries]
-        expected = [next((i for i, (a, b) in enumerate(bounds) if a <= w <= b), -1) for w in windows]
+        table = WearTable(*zip(*data.draw(st.permutations(rows))))
+        assert columns(table) == [list(c) for c in zip(*rows)]
+        expected = [next((i for i, r in enumerate(rows) if r[2] <= w <= r[3]), -1) for w in windows]
         assert table.locate(windows).tolist() == expected
 
     def test_uncovered_window_rejected(self):
@@ -63,56 +90,49 @@ class TestWearTable:
         with pytest.raises(ValueError, match="window 0 is not covered"):
             detection_deviation(0, three_cut_table(), 300.0)
 
-    def test_entries_sorted_by_span(self):
-        table = WearTable(
-            entries=[
-                WearEntry(cut_id=2, wear_um=200.0, first_window=6, last_window=9),
-                WearEntry(cut_id=1, wear_um=100.0, first_window=1, last_window=5),
-            ]
-        )
-        assert list(table.wear_by_cut()) == [1, 2]
+    def test_rows_sorted_by_span(self):
+        table = WearTable(cut_id=[2, 1], wear_um=[200.0, 100.0], first_window=[6, 1],
+                          last_window=[9, 5])
+        assert columns(table) == [[1, 2], [100.0, 200.0], [1, 6], [5, 9]]
 
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlaps"):
-            WearTable(
-                entries=[
-                    WearEntry(cut_id=1, wear_um=1.0, first_window=1, last_window=5),
-                    WearEntry(cut_id=2, wear_um=2.0, first_window=5, last_window=8),
-                ]
-            )
+        with pytest.raises(ValueError, match="^cut 2: window span overlaps the previous cut$"):
+            WearTable([1, 2], [1.0, 2.0], [1, 5], [5, 8])
 
     def test_duplicate_cut_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            WearTable(
-                entries=[
-                    WearEntry(cut_id=1, wear_um=1.0, first_window=1, last_window=2),
-                    WearEntry(cut_id=1, wear_um=2.0, first_window=3, last_window=4),
-                ]
-            )
+        with pytest.raises(ValueError, match="^duplicate cut id 1$"):
+            WearTable([1, 1], [1.0, 2.0], [1, 3], [2, 4])
+
+    def test_first_problem_in_span_order_is_reported(self):
+        """Cut 5 repeats cut 5 and cut 7 overlaps it; the repeat comes first
+        in span order, whatever the order of the rows given."""
+        with pytest.raises(ValueError, match="^duplicate cut id 5$"):
+            WearTable([7, 5, 5], [1.0, 1.0, 1.0], [9, 1, 4], [9, 3, 9])
+        with pytest.raises(ValueError, match="^cut 7: window span overlaps"):
+            WearTable([7, 5, 5], [1.0, 1.0, 1.0], [2, 1, 4], [2, 3, 9])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            WearTable(entries=[])
+        with pytest.raises(ValueError, match="^empty input$"):
+            WearTable([], [], [], [])
 
-    def test_negative_wear_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            WearEntry(cut_id=1, wear_um=-0.1, first_window=1, last_window=2)
-
-    def test_inverted_span_rejected(self):
-        with pytest.raises(ValueError, match="empty window span"):
-            WearEntry(cut_id=1, wear_um=1.0, first_window=5, last_window=4)
+    @pytest.mark.parametrize(
+        "wear, first, message",
+        [(float("nan"), 1, "wear must be finite"), (float("inf"), 1, "wear must be finite"),
+         (-0.1, 1, "wear must be >= 0"), (1.0, 5, "empty window span")],
+    )
+    def test_bad_row_rejected(self, wear, first, message):
+        with pytest.raises(ValueError, match=f"^cut 3: {message}$"):
+            WearTable([2, 3], [1.0, wear], [10, first], [12, 4])
 
     def test_csv_round_trip(self, tmp_path):
         table = three_cut_table()
         path = tmp_path / "wear.csv"
         table.to_csv(str(path))
-        loaded = WearTable.from_csv(str(path))
-        assert loaded.wear_by_cut() == table.wear_by_cut()
-        for e_in, e_out in zip(table.entries, loaded.entries):
-            assert (e_in.first_window, e_in.last_window) == (
-                e_out.first_window,
-                e_out.last_window,
-            )
+        assert path.read_text() == (
+            "cut_id,wear_um,first_window,last_window\n"
+            "1,285.61,1,10\n2,301.21,11,20\n3,335.18,21,30\n"
+        )
+        assert columns(WearTable.from_csv(str(path))) == columns(table)
 
     def test_from_csv_bad_header(self, tmp_path):
         path = tmp_path / "wear.csv"
@@ -129,9 +149,7 @@ class TestLabelWindows:
         assert labels.tolist() == [False, True, True]
 
     def test_exact_limit_is_healthy(self):
-        table = WearTable(
-            entries=[WearEntry(cut_id=1, wear_um=300.0, first_window=1, last_window=4)]
-        )
+        table = WearTable(cut_id=[1], wear_um=[300.0], first_window=[1], last_window=[4])
         assert label_windows(table, 300.0, [1, 2, 3, 4]).tolist() == [False] * 4
 
 

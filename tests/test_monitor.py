@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lorm.evaluation import WearTable
 from lorm.model import BackboneConfig, Checkpoint, forward_batch, init_model, save_checkpoint
 from lorm.monitor import (
     DeployedModel,
     HealthRecord,
     HealthTracker,
     MonitorConfig,
+    ThresholdCalibration,
     calibrate_threshold,
     format_alarm_line,
     monitor_stream,
@@ -292,36 +296,119 @@ class TestDeployedModelFiles:
             DeployedModel.from_files(ckpt, books)
 
 
+def reference_calibrate_threshold(hi_by_cut, wear_by_cut, wear_limit_um=300.0):
+    """Calibration over per-cut dicts, as it was before the wear table became
+    columns: the reference calibrate_threshold must match bit for bit."""
+    if not wear_by_cut:
+        raise ValueError("empty input")
+    candidates = []
+    for cut_id in sorted(wear_by_cut):
+        series = [h for h in hi_by_cut.get(cut_id, []) if h is not None]
+        if not series:
+            continue
+        wear = float(wear_by_cut[cut_id])
+        candidates.append((abs(wear - wear_limit_um), cut_id, float(np.mean(series))))
+    if not candidates:
+        raise ValueError("no cut with a defined health index")
+    gap, cut_id, tau = min(candidates, key=lambda item: (item[0], item[1]))
+    return ThresholdCalibration(tau=tau, cut_id=cut_id, wear_um=float(wear_by_cut[cut_id]))
+
+
+def calibrate_windows(rows, windows, hi, wear_limit_um=300.0):
+    """calibrate_threshold over windows given by index, with hi None for a
+    window left out, against a table of (cut_id, wear_um, first, last) rows."""
+    table = WearTable(*zip(*rows))
+    hi = np.array(hi, dtype=np.float64)
+    positions = np.where(np.isnan(hi), -1, table.locate(windows))
+    return calibrate_threshold(hi, positions, table, wear_limit_um)
+
+
 class TestCalibrateThreshold:
     def test_picks_cut_nearest_limit(self):
         # cut 3 wear 301.2 is nearest to 300; tau = mean hi over that cut
-        hi_by_cut = {1: [0.01, 0.02], 2: [0.05], 3: [0.18, 0.22, 0.20]}
-        wear = {1: 150.0, 2: 240.0, 3: 301.2}
-        cal = calibrate_threshold(hi_by_cut, wear, wear_limit_um=300.0)
+        rows = [(1, 150.0, 1, 2), (2, 240.0, 3, 3), (3, 301.2, 4, 6)]
+        cal = calibrate_windows(rows, range(1, 7), [0.01, 0.02, 0.05, 0.18, 0.22, 0.20])
         assert cal.cut_id == 3
         assert cal.wear_um == 301.2
-        assert cal.tau == pytest.approx(np.mean([0.18, 0.22, 0.20]), abs=1e-12)
+        assert cal.tau == float(np.mean([0.18, 0.22, 0.20]))
 
-    def test_tie_prefers_earliest_cut(self):
-        hi_by_cut = {4: [0.3], 2: [0.1]}
-        wear = {2: 290.0, 4: 310.0}
-        cal = calibrate_threshold(hi_by_cut, wear, wear_limit_um=300.0)
+    def test_tie_prefers_lowest_cut_id(self):
+        """Cut 4's span comes first, but cut 2 has the lower id."""
+        cal = calibrate_windows([(4, 310.0, 1, 1), (2, 290.0, 2, 2)], [1, 2], [0.3, 0.1])
         assert cal.cut_id == 2
 
     def test_single_cut(self):
-        cal = calibrate_threshold({7: [1.0, 3.0]}, {7: 500.0}, wear_limit_um=300.0)
+        cal = calibrate_windows([(7, 500.0, 1, 2)], [1, 2], [1.0, 3.0])
         assert cal.cut_id == 7
         assert cal.tau == 2.0
 
     def test_cuts_without_hi_are_skipped(self):
-        hi_by_cut = {1: [], 2: [0.4]}
-        wear = {1: 300.0, 2: 350.0}
-        cal = calibrate_threshold(hi_by_cut, wear, wear_limit_um=300.0)
+        cal = calibrate_windows([(1, 300.0, 1, 1), (2, 350.0, 2, 2)], [1, 2], [None, 0.4])
         assert cal.cut_id == 2
 
     def test_no_defined_hi_anywhere(self):
         with pytest.raises(ValueError, match="no cut with a defined health index"):
-            calibrate_threshold({1: []}, {1: 300.0}, wear_limit_um=300.0)
+            calibrate_windows([(1, 300.0, 1, 1)], [1, 2], [None, 0.5])
+
+    def test_lengths_must_agree(self):
+        table = WearTable([1], [300.0], [1], [2])
+        with pytest.raises(ValueError, match="equal length"):
+            calibrate_threshold([0.1, 0.2], [0], table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spans=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.integers(0, 3),
+                st.sampled_from([0.0, 150.0, 290.0, 299.5, 300.0, 300.5, 310.0, 450.0]),
+            ),
+            min_size=1,
+            max_size=7,
+        ),
+        data=st.data(),
+    )
+    def test_matches_the_per_cut_reference(self, spans, data):
+        """Shuffled spans, cut ids out of span order, ties in |wear - limit|,
+        windows in any order, and windows left out (no HI, or outside every
+        cut): the same tau bits, cut id and wear as the per-cut reference,
+        as the Python int and floats that json.dump writes."""
+        ids = data.draw(
+            st.lists(st.integers(0, 40), min_size=len(spans), max_size=len(spans), unique=True)
+        )
+        rows, start = [], 1
+        for cut_id, (gap, extra, wear) in zip(ids, spans):
+            rows.append((cut_id, wear, start + gap, start + gap + extra))
+            start += gap + extra + 1
+        rows = data.draw(st.permutations(rows))
+        windows = data.draw(st.lists(st.integers(-1, start + 1), max_size=30))
+        hi = data.draw(
+            st.lists(
+                # magnitudes far apart, so a sum in another order changes bits
+                st.one_of(st.none(), st.floats(-5.0, 5.0), st.sampled_from([1e16, -1e16, 0.1])),
+                min_size=len(windows),
+                max_size=len(windows),
+            )
+        )
+
+        # the per-cut dicts as calibrate used to build them, HI in the order given
+        cut_of = {w: c for c, _, a, b in rows for w in range(a, b + 1)}
+        hi_by_cut = {}
+        for w, h in zip(windows, hi):
+            if h is not None and w in cut_of:
+                hi_by_cut.setdefault(cut_of[w], []).append(h)
+        wear_by_cut = {c: wear for c, wear, _, _ in rows}
+        try:
+            expected = reference_calibrate_threshold(hi_by_cut, wear_by_cut)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                calibrate_windows(rows, windows, hi)
+            return
+        got = calibrate_windows(rows, windows, hi)
+        assert (got.tau.hex(), got.cut_id, got.wear_um) == (
+            expected.tau.hex(), expected.cut_id, expected.wear_um
+        )
+        assert (type(got.tau), type(got.cut_id), type(got.wear_um)) == (float, int, float)
 
 
 class TestHealthCsv:

@@ -29,13 +29,8 @@ class TestDeterminism:
     def test_same_seed_byte_identical(self):
         runs = [generate_run(small_cfg(degradation_rate=1e-3), WINDOWING) for _ in range(2)]
         assert runs[0].series.samples.tobytes() == runs[1].series.samples.tobytes()
-        assert [
-            (e.cut_id, e.wear_um, e.first_window, e.last_window)
-            for e in runs[0].wear.entries
-        ] == [
-            (e.cut_id, e.wear_um, e.first_window, e.last_window)
-            for e in runs[1].wear.entries
-        ]
+        for name in ("cut_id", "wear_um", "first_window", "last_window"):
+            assert np.array_equal(getattr(runs[0].wear, name), getattr(runs[1].wear, name))
 
     def test_different_seed_differs(self):
         a = generate_run(small_cfg(seed=1), WINDOWING)
@@ -66,8 +61,7 @@ class TestHealthySignal:
 
     def test_wear_constant_at_start_level(self):
         run = generate_run(small_cfg(), WINDOWING)
-        for e in run.wear.entries:
-            assert e.wear_um == WEAR_START_UM
+        assert (run.wear.wear_um == WEAR_START_UM).all()
 
 
 class TestDegradation:
@@ -118,14 +112,14 @@ class TestDegradation:
 class TestWearTable:
     def test_monotone_and_bounded(self):
         run = generate_run(small_cfg(degradation_rate=1e-3), WINDOWING)
-        wears = [e.wear_um for e in run.wear.entries]
+        wears = run.wear.wear_um.tolist()
         assert all(b >= a for a, b in zip(wears, wears[1:]))
         assert wears[0] == WEAR_START_UM
         assert all(WEAR_START_UM <= w <= WEAR_END_UM for w in wears)
 
     def test_crosses_limit_when_degrading(self):
         run = generate_run(small_cfg(degradation_rate=1e-3), WINDOWING)
-        wears = [e.wear_um for e in run.wear.entries]
+        wears = run.wear.wear_um.tolist()
         assert max(wears) > 300.0
         assert min(wears) < 300.0
 
@@ -134,7 +128,7 @@ class TestWearTable:
         run = generate_run(small_cfg(degradation_rate=1e-3), WINDOWING)
         n_windows = len(segment_windows(run.series, WINDOWING))
         windows = np.arange(1, n_windows + 1)
-        cuts = [run.wear.entries[p].cut_id for p in run.wear.locate(windows)]
+        cuts = run.wear.cut_id[run.wear.locate(windows)].tolist()
         mids = (windows - 1) * WINDOWING.stride + WINDOWING.window_len // 2
         assert cuts == [min(8, m // 500 + 1) for m in mids]
 
@@ -143,10 +137,9 @@ class TestWearTable:
         run = generate_run(cfg, WINDOWING)
         n_windows = len(segment_windows(run.series, WINDOWING))
         assert (run.wear.locate(range(1, n_windows + 1)) >= 0).all()
-        assert run.wear.entries[0].first_window == 1
-        assert run.wear.entries[-1].last_window == n_windows
-        for prev, nxt in zip(run.wear.entries, run.wear.entries[1:]):
-            assert nxt.first_window == prev.last_window + 1
+        assert run.wear.first_window[0] == 1
+        assert run.wear.last_window[-1] == n_windows
+        assert (run.wear.first_window[1:] == run.wear.last_window[:-1] + 1).all()
 
     def test_midpoint_assignment(self):
         # span = 4000/8 = 500 samples; window at offset 450 has midpoint 500,
@@ -154,7 +147,7 @@ class TestWearTable:
         run = generate_run(small_cfg(), WindowingConfig(window_len=101, context_len=100, stride=450))
         # offsets 0, 450, 900, ... midpoints 50, 500, 950, ...
         positions = run.wear.locate([1, 2, 3])
-        assert [run.wear.entries[p].cut_id for p in positions] == [1, 2, 2]
+        assert run.wear.cut_id[positions].tolist() == [1, 2, 2]
 
     def test_more_cuts_than_windows(self):
         cfg = small_cfg(duration_samples=500, degradation_onset=400, cuts=50)
@@ -162,7 +155,7 @@ class TestWearTable:
         run = generate_run(cfg, windowing)
         assert len(segment_windows(run.series, windowing)) == 4
         assert (run.wear.locate([1, 2, 3, 4]) >= 0).all()
-        assert run.wear.entries[-1].last_window == 4
+        assert run.wear.last_window[-1] == 4
 
 
 class TestValidation:
