@@ -27,13 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import check_int, check_real, quote
 from .evaluation import (
     WearTable,
     compute_metrics,
     detection_deviation,
     format_metrics_table,
-    label_windows,
     write_metrics_json,
 )
 from .model import (
@@ -136,6 +135,13 @@ class RunConfig:
     synth: SynthConfig
     wear_limit_um: float
     paths: dict[str, str]
+
+    def __post_init__(self) -> None:
+        for key, value in self.paths.items():
+            if not isinstance(value, str):
+                raise ConfigError(
+                    f'paths.{key} must be a file name or "" for none, got {quote(value)}'
+                )
 
     def resolve(self, key: str, feed: bool = False) -> str:
         """The existing file that paths.<key> names, a relative name under the
@@ -240,7 +246,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         monitor=monitor_cfg,
         synth=synth_cfg,
         wear_limit_um=wear_limit,
-        paths={k: str(v) for k, v in config["paths"].items()},
+        paths=config["paths"],
     )
 
 
@@ -435,9 +441,10 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     records, positions, wear = _read_health_and_wear(cfg)
-    scored = [r for r, pos in zip(records, positions) if pos >= 0]
-    labels = label_windows(wear, cfg.wear_limit_um, [r.window_index for r in scored])
-    predictions = np.array([r.alarm for r in scored], dtype=bool)
+    scored = positions >= 0
+    # the located cuts give the labels: wear strictly above the limit
+    labels = wear.wear_um[positions[scored]] > cfg.wear_limit_um
+    predictions = np.array([r.alarm for r in records], dtype=bool)[scored]
     report = compute_metrics(predictions, labels)
     # an alarm always has a health index, so -1 here means outside every cut
     first = next((i for i, r in enumerate(records) if r.alarm), None)

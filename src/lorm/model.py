@@ -269,20 +269,23 @@ _ERFCX = np.array([(0.0,) * (17 - len(c)) + c for c in _ERFCX_PIECES]).T.copy()
 _ERF_BLOCK = 32768
 
 
-def _buffer(work: dict | None, key: str, shape: tuple[int, ...], dtype) -> np.ndarray | None:
-    """A C-contiguous ``shape`` array lent by the workspace ``work``, or None
-    without one, so that ``out=_buffer(...)`` allocates as usual.
+def _buffer(work: dict | None, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous ``shape`` array lent by the workspace ``work``, or a
+    fresh one without a workspace, for ``out=`` arguments.
 
-    A buffer is reallocated only when a call needs more leading rows, other
-    trailing dimensions or another dtype; a smaller batch gets a leading
-    slice of it.
+    The workspace holds one flat array per key, reallocated only when a call
+    needs more elements or another dtype; a call gets a view of its leading
+    elements. One key can therefore lend arrays of several shapes in turn,
+    as the backward pass's scratch buffers do, and a smaller batch gets a
+    leading piece of a buffer.
     """
     if work is None:
-        return None
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
     buf = work.get(key)
-    if buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]:
-        buf = work[key] = np.empty(shape, dtype)
-    return buf[: shape[0]]
+    if buf is None or buf.dtype != dtype or buf.size < size:
+        buf = work[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 def _erf(x: np.ndarray, out: np.ndarray | None = None, work: dict | None = None) -> np.ndarray:
@@ -364,20 +367,19 @@ def _erf_tail(a: np.ndarray) -> np.ndarray:
 
 
 def gelu(
-    x: np.ndarray, work: dict | None = None, key: str = "gelu"
+    x: np.ndarray, work: dict | None = None, cdf_key: str = "gelu.cdf", act_key: str = "gelu.act"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gaussian-CDF GELU (not the tanh approximation).
 
     Returns (x * Phi(x), Phi(x)); pass Phi on to :func:`gelu_grad` so that
     the backward pass does not evaluate erf again. With a workspace ``work``
-    both are its buffers ``key + ".act"`` and ``key + ".cdf"``.
+    Phi is its buffer ``cdf_key`` and the output its buffer ``act_key``.
     """
-    act = _buffer(work, key + ".act", x.shape, x.dtype)
-    cdf = np.divide(x, np.sqrt(x.dtype.type(2.0)), out=_buffer(work, key + ".cdf", x.shape, x.dtype))
+    cdf = np.divide(x, np.sqrt(x.dtype.type(2.0)), out=_buffer(work, cdf_key, x.shape, x.dtype))
     _erf(cdf, out=cdf, work=work)
     cdf += 1.0
     cdf *= 0.5
-    return np.multiply(x, cdf, out=act), cdf
+    return np.multiply(x, cdf, out=_buffer(work, act_key, x.shape, x.dtype)), cdf
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -424,17 +426,26 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def _layer_norm_backward(dy, xhat, inv_std, gain, dgain=None, dbias=None):
-    """d loss / dx of :func:`_layer_norm`; the gain and bias gradients are
-    written into ``dgain`` and ``dbias`` where they are given."""
+    """d loss / dx of :func:`_layer_norm` as a fresh array; the gain and bias
+    gradients are written into ``dgain`` and ``dbias`` where they are given.
+
+    dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
+    dxhat = dy * gain, worked out in place in dx and one scratch array: the
+    same float operations in the same order.
+    """
     axes = tuple(range(dy.ndim - 1))
+    scratch = np.empty_like(xhat)
     if dgain is not None:
-        np.add.reduce(dy * xhat, axis=axes, out=dgain)
+        np.add.reduce(np.multiply(dy, xhat, out=scratch), axis=axes, out=dgain)
     if dbias is not None:
         np.add.reduce(dy, axis=axes, out=dbias)
-    dxhat = dy * gain
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    return inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    dx = np.multiply(dy, gain)  # dxhat
+    mean_dxhat = _mean(dx, -1)
+    mean_dxhat_xhat = _mean(np.multiply(dx, xhat, out=scratch), -1)
+    dx -= mean_dxhat
+    dx -= np.multiply(xhat, mean_dxhat_xhat, out=scratch)
+    dx *= inv_std
+    return dx
 
 
 def _softmax_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -465,13 +476,17 @@ def _causal_bias(t: int, dtype: type) -> np.ndarray:
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """The (B, H, t, d / H) head view of a (B, t, d) array; writing to it
+    writes the merged array."""
     b, t, d = x.shape
     return x.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, nh, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
+# The two workspace buffers that the backward pass's large temporaries share,
+# one layer and one branch after another: (B, t, F) arrays in the feed-forward
+# branch, (B, H, t, t) ones in the attention branch. The forward pass lends
+# the first to GELU's output, which the w2 matmul consumes at once.
+_SCRATCH = ("scratch.0", "scratch.1")
 
 
 def forward_batch(
@@ -483,24 +498,34 @@ def forward_batch(
 ):
     """Run the full network on a (B, NC, h) batch of patch sequences.
 
-    Returns (distributions (B, C, K) float64, cache); the cache holds every
-    intermediate needed by :func:`backward_from_scores` and is None unless
-    requested.
+    Returns (distributions (B, C, K) float64, cache); the cache is None
+    unless requested. It holds what :func:`backward_from_scores` reads and
+    no more, besides the small witnesses ``e_tilde``, ``z``, ``g``, ``u``,
+    ``v`` and ``dists``. Per layer that is the two layer norms' outputs
+    (``a_in``, ``f_in``), normalised inputs and inverse deviations, the
+    head views q, k and v, the attention probabilities, the merged heads,
+    and the FFN pre-activation ``h_pre`` with its Gaussian CDF ``h_cdf``.
+    The residual stream and GELU's output are not kept; the backward pass
+    recomputes the output as ``h_pre * h_cdf``, the multiply :func:`gelu`
+    does.
 
     One window (B = 1) costs mostly numpy's per-call overhead, so the pass
     makes few calls and works in place where it can: every bias and
     residual is added into the fresh output of the matmul before it, the
-    causal mask is a cached additive 0/-inf bias, and means and sums are
+    causal mask is a cached additive 0/-inf bias, ``attn @ v`` is written
+    through the head view of the merged array, and means and sums are
     direct ``np.add.reduce`` calls. Nothing held in the cache is written
     after it is made. Every step does the float operations of the textbook
     out-of-place formula, so the results keep its bits.
 
-    ``work`` is an optional workspace, a plain dict that lends the large
-    activations (attention probabilities, FFN pre-activations, GELU outputs
-    and scratch) their buffers, so that repeated calls with one batch shape
-    allocate none of them again. Results are the same bits with or without
-    it. A cache built on a workspace stays valid only until that workspace
-    is next used, and concurrent calls must not share one.
+    ``work`` is an optional workspace, a plain dict of buffers (see
+    :func:`_buffer`). It lends each layer's attention probabilities, FFN
+    pre-activation and GELU CDF, and one GELU output buffer that every
+    layer shares (the backward pass's first scratch buffer, free while the
+    forward pass runs), so that repeated calls allocate none of them again.
+    Results are the same bits with or without it. A cache built on a
+    workspace stays valid only until that workspace is next used, and
+    concurrent calls must not share one.
     """
     w = params.tensors
     dtype = params.flat.dtype.type
@@ -508,8 +533,8 @@ def forward_batch(
     if x_in.ndim != 3 or x_in.shape[1] != cfg.max_seq_len or x_in.shape[2] != cfg.patch_len:
         raise ValueError("window shape differs from training configuration")
     b, t, _ = x_in.shape
-    nh, dh = cfg.num_heads, cfg.head_dim
-    scale = dtype(1.0 / np.sqrt(dh))
+    nh = cfg.num_heads
+    scale = dtype(1.0 / np.sqrt(cfg.head_dim))
     causal_bias = _causal_bias(t, dtype) if cfg.attention_mode == "causal" else None
 
     x = x_in @ w["embed.w_e"]
@@ -534,7 +559,8 @@ def forward_batch(
         if causal_bias is not None:
             scores += causal_bias
         attn = _softmax_last(scores, out=scores)
-        heads = _merge_heads(attn @ v)
+        heads = np.empty((b, t, cfg.hidden_dim), dtype)
+        np.matmul(attn, v, out=_split_heads(heads, nh))
         # x_mid = x + (heads @ w_o + b_o), the same sums in place
         x_mid = heads @ w[f"{pre}.attn.w_o"]
         x_mid += w[f"{pre}.attn.b_o"]
@@ -546,7 +572,7 @@ def forward_batch(
             out=_buffer(work, pre + ".h_pre", (b, t, cfg.ffn_dim), dtype),
         )
         h_pre += w[f"{pre}.ffn.b1"]
-        h_act, h_cdf = gelu(h_pre, work, pre + ".gelu")
+        h_act, h_cdf = gelu(h_pre, work, pre + ".gelu.cdf", _SCRATCH[0])
         x_next = h_act @ w[f"{pre}.ffn.w2"]
         x_next += w[f"{pre}.ffn.b2"]
         x_next += x_mid
@@ -554,9 +580,8 @@ def forward_batch(
         if want_cache:
             layers_cache.append(
                 dict(
-                    x=x, xhat1=xhat1, inv1=inv1, a_in=a_in, q=q, k=k, v=v,
-                    attn=attn, heads=heads, x_mid=x_mid, xhat2=xhat2, inv2=inv2,
-                    f_in=f_in, h_pre=h_pre, h_act=h_act, h_cdf=h_cdf,
+                    xhat1=xhat1, inv1=inv1, a_in=a_in, q=q, k=k, v=v, attn=attn, heads=heads,
+                    xhat2=xhat2, inv2=inv2, f_in=f_in, h_pre=h_pre, h_cdf=h_cdf,
                 )
             )
         x = x_next
@@ -575,8 +600,8 @@ def forward_batch(
     if want_cache:
         cache = dict(
             cfg=cfg, params=params, work=work, p=x_in, e_tilde=e_tilde, layers=layers_cache,
-            x_last=x, xhat_f=xhat_f, inv_f=inv_f, z=z, g=g, g_act=g_act, g_cdf=g_cdf,
-            xhat_h=xhat_h, inv_h=inv_h, u=u, v=v_scores, dists=dists,
+            xhat_f=xhat_f, inv_f=inv_f, z=z, g=g, g_cdf=g_cdf, xhat_h=xhat_h, inv_h=inv_h,
+            u=u, v=v_scores, dists=dists,
         )
     return dists, cache
 
@@ -590,90 +615,111 @@ def backward_from_scores(
     gradients of the names in ``trainable``, or of every parameter when it
     is None. The other entries are 0: their weight-gradient products are
     skipped, while d loss / dx still flows through every layer down to the
-    embedding. The vector and the large temporaries come from the workspace
-    the forward pass used, if any, and the vector stays valid only until
-    that workspace next computes gradients.
+    embedding. GELU's output is recomputed as ``h_pre * h_cdf`` only where
+    the w2 gradient is wanted.
+
+    The vector and the large temporaries come from the workspace the forward
+    pass used, if any, and the vector stays valid only until that workspace
+    next computes gradients. The temporaries share a few buffers across
+    layers and branches: in the feed-forward branch GELU's output and then
+    its derivative take the first scratch buffer and dh_pre the second; in
+    the attention branch the score gradient takes the second and its
+    product with the probabilities the first. dq, dk and dv are written
+    through head views of (B, t, d) buffers, and d loss / d a_in is summed
+    in the buffer of d_heads, the gradient at the attention output.
     """
     cfg: BackboneConfig = cache["cfg"]
     params: ModelParameters = cache["params"]
     work = cache["work"]
     dtype = params.flat.dtype.type
-    b, t = cache["p"].shape[0], cfg.max_seq_len
-    nh, dh = cfg.num_heads, cfg.head_dim
-    scale = dtype(1.0 / np.sqrt(dh))
-    flat = _buffer(work, "grads", params.flat.shape, dtype)
-    grads = ModelParameters(params.shapes, np.empty_like(params.flat) if flat is None else flat)
+    b, t, d = cache["p"].shape[0], cfg.max_seq_len, cfg.hidden_dim
+    nh = cfg.num_heads
+    scale = dtype(1.0 / np.sqrt(cfg.head_dim))
+    grads = ModelParameters(params.shapes, _buffer(work, "grads", params.flat.shape, dtype))
     wanted = grads.tensors
     if trainable is not None:
         grads.flat.fill(0)
         wanted = {n: grads[n] for n in trainable}
 
-    def dense(w_name: str, b_name: str | None, x: np.ndarray, dy: np.ndarray) -> None:
-        """Gradients of w and b in y = x @ w + b, over all leading axes, where wanted."""
-        x_rows, dy_rows = x.reshape(-1, x.shape[-1]), dy.reshape(-1, dy.shape[-1])
+    def dense(w_name: str, b_name: str | None, x: np.ndarray | None, dy: np.ndarray) -> None:
+        """Gradients of w and b in y = x @ w + b, over all leading axes, where
+        wanted; x is read only for w's."""
+        dy_rows = dy.reshape(-1, dy.shape[-1])
         if w_name in wanted:
-            np.matmul(x_rows.T, dy_rows, out=wanted[w_name])
+            np.matmul(x.reshape(-1, x.shape[-1]).T, dy_rows, out=wanted[w_name])
         if b_name in wanted:
             np.add.reduce(dy_rows, axis=0, out=wanted[b_name])
 
-    def norm(pre: str, dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
-        """d loss / dx of the layer norm ``pre``; writes its wanted gradients."""
+    def norm(pre: str, dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, skip=None):
+        """d loss / dx of the layer norm ``pre``, plus ``skip``, the gradient
+        that reaches x past the block, where given; writes its wanted gradients."""
         dgain, dbias = wanted.get(pre + ".gain"), wanted.get(pre + ".bias")
-        return _layer_norm_backward(dy, xhat, inv_std, params[pre + ".gain"], dgain, dbias)
+        dx = _layer_norm_backward(dy, xhat, inv_std, params[pre + ".gain"], dgain, dbias)
+        if skip is not None:
+            dx += skip
+        return dx
 
-    dv = np.ascontiguousarray(d_scores, dtype=dtype).reshape(b, -1)
+    dv_scores = np.ascontiguousarray(d_scores, dtype=dtype).reshape(b, -1)
 
-    dense("head.w_c", None, cache["u"], dv)
-    du = dv @ params["head.w_c"].T
+    dense("head.w_c", None, cache["u"], dv_scores)
+    du = dv_scores @ params["head.w_c"].T
     dg_act = norm("head_ln", du, cache["xhat_h"], cache["inv_h"])
     dg = dg_act * gelu_grad(cache["g"], cache["g_cdf"])
-    dz = np.repeat(dg[:, None, :], t, axis=1) / dtype(t)
+    dz = np.divide(dg[:, None, :], dtype(t), out=np.empty((b, t, d), dtype))  # dg / t per row
     dx = norm("final_ln", dz, cache["xhat_f"], cache["inv_f"])
+    del dz  # freed before the layers' temporaries
 
+    ffn_shape = (b, t, cfg.ffn_dim)
     for l in range(cfg.num_layers - 1, -1, -1):
         pre = f"layers.{l}"
         lc = cache["layers"][l]
 
         # feed-forward branch
-        dense(f"{pre}.ffn.w2", f"{pre}.ffn.b2", lc["h_act"], dx)
-        ffn_shape = (b, t, cfg.ffn_dim)
+        h_pre, h_cdf = lc["h_pre"], lc["h_cdf"]
+        h_act = None
+        if f"{pre}.ffn.w2" in wanted:
+            h_act = np.multiply(h_pre, h_cdf, out=_buffer(work, _SCRATCH[0], ffn_shape, dtype))
+        dense(f"{pre}.ffn.w2", f"{pre}.ffn.b2", h_act, dx)
         dh_pre = np.matmul(
-            dx, params[f"{pre}.ffn.w2"].T, out=_buffer(work, "dh_pre", ffn_shape, dtype)
+            dx, params[f"{pre}.ffn.w2"].T, out=_buffer(work, _SCRATCH[1], ffn_shape, dtype)
         )
-        dh_pre *= gelu_grad(
-            lc["h_pre"], lc["h_cdf"], out=_buffer(work, "gelu_grad", ffn_shape, dtype)
-        )
+        dh_pre *= gelu_grad(h_pre, h_cdf, out=_buffer(work, _SCRATCH[0], ffn_shape, dtype))
         dense(f"{pre}.ffn.w1", f"{pre}.ffn.b1", lc["f_in"], dh_pre)
-        df_in = dh_pre @ params[f"{pre}.ffn.w1"].T
-        dx_mid = dx + norm(pre + ".ln2", df_in, lc["xhat2"], lc["inv2"])
+        # from here on dx is d loss / d x_mid
+        dx = norm(pre + ".ln2", dh_pre @ params[f"{pre}.ffn.w1"].T, lc["xhat2"], lc["inv2"], dx)
 
         # attention branch
-        dense(f"{pre}.attn.w_o", f"{pre}.attn.b_o", lc["heads"], dx_mid)
-        d_heads = _split_heads(dx_mid @ params[f"{pre}.attn.w_o"].T, nh)
-
-        a = lc["attn"]
-        d_scores_attn = np.matmul(
-            d_heads, lc["v"].transpose(0, 1, 3, 2), out=_buffer(work, "d_attn", a.shape, dtype)
+        dense(f"{pre}.attn.w_o", f"{pre}.attn.b_o", lc["heads"], dx)
+        d_heads = np.matmul(
+            dx, params[f"{pre}.attn.w_o"].T, out=_buffer(work, "d_heads", (b, t, d), dtype)
         )
-        dv_h = a.transpose(0, 1, 3, 2) @ d_heads
-        d_attn_a = np.multiply(d_scores_attn, a, out=_buffer(work, "d_attn_a", a.shape, dtype))
-        d_scores_attn -= np.sum(d_attn_a, axis=-1, keepdims=True)
-        d_scores_attn *= a
-        dq = (d_scores_attn @ lc["k"]) * scale
-        dk = (d_scores_attn.transpose(0, 1, 3, 2) @ lc["q"]) * scale
+        d_heads = _split_heads(d_heads, nh)
+        a = lc["attn"]
+        d_s = np.matmul(
+            d_heads, lc["v"].transpose(0, 1, 3, 2), out=_buffer(work, _SCRATCH[1], a.shape, dtype)
+        )
+        dq, dk, dv = (_buffer(work, "d" + n, (b, t, d), dtype) for n in "qkv")
+        np.matmul(a.transpose(0, 1, 3, 2), d_heads, out=_split_heads(dv, nh))
+        d_s_a = np.multiply(d_s, a, out=_buffer(work, _SCRATCH[0], a.shape, dtype))
+        d_s -= np.add.reduce(d_s_a, axis=-1, keepdims=True)
+        d_s *= a
+        np.matmul(d_s, lc["k"], out=_split_heads(dq, nh))
+        dq *= scale
+        np.matmul(d_s.transpose(0, 1, 3, 2), lc["q"], out=_split_heads(dk, nh))
+        dk *= scale
 
-        dq_f = _merge_heads(dq).reshape(b * t, -1)
-        dk_f = _merge_heads(dk).reshape(b * t, -1)
-        dv_f = _merge_heads(dv_h).reshape(b * t, -1)
-        for name, d_rows in (("q", dq_f), ("k", dk_f), ("v", dv_f)):
-            dense(f"{pre}.attn.w_{name}", f"{pre}.attn.b_{name}", lc["a_in"], d_rows)
-
-        da_in = (
-            dq_f @ params[f"{pre}.attn.w_q"].T
-            + dk_f @ params[f"{pre}.attn.w_k"].T
-            + dv_f @ params[f"{pre}.attn.w_v"].T
-        ).reshape(b, t, -1)
-        dx = dx_mid + norm(pre + ".ln1", da_in, lc["xhat1"], lc["inv1"])
+        rows = {n: arr.reshape(b * t, d) for n, arr in zip("qkv", (dq, dk, dv))}
+        for n, d_rows in rows.items():
+            dense(f"{pre}.attn.w_{n}", f"{pre}.attn.b_{n}", lc["a_in"], d_rows)
+        # da_in = dq @ w_q.T + dk @ w_k.T + dv @ w_v.T, summed in order in
+        # d_heads' buffer, which is read no more; dq, whose gradients are
+        # done, takes the later products
+        da_in = np.matmul(
+            rows["q"], params[f"{pre}.attn.w_q"].T, out=_buffer(work, "d_heads", (b * t, d), dtype)
+        )
+        for n in "kv":
+            da_in += np.matmul(rows[n], params[f"{pre}.attn.w_{n}"].T, out=rows["q"])
+        dx = norm(pre + ".ln1", da_in.reshape(b, t, d), lc["xhat1"], lc["inv1"], dx)
 
     if "pos.p_pos" in wanted:
         np.add.reduce(dx, axis=0, out=wanted["pos.p_pos"])

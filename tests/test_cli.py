@@ -1054,6 +1054,20 @@ class TestExitCodes:
         assert errors == [f"error: {message}\n"] * 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["init_checkpoint", "hi"])
+    @pytest.mark.parametrize("value, shown", [("null", "None"), ("false", "False"), ("3", "3")])
+    def test_path_that_is_not_a_string(self, capsys, tmp_path, key, value, shown):
+        """A file key takes a name, or "" for none; any other JSON value is a
+        config error naming the key, not a file called None, False or 3."""
+        (tmp_path / "signal.csv").write_text("a\n1\n")
+        for route in (["--set", f"paths.{key}={value}"], ["--config", str(tmp_path / "c.json")]):
+            (tmp_path / "c.json").write_text(f'{{"paths": {{"{key}": {value}}}}}')
+            assert main(["train", "--out", str(tmp_path / "out")] + route) == 2
+            assert capsys.readouterr().err == (
+                f'error: paths.{key} must be a file name or "" for none, got {shown}\n'
+            )
+        assert not (tmp_path / "out").exists()
+
     def test_sample_rate_must_be_positive(self, capsys, tmp_path):
         rc = main(["synth", "--out", str(tmp_path), "--set", "synth.sample_rate_hz=0"])
         assert rc == 2

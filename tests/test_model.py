@@ -31,7 +31,6 @@ from lorm.model import (
     _erf_tail,
     _layer_norm,
     _mean,
-    _merge_heads,
     _softmax_last,
     _split_heads,
 )
@@ -367,12 +366,12 @@ class TestErf:
             assert inplace.tobytes() == want.tobytes()
             want_act, want_cdf, want_grad = old_gelu(x)
             for w in (None, work):
-                act, cdf = gelu(x, w, "g")
+                act, cdf = gelu(x, w, "g.cdf", "g.act")
                 grad = gelu_grad(x, cdf, out=None if w is None else np.empty_like(x))
                 assert act.tobytes() == want_act.tobytes()
                 assert cdf.tobytes() == want_cdf.tobytes()
                 assert grad.tobytes() == want_grad.tobytes()
-        assert work["g.act"].shape == (3, 12_000) and act.base is work["g.act"]
+        assert work["g.act"].shape == (3 * 12_000,) and act.base is work["g.act"]
 
 
 def old_layer_norm(x, gain, bias, eps=1e-5):
@@ -439,6 +438,12 @@ def old_layer_norm_backward(dy, xhat, inv_std, gain):
     mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
     return dx, dgain, dbias
+
+
+def _merge_heads(x):
+    """(B, H, t, d / H) heads as one (B, t, d) array, copied."""
+    b, nh, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
 
 
 def old_forward_backward(p, params, cfg, d_scores):

@@ -1,9 +1,18 @@
 """Loss, Adam, the training loop, freezing, and gradient fidelity."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lorm.model import BackboneConfig, forward_batch, init_model, partition_parameters
+from lorm.model import (
+    BackboneConfig,
+    backward_from_scores,
+    forward_batch,
+    init_model,
+    partition_parameters,
+)
 from lorm.sequence import build_mcps
 from lorm.signal_io import (
     ChannelStats,
@@ -40,11 +49,28 @@ CFG = BackboneConfig(
 )
 
 
-def make_batch(n, seed=0):
+# the reference scale of the acceptance tests and the benchmark
+REFERENCE = BackboneConfig(hidden_dim=64, num_layers=2, num_heads=4, ffn_dim=256,
+                           max_seq_len=60, num_tokens=8, num_channels=3, patch_len=16)
+
+
+def make_batch(n, seed=0, cfg=CFG):
     rng = np.random.default_rng(seed)
-    p = rng.normal(size=(n, CFG.max_seq_len, CFG.patch_len))
-    y = rng.integers(0, CFG.num_tokens, size=(n, CFG.num_channels))
+    p = rng.normal(size=(n, cfg.max_seq_len, cfg.patch_len))
+    y = rng.integers(0, cfg.num_tokens, size=(n, cfg.num_channels))
     return p, y
+
+
+class ReadLog(dict):
+    """A dict that records every key read through ``[]``."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.add(key)
+        return super().__getitem__(key)
 
 
 class TestWindowLoss:
@@ -120,6 +146,59 @@ class TestWorkspace:
                     else:  # frozen: 0, although the full pass before wrote it
                         assert not grads[name].any() and want[name].any(), name
             assert dataset_loss(p, y, params, CFG, 8, work) == dataset_loss(p, y, params, CFG, 8)
+
+    @pytest.mark.parametrize("mode", ["causal", "bidirectional"])
+    def test_reference_scale_batches_and_phases(self, mode):
+        """At the reference scale one workspace goes through B = 32, 16, 32,
+        each with full and frozen gradients; every call gives the loss and
+        gradient bytes of a call without a workspace."""
+        cfg = replace(REFERENCE, attention_mode=mode)
+        params = init_model(cfg, seed=3)
+        trainable = sorted(partition_parameters(params).trainable)
+        work = {}
+        for i, n in enumerate((32, 16, 32)):
+            p, y = make_batch(n, seed=50 + i, cfg=cfg)
+            for names in (None, trainable, None):
+                want_loss, want = loss_and_grad(p, y, params, cfg, names)
+                loss, grads = loss_and_grad(p, y, params, cfg, names, work)
+                assert loss == want_loss
+                assert grads.flat.tobytes() == want.flat.tobytes()
+
+    def test_cache_holds_what_the_backward_reads(self):
+        """Every per-layer cache entry is read by the full backward pass, and
+        of the top-level entries only the witnesses are not."""
+        p, y = make_batch(4, seed=60, cfg=REFERENCE)
+        params = init_model(REFERENCE, seed=3)
+        d = np.random.default_rng(61).normal(size=(4, REFERENCE.num_channels, REFERENCE.num_tokens))
+        _, cache = forward_batch(p, params, REFERENCE, want_cache=True, work={})
+        top, per_layer = set(), [set() for _ in cache["layers"]]
+        layers = [ReadLog(lc, log) for lc, log in zip(cache["layers"], per_layer)]
+        logged = ReadLog({**cache, "layers": layers}, top)
+        backward_from_scores(logged, d)
+        assert per_layer == [set(lc) for lc in cache["layers"]]
+        assert set(cache) - top == {"e_tilde", "z", "v", "dists"}
+
+    def test_memory_at_reference_scale(self):
+        """Workspace bytes plus the tracemalloc peak of a warm B=32 step stay
+        at the lean plan's 30.3 MB (6% headroom), so one more (B, t, F)
+        float32 array (2 MB) cached or allocated per step fails; no buffer
+        is larger than that array."""
+        params = init_model(REFERENCE, seed=3)
+        p, y = make_batch(32, seed=70, cfg=REFERENCE)
+        largest = 32 * REFERENCE.max_seq_len * REFERENCE.ffn_dim * 4
+        for names in (None, sorted(partition_parameters(params).trainable)):
+            work = {}
+            for _ in range(2):
+                loss_and_grad(p, y, params, REFERENCE, names, work)
+            tracemalloc.start()
+            try:
+                loss_and_grad(p, y, params, REFERENCE, names, work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = sum(buf.nbytes for buf in work.values())
+            assert held + peak < 32.0e6, (held, peak)
+            assert max(buf.nbytes for buf in work.values()) <= largest
 
     def test_results_outlive_the_next_call(self):
         """Distributions outlive later calls; the gradient vector outlives
