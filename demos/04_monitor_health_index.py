@@ -102,31 +102,26 @@ run("eval")
 
 # the strict wear>300 labelling counts alarms in the 150-300 ramp as false
 # positives, so break the alarms down by what the tool actually looked like
-records = read_health_csv(os.path.join(workdir, "hi.csv"))
+health = read_health_csv(os.path.join(workdir, "hi.csv"))
 table = WearTable.from_csv(os.path.join(workdir, "wear.csv"))
-zones = {"flat-healthy": 0, "wear rising to the limit": 0, "past the limit": 0}
-for rec, pos in zip(records, table.locate([r.window_index for r in records])):
-    if not rec.alarm:
-        continue
-    wear = table.wear_um[pos]
-    if wear <= 150.0:
-        zones["flat-healthy"] += 1
-    elif wear <= 300.0:
-        zones["wear rising to the limit"] += 1
-    else:
-        zones["past the limit"] += 1
+wear = table.wear_um[table.locate(health.window_index[health.alarm])]
+zones = {
+    "flat-healthy": int(np.sum(wear <= 150.0)),
+    "wear rising to the limit": int(np.sum((wear > 150.0) & (wear <= 300.0))),
+    "past the limit": int(np.sum(wear > 300.0)),
+}
 print("\nalarms by wear zone:", ", ".join(f"{v} {k}" for k, v in zones.items()))
 
 # sketch the trajectory in the terminal
-defined = [r for r in records if r.hi is not None]
-lo = min(r.hi for r in defined)
-hi = max(r.hi for r in defined)
-print(f"\nhealth index over {len(defined)} scored windows, range [{lo:.3f}, {hi:.3f}]:")
-for chunk in np.array_split(defined, 20):
-    level = float(np.mean([r.hi for r in chunk]))
+defined = ~np.isnan(health.hi)
+windows, his, alarms = health.window_index[defined], health.hi[defined], health.alarm[defined]
+lo, hi = his.min(), his.max()
+print(f"\nhealth index over {his.size} scored windows, range [{lo:.3f}, {hi:.3f}]:")
+for idx, chunk, alarmed in zip(*(np.array_split(c, 20) for c in (windows, his, alarms))):
+    level = float(np.mean(chunk))
     bar = "#" * max(0, int(40 * (level - lo) / (hi - lo + 1e-12)))
-    marker = " ALARM" if any(r.alarm for r in chunk) else ""
-    print(f"  window {chunk[0].window_index:>4}  {level:+.3f} |{bar}{marker}")
+    marker = " ALARM" if alarmed.any() else ""
+    print(f"  window {idx[0]:>4}  {level:+.3f} |{bar}{marker}")
 
 try:
     import matplotlib
@@ -134,14 +129,11 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    xs = [r.window_index for r in defined]
-    ys = [r.hi for r in defined]
     plt.figure(figsize=(8, 3))
-    plt.plot(xs, ys, lw=0.8)
+    plt.plot(windows, his, lw=0.8)
     plt.axhline(tau, color="orange", lw=0.8, ls="--", label=f"tau={tau:.3f}")
-    alarms = [(r.window_index, r.hi) for r in defined if r.alarm]
-    if alarms:
-        plt.scatter(*zip(*alarms), s=6, color="red", label="alarm")
+    if alarms.any():
+        plt.scatter(windows[alarms], his[alarms], s=6, color="red", label="alarm")
     plt.legend()
     plt.xlabel("window")
     plt.ylabel("health index")

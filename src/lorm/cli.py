@@ -13,7 +13,7 @@ tcp://host:port streams samples from a socket instead of a file (monitor
 only); a signal file is always read whole.
 
 Exit codes: 0 success, 2 for usage or configuration problems (the diagnostic
-names the offending field), 1 for runtime failures.
+names the offending field), 1 for runtime failures, 130 when interrupted.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .model import (
 )
 from .monitor import (
     DeployedModel,
-    HealthRecord,
+    HealthColumns,
     MonitorConfig,
     calibrate_threshold,
     format_alarm_line,
@@ -354,8 +354,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _window_source(cfg: RunConfig, deployed: DeployedModel):
-    """Raw windows for monitoring: a file is read whole and segmented, a
-    tcp:// source is windowed as its samples arrive."""
+    """Raw windows for monitoring, none read before the first is asked for: a
+    file is read whole and segmented, a tcp:// feed windowed as it arrives."""
     path = cfg.resolve("signal", feed=True)
     windowing = WindowingConfig(
         window_len=deployed.checkpoint.window_len,
@@ -364,14 +364,8 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
     )
     channels = len(deployed.checkpoint.channel_names)
     if not path.startswith("tcp://"):
-        series = read_signal_csv(path)
-        if series.num_channels != channels:
-            raise ValueError(
-                f"{path}: {series.num_channels} channels, but the checkpoint expects {channels}"
-            )
-        return segment_windows(series, windowing)
-    rest = path[len("tcp://") :]
-    host, sep, port_text = rest.partition(":")
+        return _file_windows(path, windowing, channels)
+    host, sep, port_text = path[len("tcp://") :].partition(":")
     if not sep or not host:
         raise ConfigError(f"paths.signal: expected tcp://host:port, got {path!r}")
     try:
@@ -386,20 +380,43 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
     )
 
 
+def _file_windows(path: str, windowing: WindowingConfig, channels: int):
+    series = read_signal_csv(path)
+    if series.num_channels != channels:
+        raise ValueError(
+            f"{path}: {series.num_channels} channels, but the checkpoint expects {channels}"
+        )
+    yield from segment_windows(series, windowing)
+
+
 def cmd_monitor(cfg: RunConfig) -> int:
     deployed = DeployedModel.from_files(cfg.resolve("checkpoint"), cfg.resolve("codebooks"))
+    windows, hi_path = _window_source(cfg, deployed), cfg.out_path("hi.csv")
+    counts: list[int] = []  # rows in hi.csv and alarms among them, once it is open
 
-    records = []
-    for record in monitor_stream(deployed, _window_source(cfg, deployed), cfg.monitor):
-        records.append(record)
-        if record.alarm:
-            print(format_alarm_line(record, cfg.monitor.threshold))
-    write_health_csv(records, cfg.out_path("hi.csv"))
-    alarms = sum(1 for r in records if r.alarm)
-    print(f"monitored {len(records)} windows, {alarms} alarms")
-    if len(records) < cfg.monitor.buffer_len:
+    def records():
+        counts[:] = [0, 0]
+        for record in monitor_stream(deployed, windows, cfg.monitor):
+            if record.alarm:
+                counts[1] += 1
+                print(format_alarm_line(record, cfg.monitor.threshold))
+            yield record
+            counts[0] += 1
+
+    try:
+        write_health_csv(records(), hi_path)
+    except (KeyboardInterrupt, ValueError, OSError, RuntimeError) as exc:
+        if not counts:  # hi.csv was never opened
+            raise
+        held = f"{hi_path} holds {counts[0]} windows"
+        if isinstance(exc, KeyboardInterrupt):
+            raise KeyboardInterrupt(held) from None
+        raise RuntimeError(f"{exc}; {held}") from None
+    written, alarms = counts
+    print(f"monitored {written} windows, {alarms} alarms")
+    if written < cfg.monitor.buffer_len:
         print(
-            f"warning: the stream ended after {len(records)} windows, before the baseline of "
+            f"warning: the stream ended after {written} windows, before the baseline of "
             f"monitor.buffer_len={cfg.monitor.buffer_len} windows filled, so hi is empty for "
             "every window",
             file=sys.stderr,
@@ -407,49 +424,47 @@ def cmd_monitor(cfg: RunConfig) -> int:
     return 0
 
 
-def _read_health_and_wear(cfg: RunConfig) -> tuple[list[HealthRecord], np.ndarray, WearTable]:
-    """hi.csv's records, wear.csv's table, and for each record the row of its
+def _read_health_and_wear(cfg: RunConfig) -> tuple[HealthColumns, np.ndarray, WearTable]:
+    """hi.csv's columns, wear.csv's table, and for each window the row of its
     cut in the table: -1 for a window without a health index or outside
     every cut. Stops when no window has both."""
     hi_path, wear_path = cfg.resolve("hi"), cfg.resolve("wear")
-    records = read_health_csv(hi_path)
+    health = read_health_csv(hi_path)
     wear = WearTable.from_csv(wear_path)
-    defined = np.array([r.hi is not None for r in records], dtype=bool)
-    positions = np.where(defined, wear.locate([r.window_index for r in records]), -1)
+    defined = ~np.isnan(health.hi)
+    positions = np.where(defined, wear.locate(health.window_index), -1)
     if not (positions >= 0).any():
         hint = ""
-        if records and not defined.any():
+        if defined.size and not defined.any():
             hint = (
-                f": all {len(records)} windows fell in the baseline, so monitor.buffer_len was "
+                f": all {defined.size} windows fell in the baseline, so monitor.buffer_len was "
                 "at least the run's window count; monitor again with a smaller "
                 "monitor.buffer_len"
             )
         raise ValueError(
             f"{hi_path}: no post-buffer window overlaps the wear table {wear_path}{hint}"
         )
-    return records, positions, wear
+    return health, positions, wear
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
-    records, positions, wear = _read_health_and_wear(cfg)
-    hi = np.array([r.hi for r in records], dtype=np.float64)  # a missing hi reads as NaN
-    calibration = calibrate_threshold(hi, positions, wear, cfg.wear_limit_um)
+    health, positions, wear = _read_health_and_wear(cfg)
+    calibration = calibrate_threshold(health.hi, positions, wear, cfg.wear_limit_um)
     write_metrics_json({"calibration": asdict(calibration)}, cfg.out_path("metrics.json"))
     print(f"tau={calibration.tau!r} cut={calibration.cut_id} wear_um={calibration.wear_um!r}")
     return 0
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    records, positions, wear = _read_health_and_wear(cfg)
+    health, positions, wear = _read_health_and_wear(cfg)
     scored = positions >= 0
     # the located cuts give the labels: wear strictly above the limit
     labels = wear.wear_um[positions[scored]] > cfg.wear_limit_um
-    predictions = np.array([r.alarm for r in records], dtype=bool)[scored]
-    report = compute_metrics(predictions, labels)
+    report = compute_metrics(health.alarm[scored], labels)
     # an alarm always has a health index, so -1 here means outside every cut
-    first = next((i for i, r in enumerate(records) if r.alarm), None)
-    first_alarm = None if first is None else records[first].window_index
-    if first is not None and positions[first] < 0:
+    first = np.flatnonzero(health.alarm)[:1]
+    first_alarm = int(health.window_index[first[0]]) if first.size else None
+    if first.size and positions[first[0]] < 0:
         raise ValueError(
             f"{cfg.resolve('hi')}: first alarm, window {first_alarm}, is outside "
             f"{cfg.resolve('wear')}"
@@ -511,6 +526,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        print("; ".join(["error: interrupted", *map(str, exc.args)]), file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Wear tables, window labelling, classification metrics, detection deviation.
 
-A wear table maps each monitored window (1-based index, matching
-HealthRecord.window_index) to a ring cut and each cut to a measured wear in
-micrometres. A window is abnormal when its cut's wear strictly exceeds the
+A wear table maps each monitored window (1-based index, matching the
+window_index column of hi.csv) to a ring cut and each cut to a measured wear
+in micrometres. A window is abnormal when its cut's wear strictly exceeds the
 limit. Alarm flags against those labels give the usual confusion-matrix
 metrics; the detection deviation is how far the wear at the first alarm sat
 from the limit.

@@ -100,44 +100,17 @@ class BackboneConfig:
 
 def param_shapes(cfg: BackboneConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list: embed, pos, attention, ffn, norms, head."""
-    d, f, t = cfg.hidden_dim, cfg.ffn_dim, cfg.max_seq_len
-    shapes: list[tuple[str, tuple[int, ...]]] = [
-        ("embed.w_e", (cfg.patch_len, d)),
-        ("pos.p_pos", (t, d)),
-    ]
-    for l in range(cfg.num_layers):
-        shapes += [
-            (f"layers.{l}.attn.w_q", (d, d)),
-            (f"layers.{l}.attn.b_q", (d,)),
-            (f"layers.{l}.attn.w_k", (d, d)),
-            (f"layers.{l}.attn.b_k", (d,)),
-            (f"layers.{l}.attn.w_v", (d, d)),
-            (f"layers.{l}.attn.b_v", (d,)),
-            (f"layers.{l}.attn.w_o", (d, d)),
-            (f"layers.{l}.attn.b_o", (d,)),
-        ]
-    for l in range(cfg.num_layers):
-        shapes += [
-            (f"layers.{l}.ffn.w1", (d, f)),
-            (f"layers.{l}.ffn.b1", (f,)),
-            (f"layers.{l}.ffn.w2", (f, d)),
-            (f"layers.{l}.ffn.b2", (d,)),
-        ]
-    for l in range(cfg.num_layers):
-        shapes += [
-            (f"layers.{l}.ln1.gain", (d,)),
-            (f"layers.{l}.ln1.bias", (d,)),
-            (f"layers.{l}.ln2.gain", (d,)),
-            (f"layers.{l}.ln2.bias", (d,)),
-        ]
-    shapes += [
-        ("final_ln.gain", (d,)),
-        ("final_ln.bias", (d,)),
-        ("head_ln.gain", (d,)),
-        ("head_ln.bias", (d,)),
-        ("head.w_c", (d, cfg.num_tokens * cfg.num_channels)),
-    ]
-    return shapes
+    d, f, layers = cfg.hidden_dim, cfg.ffn_dim, range(cfg.num_layers)
+    shapes = [("embed.w_e", (cfg.patch_len, d)), ("pos.p_pos", (cfg.max_seq_len, d))]
+    for l in layers:  # w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o
+        for x in "qkvo":
+            shapes += [(f"layers.{l}.attn.w_{x}", (d, d)), (f"layers.{l}.attn.b_{x}", (d,))]
+    for l in layers:
+        shapes += [(f"layers.{l}.ffn.w1", (d, f)), (f"layers.{l}.ffn.b1", (f,)),
+                   (f"layers.{l}.ffn.w2", (f, d)), (f"layers.{l}.ffn.b2", (d,))]
+    norms = [f"layers.{l}.ln{i}" for l in layers for i in (1, 2)] + ["final_ln", "head_ln"]
+    shapes += [(f"{n}.{p}", (d,)) for n in norms for p in ("gain", "bias")]
+    return shapes + [("head.w_c", (d, cfg.num_tokens * cfg.num_channels))]
 
 
 class ModelParameters:

@@ -7,8 +7,8 @@ afterwards the health index is
     hi(k) = wlf(k) - mean(wlf(1..buffer_len))
 
 and an alarm fires strictly when hi > threshold. HI is absent (None), not
-zero, while the baseline accumulates, so downstream metrics can skip those
-windows.
+zero, while the baseline accumulates (NaN once read back from hi.csv), so
+downstream metrics can skip those windows.
 
 One tracker per stream, single writer. Model parameters are read-only here,
 so many streams may share one checkpoint.
@@ -17,6 +17,7 @@ so many streams may share one checkpoint.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -31,6 +32,7 @@ from .train import build_examples, window_loss
 __all__ = [
     "MonitorConfig",
     "HealthRecord",
+    "HealthColumns",
     "HealthTracker",
     "DeployedModel",
     "ThresholdCalibration",
@@ -70,16 +72,16 @@ class HealthRecord:
     hi: float | None
     alarm: bool
 
-    def __post_init__(self) -> None:
-        if self.alarm and self.hi is None:
-            raise ValueError("alarm requires a defined health index")
+
+# hi.csv as four read-only columns, as read_health_csv returns them
+HealthColumns = namedtuple("HealthColumns", "window_index wlf hi alarm")
 
 
 class HealthTracker(object):
     """Stateful per-stream HI computation. Feed WLF values in arrival order.
 
     The first buffer_len WLF values are kept in ``buffer``; once it is full
-    the baseline is their mean.
+    the baseline is their mean and the buffer is emptied.
     """
 
     def __init__(self, cfg: MonitorConfig) -> None:
@@ -89,19 +91,14 @@ class HealthTracker(object):
         self._count = 0
 
     def update(self, wlf: float) -> HealthRecord:
-        self._count += 1
+        self._count, wlf = self._count + 1, float(wlf)
         if self.baseline is None:
-            self.buffer.append(float(wlf))
+            self.buffer.append(wlf)
             if len(self.buffer) == self.cfg.buffer_len:
-                self.baseline = float(np.mean(self.buffer))
-            return HealthRecord(window_index=self._count, wlf=float(wlf), hi=None, alarm=False)
-        hi = float(wlf) - self.baseline
-        return HealthRecord(
-            window_index=self._count,
-            wlf=float(wlf),
-            hi=hi,
-            alarm=hi > self.cfg.threshold,
-        )
+                self.baseline, self.buffer = float(np.mean(self.buffer)), []
+            return HealthRecord(self._count, wlf, None, False)
+        hi = wlf - self.baseline
+        return HealthRecord(self._count, wlf, hi, hi > self.cfg.threshold)
 
 
 @dataclass
@@ -196,17 +193,22 @@ def calibrate_threshold(
     )
 
 
-def write_health_csv(records: Sequence[HealthRecord], path: str) -> None:
-    """window_index,wlf,hi,alarm rows; hi is empty during the baseline buffer."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_health_csv(records: Iterable[HealthRecord], path: str) -> None:
+    """window_index,wlf,hi,alarm rows; hi is empty during the baseline buffer.
+    ``path`` is truncated before the first record is asked for, and each row
+    reaches the file as its record arrives: records that fail midway leave
+    the rows before the failure, and none of an earlier file."""
+    with open(path, "w", encoding="utf-8", newline="", buffering=1) as fh:
         fh.write("window_index,wlf,hi,alarm\n")
         for rec in records:
             hi = "" if rec.hi is None else repr(rec.hi)
             fh.write(f"{rec.window_index},{rec.wlf!r},{hi},{'1' if rec.alarm else '0'}\n")
 
 
-def read_health_csv(path: str) -> list[HealthRecord]:
-    """Parse a health CSV back into records; columns after alarm are ignored.
+def read_health_csv(path: str) -> HealthColumns:
+    """Parse a health CSV into read-only columns: window_index (int64), wlf
+    (float64), hi (float64, NaN in the baseline) and alarm (bool). Columns
+    after alarm are ignored.
 
     Raises:
         ValueError: naming ``path`` and the 1-based line for a malformed row.
@@ -222,7 +224,7 @@ def read_health_csv(path: str) -> list[HealthRecord]:
     required = ["window_index", "wlf", "hi", "alarm"]
     if header[: len(required)] != required:
         raise ValueError(f"{path}: unexpected header {lines[0][1]!r}")
-    records: list[HealthRecord] = []
+    columns: tuple[list, ...] = ([], [], [], [])
     for n, ln in lines[1:]:
         parts = ln.split(",")
         try:
@@ -230,16 +232,22 @@ def read_health_csv(path: str) -> list[HealthRecord]:
                 raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
             if parts[3] not in ("0", "1"):
                 raise ValueError(f"alarm must be 0 or 1, got {parts[3]!r}")
-            wlf = float(parts[1])
-            hi = None if parts[2] == "" else float(parts[2])
-            if not (math.isfinite(wlf) and (hi is None or math.isfinite(hi))):
+            wlf, hi = float(parts[1]), float(parts[2] or "nan")
+            if not math.isfinite(wlf) or parts[2] and not math.isfinite(hi):
                 raise ValueError("wlf and hi must be finite")
-            records.append(
-                HealthRecord(window_index=int(parts[0]), wlf=wlf, hi=hi, alarm=parts[3] == "1")
-            )
+            row = (int(parts[0]), wlf, hi, parts[3] == "1")
+            if row[3] and not parts[2]:
+                raise ValueError("alarm requires a defined health index")
+            if not -(2**63) <= row[0] < 2**63:
+                raise ValueError("window index must fit in 64 bits")
         except ValueError as exc:
             raise ValueError(f"{path}: line {n}: {exc}") from None
-    return records
+        for column, value in zip(columns, row):
+            column.append(value)
+    arrays = [np.array(c, dtype=t) for c, t in zip(columns, (np.int64, float, float, bool))]
+    for array in arrays:
+        array.setflags(write=False)
+    return HealthColumns(*arrays)
 
 
 def format_alarm_line(record: HealthRecord, tau: float) -> str:

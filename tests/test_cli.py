@@ -11,7 +11,9 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -279,11 +281,17 @@ class TestSignalErrors:
     ):
         signal = tmp_path / "bad.csv"
         write_signal(signal, bad_row=bad_row)
+        if command == "monitor":  # an earlier run's rows must not survive
+            (tmp_path / "hi.csv").write_text(HI_CSV)
         assert self.run(pipeline, command, signal, tmp_path) == 1
         err = capsys.readouterr().err
         assert f"error: {signal}: record 40: {message}" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "hi.csv").exists()
+        if command == "monitor":
+            assert f"; {tmp_path / 'hi.csv'} holds 0 windows\n" in err
+            assert (tmp_path / "hi.csv").read_text() == "window_index,wlf,hi,alarm\n"
+        else:
+            assert not (tmp_path / "hi.csv").exists()
 
     @pytest.mark.parametrize("command", ["fit-codebooks", "monitor"])
     def test_non_utf8_record_names_file_and_record(self, pipeline, tmp_path, capsys, command):
@@ -791,12 +799,51 @@ class TestStreamErrors:
         thread.start()
         return server.getsockname()[1], thread
 
-    def check(self, capsys, rc, message, tmp_path):
+    def check(self, capsys, rc, message, tmp_path, windows=0):
+        """Exit code 1, one line naming the feed and how many windows hi.csv
+        holds, and hi.csv holding just those."""
         err = capsys.readouterr().err
         assert rc == 1
-        assert f"error: {message}" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "hi.csv").exists()
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert err.endswith(f"; {tmp_path / 'hi.csv'} holds {windows} windows\n")
+        rows = (tmp_path / "hi.csv").read_text().splitlines()
+        assert rows[0] == "window_index,wlf,hi,alarm" and len(rows) == windows + 1
+        return rows[1:]
+
+    @staticmethod
+    def feed_lines(pipeline, count):
+        """The first ``count`` samples of the pipeline's signal, as feed lines."""
+        with open(pipeline["out"] / "signal.csv", "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()[1 : count + 1]
+
+    @pytest.mark.parametrize("failure", ["bad record", "read timeout"])
+    def test_failure_midstream_leaves_the_scored_rows(self, pipeline, tmp_path, capsys, failure):
+        """A feed that fails after 5000 good samples leaves hi.csv holding
+        the (5000 - W) // stride + 1 windows scored before it: the first rows
+        of a clean run over the same signal. No row of an earlier run stays."""
+        (tmp_path / "hi.csv").write_text(HI_CSV + "5,1.3,0.8,1\n" * 95)  # 99 stale rows
+        lines = self.feed_lines(pipeline, 5000)
+        stall = threading.Event()
+        if failure == "bad record":
+            lines.append("1.0,oops")
+            stall.set()
+        port, thread = self.serve(lines, stall)
+        try:
+            rc = self.monitor(pipeline, tmp_path, port, "--set", "monitor.read_timeout_s=0.5")
+        finally:
+            stall.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        windowing = PIPELINE_CONFIG["windowing"]
+        windows = (5000 - windowing["window_len"]) // windowing["stride"] + 1
+        source = f"tcp://127.0.0.1:{port}"
+        message = {
+            "bad record": f"{source}: record 5000: non-numeric value",
+            "read timeout": f"{source}: no data for 0.5 s",
+        }[failure]
+        rows = self.check(capsys, rc, message, tmp_path, windows)
+        clean = (pipeline["out"] / "hi.csv").read_text().splitlines()[1:]
+        assert rows == clean[:windows]
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -835,6 +882,198 @@ class TestStreamErrors:
     def test_read_timeout_must_be_positive(self, capsys, value):
         assert main(["monitor", "--set", f"monitor.read_timeout_s={value}"]) == 2
         assert "monitor.read_timeout_s" in capsys.readouterr().err
+
+
+class TestInterrupt:
+    """Ctrl-C ends any command with exit code 130 and one line, never a
+    traceback; in monitor that line says how many windows hi.csv holds, and
+    it holds exactly those, the first rows of a clean run."""
+
+    def monitor_args(self, pipeline, dest, *extra):
+        out = pipeline["out"]
+        return [
+            "monitor", "--config", str(pipeline["config_path"]), "--out", str(dest),
+            "--set", f"paths.codebooks={out / 'codebooks.json'}",
+            "--set", f"paths.checkpoint={out / 'checkpoint.lorm'}", *extra,
+        ]
+
+    @pytest.mark.parametrize("k", [0, 1, 25])
+    def test_monitor_keeps_the_scored_rows(self, pipeline, tmp_path, capsys, monkeypatch, k):
+        real = lorm.cli._window_source
+
+        def interrupted_after_k(cfg, deployed):
+            def windows():
+                for n, window in enumerate(real(cfg, deployed)):
+                    if n == k:
+                        raise KeyboardInterrupt
+                    yield window
+
+            return windows()
+
+        monkeypatch.setattr(lorm.cli, "_window_source", interrupted_after_k)
+        (tmp_path / "hi.csv").write_text(HI_CSV)  # an earlier run's rows
+        signal = pipeline["out"] / "signal.csv"
+        rc = main(self.monitor_args(pipeline, tmp_path, "--set", f"paths.signal={signal}"))
+        assert rc == 130
+        err = capsys.readouterr().err
+        assert err == f"error: interrupted; {tmp_path / 'hi.csv'} holds {k} windows\n"
+        clean = (pipeline["out"] / "hi.csv").read_text().splitlines()
+        assert (tmp_path / "hi.csv").read_text().splitlines() == clean[: k + 1]
+
+    @pytest.mark.parametrize("command", ["synth", "calibrate"])
+    def test_any_command(self, tmp_path, capsys, monkeypatch, command):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(lorm.cli, "generate_run", interrupt)
+        monkeypatch.setattr(lorm.cli, "read_health_csv", interrupt)
+        (tmp_path / "hi.csv").write_text(HI_CSV)
+        (tmp_path / "wear.csv").write_text(WEAR_CSV)
+        assert main([command, "--out", str(tmp_path)]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+
+    def test_sigint_on_a_live_feed(self, pipeline, tmp_path):
+        """A real SIGINT to a monitor waiting on a stalled feed: rows appear
+        in hi.csv as windows are scored, and the run ends with 130."""
+        import signal  # here only: other tests name their signal files `signal`
+
+        lines = TestStreamErrors.feed_lines(pipeline, 3000)
+        stall = threading.Event()
+        port, thread = TestStreamErrors.serve(lines, stall)
+        windowing = PIPELINE_CONFIG["windowing"]
+        windows = (3000 - windowing["window_len"]) // windowing["stride"] + 1
+        hi = tmp_path / "hi.csv"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        args = self.monitor_args(
+            pipeline, tmp_path, "--set", f"paths.signal=tcp://127.0.0.1:{port}",
+            "--set", "monitor.read_timeout_s=null",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lorm", *args], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and proc.poll() is None:
+                if hi.exists() and hi.read_text().count("\n") == windows + 1:
+                    break
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            stall.set()
+            thread.join(timeout=10)
+        assert proc.returncode == 130
+        assert err == f"error: interrupted; {hi} holds {windows} windows\n"
+        clean = (pipeline["out"] / "hi.csv").read_text().splitlines()
+        assert hi.read_text().splitlines() == clean[: windows + 1]
+
+
+def reference_calibrate_and_eval(records, wear, hi_path, wear_path, limit):
+    """calibrate's and eval's metrics.json entries, each a dict or the
+    ValueError the command stops with, computed from one HealthRecord per
+    window as the commands did before hi.csv was read as columns."""
+    from dataclasses import asdict
+
+    from lorm.evaluation import compute_metrics, detection_deviation
+    from lorm.monitor import calibrate_threshold
+
+    defined = np.array([r.hi is not None for r in records], dtype=bool)
+    positions = np.where(defined, wear.locate([r.window_index for r in records]), -1)
+    if not (positions >= 0).any():
+        hint = ""
+        if records and not defined.any():
+            hint = (
+                f": all {len(records)} windows fell in the baseline, so monitor.buffer_len was "
+                "at least the run's window count; monitor again with a smaller "
+                "monitor.buffer_len"
+            )
+        error = ValueError(
+            f"{hi_path}: no post-buffer window overlaps the wear table {wear_path}{hint}"
+        )
+        return error, error
+    try:
+        hi = np.array([r.hi for r in records], dtype=np.float64)
+        calibration = {"calibration": asdict(calibrate_threshold(hi, positions, wear, limit))}
+    except ValueError as exc:
+        calibration = exc
+    scored = positions >= 0
+    labels = wear.wear_um[positions[scored]] > limit
+    predictions = np.array([r.alarm for r in records], dtype=bool)[scored]
+    report = compute_metrics(predictions, labels)
+    first = next((i for i, r in enumerate(records) if r.alarm), None)
+    first_alarm = None if first is None else records[first].window_index
+    if first is not None and positions[first] < 0:
+        return calibration, ValueError(
+            f"{hi_path}: first alarm, window {first_alarm}, is outside {wear_path}"
+        )
+    deviation = detection_deviation(first_alarm, wear, limit)
+    return calibration, {
+        "classification": report.to_dict(),
+        "detection_deviation_um": deviation,
+        "first_alarm_window": first_alarm,
+    }
+
+
+class TestColumnsMatchTheRecordPath:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spans=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.integers(0, 3),
+                st.sampled_from([0.0, 150.0, 290.0, 299.5, 300.0, 300.5, 310.0, 450.0]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    def test_calibrate_and_eval_give_the_same_bytes(self, spans, data):
+        """hi.csv rows in any window order, with baseline rows, windows
+        outside every cut and HI magnitudes whose sum depends on order:
+        calibrate and eval write the metrics.json bytes of the record path,
+        or stop with its message."""
+        from lorm.evaluation import write_metrics_json
+        from lorm.monitor import HealthRecord, write_health_csv
+
+        ids = data.draw(
+            st.lists(st.integers(0, 40), min_size=len(spans), max_size=len(spans), unique=True)
+        )
+        rows, start = [], 1
+        for cut_id, (gap, extra, wear_um) in zip(ids, spans):
+            rows.append((cut_id, wear_um, start + gap, start + gap + extra))
+            start += gap + extra + 1
+        wear = WearTable(*zip(*data.draw(st.permutations(rows))))
+        his = st.one_of(st.none(), st.floats(-5.0, 5.0), st.sampled_from([1e16, -1e16, 0.1]))
+        records = []
+        for w in data.draw(st.lists(st.integers(-1, start + 1), max_size=25)):
+            hi = data.draw(his)
+            alarm = hi is not None and data.draw(st.booleans())
+            records.append(HealthRecord(w, data.draw(st.floats(0.0, 9.0)), hi, alarm))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
+            os.makedirs(got)
+            os.makedirs(want)
+            hi_path, wear_path = os.path.join(got, "hi.csv"), os.path.join(got, "wear.csv")
+            write_health_csv(records, hi_path)
+            wear.to_csv(wear_path)
+            expected = reference_calibrate_and_eval(records, wear, hi_path, wear_path, 300.0)
+            for command, outcome in zip(("calibrate", "eval"), expected):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = main([command, "--out", got])
+                if isinstance(outcome, ValueError):
+                    assert (rc, err.getvalue()) == (1, f"error: {outcome}\n")
+                    continue
+                assert rc == 0, err.getvalue()
+                write_metrics_json(outcome, os.path.join(want, "metrics.json"))
+                with open(os.path.join(got, "metrics.json"), "rb") as fh:
+                    written = fh.read()
+                with open(os.path.join(want, "metrics.json"), "rb") as fh:
+                    assert written == fh.read()
 
 
 def test_readme_defaults_block_is_default_config():
@@ -927,10 +1166,11 @@ class TestConfigModel:
             "window_index,wlf,hi,alarm,cut_id,hi_ma\n"
             "1,0.5,,0,1,\n2,0.75,0.25,0,1,0.25\n3,1.0,0.5,1,2,0.375\n"
         )
-        records = read_health_csv(str(path))
-        assert [(r.window_index, r.wlf, r.hi, r.alarm) for r in records] == [
-            (1, 0.5, None, False), (2, 0.75, 0.25, False), (3, 1.0, 0.5, True)
-        ]
+        columns = read_health_csv(str(path))
+        assert columns.window_index.tolist() == [1, 2, 3]
+        assert columns.wlf.tolist() == [0.5, 0.75, 1.0]
+        assert np.isnan(columns.hi[0]) and columns.hi[1:].tolist() == [0.25, 0.5]
+        assert columns.alarm.tolist() == [False, False, True]
 
 
 class TestConfigHandling:

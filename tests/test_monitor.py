@@ -73,10 +73,12 @@ class TestBaselineBuffer:
     def test_mean_matches_numpy(self):
         tracker = HealthTracker(MonitorConfig(buffer_len=4))
         vals = [0.3, 1.7, -0.2, 0.9]
-        for v in vals:
+        for v in vals[:-1]:
             tracker.update(v)
-        assert tracker.buffer == vals
+        assert tracker.buffer == vals[:-1]
+        tracker.update(vals[-1])
         assert tracker.baseline == np.mean(vals)
+        assert tracker.buffer == []  # the mean is all the tracker keeps of them
         assert tracker.update(2.0).hi == 2.0 - np.mean(vals)
 
     def test_overfull_rejected(self):
@@ -85,7 +87,7 @@ class TestBaselineBuffer:
         tracker.update(1.0)
         tracker.update(2.0)
         tracker.update(3.0)
-        assert tracker.buffer == [1.0]
+        assert tracker.buffer == []
         assert tracker.baseline == 1.0
 
     def test_mean_on_empty_rejected(self):
@@ -411,6 +413,53 @@ class TestCalibrateThreshold:
         assert (type(got.tau), type(got.cut_id), type(got.wear_um)) == (float, int, float)
 
 
+def reference_read_health_csv(path):
+    """hi.csv as one (window_index, wlf, hi or None, alarm) tuple per row, as
+    read_health_csv read it when it returned one record per row: the columns
+    must hold the same values and raise the same errors (apart from window
+    indices beyond 64 bits, which the records held as Python ints)."""
+    import math
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = lines[0][1].split(",")
+    required = ["window_index", "wlf", "hi", "alarm"]
+    if header[: len(required)] != required:
+        raise ValueError(f"{path}: unexpected header {lines[0][1]!r}")
+    records = []
+    for n, ln in lines[1:]:
+        parts = ln.split(",")
+        try:
+            if len(parts) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
+            if parts[3] not in ("0", "1"):
+                raise ValueError(f"alarm must be 0 or 1, got {parts[3]!r}")
+            wlf = float(parts[1])
+            hi = None if parts[2] == "" else float(parts[2])
+            if not (math.isfinite(wlf) and (hi is None or math.isfinite(hi))):
+                raise ValueError("wlf and hi must be finite")
+            record = (int(parts[0]), wlf, hi, parts[3] == "1")
+            if record[3] and record[2] is None:
+                raise ValueError("alarm requires a defined health index")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
+        records.append(record)
+    return records
+
+
+def records_of(columns):
+    """The HealthRecords that the columns of hi.csv hold, for the writer."""
+    return [
+        HealthRecord(int(w), float(l), None if np.isnan(h) else float(h), bool(a))
+        for w, l, h, a in zip(*columns)
+    ]
+
+
 class TestHealthCsv:
     def _records(self):
         tracker = HealthTracker(MonitorConfig(buffer_len=2, threshold=0.1))
@@ -421,10 +470,14 @@ class TestHealthCsv:
         path = tmp_path / "hi.csv"
         write_health_csv(records, str(path))
         loaded = read_health_csv(str(path))
-        assert [r.window_index for r in loaded] == [1, 2, 3, 4, 5]
-        assert [r.hi for r in loaded] == [r.hi for r in records]
-        assert [r.alarm for r in loaded] == [r.alarm for r in records]
-        assert [r.wlf for r in loaded] == [r.wlf for r in records]
+        assert loaded._fields == ("window_index", "wlf", "hi", "alarm")
+        assert [c.dtype for c in loaded] == [np.int64, np.float64, np.float64, np.bool_]
+        assert not any(c.flags.writeable for c in loaded)
+        assert loaded.window_index.tolist() == [1, 2, 3, 4, 5]
+        assert loaded.wlf.tolist() == [r.wlf for r in records]
+        assert np.isnan(loaded.hi[:2]).all()
+        assert loaded.hi[2:].tolist() == [r.hi for r in records[2:]]
+        assert loaded.alarm.tolist() == [r.alarm for r in records]
 
     def test_buffer_rows_have_empty_hi(self, tmp_path):
         records = self._records()
@@ -434,6 +487,111 @@ class TestHealthCsv:
         assert lines[0] == "window_index,wlf,hi,alarm"
         assert lines[1].split(",")[2] == ""
         assert lines[3].split(",")[2] != ""
+
+    def test_header_only_file_gives_empty_columns(self, tmp_path):
+        path = tmp_path / "hi.csv"
+        write_health_csv([], str(path))
+        loaded = read_health_csv(str(path))
+        assert [(c.dtype, c.size) for c in loaded] == [
+            (np.int64, 0), (np.float64, 0), (np.float64, 0), (np.bool_, 0)
+        ]
+
+    def test_rows_reach_the_file_as_records_arrive(self, tmp_path):
+        """The file is truncated before the first record is asked for, each
+        row is in it once its record is written, and a failure leaves the
+        rows before it."""
+        path = tmp_path / "hi.csv"
+        path.write_text("window_index,wlf,hi,alarm\n" + "1,0.5,,0\n" * 99)
+        records = self._records()
+        seen = []
+
+        def source():
+            for k, record in enumerate(records):
+                seen.append(path.read_text().count("\n"))
+                if k == 3:
+                    raise ValueError("feed failed")
+                yield record
+
+        with pytest.raises(ValueError, match="feed failed"):
+            write_health_csv(source(), str(path))
+        assert seen == [1, 2, 3, 4]
+        written = path.read_bytes()
+        full = tmp_path / "full.csv"
+        write_health_csv(records, str(full))
+        assert full.read_bytes().startswith(written)
+        assert read_health_csv(str(path)).window_index.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("index", [2**63, -(2**63) - 1, 10**30])
+    def test_window_index_beyond_64_bits_names_the_line(self, tmp_path, index):
+        path = tmp_path / "hi.csv"
+        path.write_text(f"window_index,wlf,hi,alarm\n1,0.5,,0\n{index},0.5,0.1,0\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 3: window index must fit in 64 bits$"):
+            read_health_csv(str(path))
+
+    def test_64_bit_extremes_load(self, tmp_path):
+        path = tmp_path / "hi.csv"
+        path.write_text(f"window_index,wlf,hi,alarm\n{2**63 - 1},0.5,,0\n{-(2**63)},0.5,0.1,1\n")
+        assert read_health_csv(str(path)).window_index.tolist() == [2**63 - 1, -(2**63)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        wlfs=st.lists(st.floats(-1e100, 1e100), max_size=30),
+        buffer_len=st.integers(1, 6),
+        threshold=st.floats(-2.0, 2.0),
+    )
+    def test_columns_rewrite_the_writers_bytes(self, tmp_path_factory, wlfs, buffer_len, threshold):
+        """Rows written from the columns read back are the writer's bytes."""
+        tracker = HealthTracker(MonitorConfig(buffer_len=buffer_len, threshold=threshold))
+        records = [tracker.update(w) for w in wlfs]
+        tmp = tmp_path_factory.mktemp("rewrite")
+        first, second = tmp / "a.csv", tmp / "b.csv"
+        write_health_csv(iter(records), str(first))
+        write_health_csv(records_of(read_health_csv(str(first))), str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(extra=st.sampled_from(["", ",cut_id", ",cut_id,hi_ma"]), data=st.data())
+    def test_matches_the_record_reader(self, tmp_path_factory, extra, data):
+        """Well-formed rows, trailing columns, and in half the files one
+        field replaced or added: the columns hold the record reader's values,
+        or the read raises its message."""
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(-(2**63), 2**63 - 1).map(str),
+                    st.floats(width=64).map(repr),
+                    st.one_of(st.just(""), st.floats(width=64).map(repr)),
+                    st.sampled_from(["0", "1"]),
+                ).map(lambda r: [*r[:3], r[3] if r[2] else "0"] + ["7"] * extra.count(",")),
+                max_size=8,
+            )
+        )
+        if rows and data.draw(st.booleans()):  # one malformed row
+            row = data.draw(st.sampled_from(rows))
+            i = data.draw(st.integers(-1, len(row)))
+            if i < 0:
+                row[2:4] = ["", "1"]  # an alarm without a health index
+            else:  # field i replaced, or a field put before it
+                token = ["", "0", "1", "2", "nan", "-inf", "-0.0", "abc", " 1", "1e999"]
+                row[i : i + data.draw(st.integers(0, 1))] = [data.draw(st.sampled_from(token))]
+        path = tmp_path_factory.mktemp("reader") / "hi.csv"
+        body = "".join(",".join(row) + "\n" for row in rows)
+        path.write_text(f"window_index,wlf,hi,alarm{extra}\n{body}")
+        try:
+            expected = reference_read_health_csv(str(path))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_health_csv(str(path))
+            assert str(got.value) == str(exc)
+            return
+        columns = read_health_csv(str(path))
+        got = [
+            (w, l, None if np.isnan(h) else h, a)
+            for w, l, h, a in zip(*(c.tolist() for c in columns))
+        ]
+        assert [(w, l.hex(), h if h is None else h.hex(), a) for w, l, h, a in got] == [
+            (w, l.hex(), h if h is None else h.hex(), a) for w, l, h, a in expected
+        ]
 
 
 class TestAlarmLine:
