@@ -292,7 +292,9 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
     init_path = cfg.resolve("init_checkpoint") if cfg.paths["init_checkpoint"] else ""
     series = read_signal_csv(signal_path)
     train_w, val_w, stats = _prepare_splits(cfg, series)
-    codebooks = load_codebooks(codebooks_path)
+    with open(codebooks_path, "rb") as fh:  # one read, parsed and hashed
+        codebooks_bytes = fh.read()
+    codebooks = load_codebooks(codebooks_path, codebooks_bytes)
     if codebooks.num_channels != series.num_channels:
         raise ConfigError(
             f"paths.codebooks: built for {codebooks.num_channels} channels, "
@@ -335,7 +337,7 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
         window_len=cfg.windowing.window_len,
         context_len=cfg.windowing.context_len,
         channel_names=series.channel_names,
-        codebook_hash=codebook_file_hash(codebooks_path),
+        codebook_hash=codebook_file_hash(codebooks_path, codebooks_bytes),
     )
     print(
         f"best epoch {report.best_epoch} val_loss {report.best_val_loss:.6f} "

@@ -455,11 +455,11 @@ def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     return x.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
-# The two workspace buffers that the backward pass's large temporaries share,
-# one layer and one branch after another: (B, t, F) arrays in the feed-forward
-# branch, (B, H, t, t) ones in the attention branch. The forward pass lends
-# the first to GELU's output, which the w2 matmul consumes at once.
-_SCRATCH = ("scratch.0", "scratch.1")
+# The workspace buffer that the backward pass's temporaries without a cache
+# array to take share in turn: GELU's output and derivative, the recomputed
+# layer-norm outputs and the score gradient's product with the probabilities.
+# The forward pass lends it to GELU's output, which the w2 matmul consumes.
+_SCRATCH = "scratch.0"
 
 
 def forward_batch(
@@ -474,27 +474,28 @@ def forward_batch(
     Returns (distributions (B, C, K) float64, cache); the cache is None
     unless requested. It holds what :func:`backward_from_scores` reads and
     no more, besides the small witnesses ``e_tilde``, ``z``, ``g``, ``u``,
-    ``v`` and ``dists``. Per layer that is the two layer norms' outputs
-    (``a_in``, ``f_in``), normalised inputs and inverse deviations, the
-    head views q, k and v, the attention probabilities, the merged heads,
-    and the FFN pre-activation ``h_pre`` with its Gaussian CDF ``h_cdf``.
-    The residual stream and GELU's output are not kept; the backward pass
-    recomputes the output as ``h_pre * h_cdf``, the multiply :func:`gelu`
-    does.
+    ``v`` and ``dists``. Per layer that is the two layer norms' normalised
+    inputs and inverse deviations, the head views q, k and v, the
+    attention probabilities, the merged heads, and the FFN pre-activation
+    ``h_pre`` with its Gaussian CDF ``h_cdf``. The residual stream, the
+    layer norms' outputs and GELU's output are not kept; the backward pass
+    recomputes them as ``gain * xhat + bias`` and ``h_pre * h_cdf``, the
+    operations :func:`_layer_norm` and :func:`gelu` do.
 
     One window (B = 1) costs mostly numpy's per-call overhead, so the pass
     makes few calls and works in place where it can: every bias and
     residual is added into the fresh output of the matmul before it, the
     causal mask is a cached additive 0/-inf bias, ``attn @ v`` is written
     through the head view of the merged array, and means and sums are
-    direct ``np.add.reduce`` calls. Nothing held in the cache is written
-    after it is made. Every step does the float operations of the textbook
-    out-of-place formula, so the results keep its bits.
+    direct ``np.add.reduce`` calls. The backward pass overwrites the
+    cache's arrays, so a cache serves one backward pass. Every step does
+    the float operations of the textbook out-of-place formula, so the
+    results keep its bits.
 
     ``work`` is an optional workspace, a plain dict of buffers (see
     :func:`_buffer`). It lends each layer's attention probabilities, FFN
     pre-activation and GELU CDF, and one GELU output buffer that every
-    layer shares (the backward pass's first scratch buffer, free while the
+    layer shares (the backward pass's scratch buffer, free while the
     forward pass runs), so that repeated calls allocate none of them again.
     Results are the same bits with or without it. A cache built on a
     workspace stays valid only until that workspace is next used, and
@@ -545,7 +546,7 @@ def forward_batch(
             out=_buffer(work, pre + ".h_pre", (b, t, cfg.ffn_dim), dtype),
         )
         h_pre += w[f"{pre}.ffn.b1"]
-        h_act, h_cdf = gelu(h_pre, work, pre + ".gelu.cdf", _SCRATCH[0])
+        h_act, h_cdf = gelu(h_pre, work, pre + ".gelu.cdf", _SCRATCH)
         x_next = h_act @ w[f"{pre}.ffn.w2"]
         x_next += w[f"{pre}.ffn.b2"]
         x_next += x_mid
@@ -553,8 +554,8 @@ def forward_batch(
         if want_cache:
             layers_cache.append(
                 dict(
-                    xhat1=xhat1, inv1=inv1, a_in=a_in, q=q, k=k, v=v, attn=attn, heads=heads,
-                    xhat2=xhat2, inv2=inv2, f_in=f_in, h_pre=h_pre, h_cdf=h_cdf,
+                    xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, attn=attn, heads=heads,
+                    xhat2=xhat2, inv2=inv2, h_pre=h_pre, h_cdf=h_cdf,
                 )
             )
         x = x_next
@@ -589,18 +590,22 @@ def backward_from_scores(
     is None. The other entries are 0: their weight-gradient products are
     skipped, while d loss / dx still flows through every layer down to the
     embedding. GELU's output is recomputed as ``h_pre * h_cdf`` only where
-    the w2 gradient is wanted.
+    the w2 gradient is wanted, and a layer norm's output only where the
+    gradient of a weight that reads it is.
 
-    The vector and the large temporaries come from the workspace the forward
+    The vector and the scratch buffer come from the workspace the forward
     pass used, if any, and the vector stays valid only until that workspace
-    next computes gradients. The temporaries share a few buffers across
-    layers and branches: in the feed-forward branch GELU's output and then
-    its derivative take the first scratch buffer and dh_pre the second; in
-    the attention branch the score gradient takes the second and its
-    product with the probabilities the first. dq, dk and dv are written
-    through head views of (B, t, d) buffers, and d loss / d a_in is summed
-    in the buffer of d_heads, the gradient at the attention output.
+    next computes gradients. The pass consumes the cache, so a second call
+    on it raises ValueError: each temporary takes a cache array of its layer
+    read for the last time (dh_pre ``h_cdf``, the score gradient the buffer
+    of ``h_pre``, d_heads and then dq the merged heads, dk and dv k and v,
+    the d loss / d a_in sum q), or else the scratch buffer, which GELU's
+    output and derivative, the layer-norm outputs and the score gradient's
+    product with the probabilities take in turn.
     """
+    if cache.get("consumed"):
+        raise ValueError("this cache has served its backward pass; run forward_batch again")
+    cache["consumed"] = True
     cfg: BackboneConfig = cache["cfg"]
     params: ModelParameters = cache["params"]
     work = cache["work"]
@@ -622,6 +627,19 @@ def backward_from_scores(
             np.matmul(x.reshape(-1, x.shape[-1]).T, dy_rows, out=wanted[w_name])
         if b_name in wanted:
             np.add.reduce(dy_rows, axis=0, out=wanted[b_name])
+
+    def merged_rows(x: np.ndarray) -> np.ndarray:
+        """The (B * t, d) rows of the array under the head view x, as a view."""
+        return x.transpose(0, 2, 1, 3).reshape(b * t, d)
+
+    def norm_out(pre: str, xhat: np.ndarray, *weights: str) -> np.ndarray | None:
+        """Norm ``pre``'s output gain * xhat + bias as :func:`_layer_norm` makes
+        it, in the scratch buffer, if a gradient in ``weights`` is wanted."""
+        if not any(n in wanted for n in weights):
+            return None
+        y = np.multiply(params[pre + ".gain"], xhat, out=_buffer(work, _SCRATCH, xhat.shape, dtype))
+        y += params[pre + ".bias"]
+        return y
 
     def norm(pre: str, dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, skip=None):
         """d loss / dx of the layer norm ``pre``, plus ``skip``, the gradient
@@ -651,45 +669,39 @@ def backward_from_scores(
         h_pre, h_cdf = lc["h_pre"], lc["h_cdf"]
         h_act = None
         if f"{pre}.ffn.w2" in wanted:
-            h_act = np.multiply(h_pre, h_cdf, out=_buffer(work, _SCRATCH[0], ffn_shape, dtype))
+            h_act = np.multiply(h_pre, h_cdf, out=_buffer(work, _SCRATCH, ffn_shape, dtype))
         dense(f"{pre}.ffn.w2", f"{pre}.ffn.b2", h_act, dx)
-        dh_pre = np.matmul(
-            dx, params[f"{pre}.ffn.w2"].T, out=_buffer(work, _SCRATCH[1], ffn_shape, dtype)
-        )
-        dh_pre *= gelu_grad(h_pre, h_cdf, out=_buffer(work, _SCRATCH[0], ffn_shape, dtype))
-        dense(f"{pre}.ffn.w1", f"{pre}.ffn.b1", lc["f_in"], dh_pre)
+        h_grad = gelu_grad(h_pre, h_cdf, out=_buffer(work, _SCRATCH, ffn_shape, dtype))
+        dh_pre = np.matmul(dx, params[f"{pre}.ffn.w2"].T, out=h_cdf)
+        dh_pre *= h_grad
+        f_in = norm_out(pre + ".ln2", lc["xhat2"], f"{pre}.ffn.w1")
+        dense(f"{pre}.ffn.w1", f"{pre}.ffn.b1", f_in, dh_pre)
         # from here on dx is d loss / d x_mid
         dx = norm(pre + ".ln2", dh_pre @ params[f"{pre}.ffn.w1"].T, lc["xhat2"], lc["inv2"], dx)
 
         # attention branch
-        dense(f"{pre}.attn.w_o", f"{pre}.attn.b_o", lc["heads"], dx)
-        d_heads = np.matmul(
-            dx, params[f"{pre}.attn.w_o"].T, out=_buffer(work, "d_heads", (b, t, d), dtype)
-        )
-        d_heads = _split_heads(d_heads, nh)
-        a = lc["attn"]
+        q, k, v, a, heads = lc["q"], lc["k"], lc["v"], lc["attn"], lc["heads"]
+        dense(f"{pre}.attn.w_o", f"{pre}.attn.b_o", heads, dx)
+        d_heads = _split_heads(np.matmul(dx, params[f"{pre}.attn.w_o"].T, out=heads), nh)
         d_s = np.matmul(
-            d_heads, lc["v"].transpose(0, 1, 3, 2), out=_buffer(work, _SCRATCH[1], a.shape, dtype)
+            d_heads, v.transpose(0, 1, 3, 2), out=_buffer(work, pre + ".h_pre", a.shape, dtype)
         )
-        dq, dk, dv = (_buffer(work, "d" + n, (b, t, d), dtype) for n in "qkv")
-        np.matmul(a.transpose(0, 1, 3, 2), d_heads, out=_split_heads(dv, nh))
-        d_s_a = np.multiply(d_s, a, out=_buffer(work, _SCRATCH[0], a.shape, dtype))
+        np.matmul(a.transpose(0, 1, 3, 2), d_heads, out=v)  # dv
+        d_s_a = np.multiply(d_s, a, out=_buffer(work, _SCRATCH, a.shape, dtype))
         d_s -= np.add.reduce(d_s_a, axis=-1, keepdims=True)
         d_s *= a
-        np.matmul(d_s, lc["k"], out=_split_heads(dq, nh))
-        dq *= scale
-        np.matmul(d_s.transpose(0, 1, 3, 2), lc["q"], out=_split_heads(dk, nh))
-        dk *= scale
+        np.matmul(d_s, k, out=d_heads)  # dq, in the buffer of heads
+        np.matmul(d_s.transpose(0, 1, 3, 2), q, out=k)  # dk
 
-        rows = {n: arr.reshape(b * t, d) for n, arr in zip("qkv", (dq, dk, dv))}
+        rows = {n: merged_rows(x) for n, x in zip("qkv", (d_heads, k, v))}
+        rows["q"] *= scale
+        rows["k"] *= scale
+        a_in = norm_out(pre + ".ln1", lc["xhat1"], *(f"{pre}.attn.w_{n}" for n in "qkv"))
         for n, d_rows in rows.items():
-            dense(f"{pre}.attn.w_{n}", f"{pre}.attn.b_{n}", lc["a_in"], d_rows)
+            dense(f"{pre}.attn.w_{n}", f"{pre}.attn.b_{n}", a_in, d_rows)
         # da_in = dq @ w_q.T + dk @ w_k.T + dv @ w_v.T, summed in order in
-        # d_heads' buffer, which is read no more; dq, whose gradients are
-        # done, takes the later products
-        da_in = np.matmul(
-            rows["q"], params[f"{pre}.attn.w_q"].T, out=_buffer(work, "d_heads", (b * t, d), dtype)
-        )
+        # q's buffer; heads, which holds dq, takes the later products
+        da_in = np.matmul(rows["q"], params[f"{pre}.attn.w_q"].T, out=merged_rows(q))
         for n in "kv":
             da_in += np.matmul(rows[n], params[f"{pre}.attn.w_{n}"].T, out=rows["q"])
         dx = norm(pre + ".ln1", da_in.reshape(b, t, d), lc["xhat1"], lc["inv1"], dx)

@@ -116,16 +116,19 @@ class DeployedModel:
     @classmethod
     def from_files(cls, checkpoint_path: str, codebooks_path: str) -> "DeployedModel":
         """Load a pair; codebooks that do not hash as the checkpoint recorded
-        are rejected."""
+        are rejected. The codebooks file is read once, and the bytes hashed
+        are the bytes parsed."""
         ckpt = load_checkpoint(checkpoint_path)
+        with open(codebooks_path, "rb") as fh:
+            data = fh.read()
         if ckpt.codebook_hash:
-            actual = codebook_file_hash(codebooks_path)
+            actual = codebook_file_hash(codebooks_path, data)
             if actual != ckpt.codebook_hash:
                 raise ValueError(
                     f"{codebooks_path}: codebooks file does not match the checkpoint "
                     f"(hash {actual[:12]}.. != {ckpt.codebook_hash[:12]}..)"
                 )
-        return cls(checkpoint=ckpt, codebooks=load_codebooks(codebooks_path))
+        return cls(checkpoint=ckpt, codebooks=load_codebooks(codebooks_path, data))
 
 
 def score_window(window: np.ndarray, deployed: DeployedModel) -> float:

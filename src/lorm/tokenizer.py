@@ -9,6 +9,7 @@ fitting different channels may run in parallel.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -246,19 +247,22 @@ def save_codebooks(codebooks: CodebookSet, path: str) -> None:
         json.dump(doc, fh)
 
 
-def load_codebooks(path: str) -> CodebookSet:
-    """Read a codebook JSON document.
+def load_codebooks(path: str, data: bytes | None = None) -> CodebookSet:
+    """Read a codebook JSON document from ``path``, or parse ``data``, its
+    bytes as a caller read them (to hash the same bytes it parses).
 
     Raises:
         ValueError: naming ``path``, for malformed JSON, an unsupported
             version, a missing field, or a malformed channel (naming its
             index and field).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
-            raise ValueError(f"{path}: not a codebooks JSON document ({exc})") from None
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
+        raise ValueError(f"{path}: not a codebooks JSON document ({exc})") from None
     try:
         return _codebooks_from_doc(doc)
     except KeyError as exc:
@@ -299,9 +303,10 @@ def _codebooks_from_doc(doc) -> CodebookSet:
     return CodebookSet(np.stack(stack), [ch["name"] for ch in channels])
 
 
-def codebook_file_hash(path: str) -> str:
-    """SHA-256 of the codebook file bytes, for checkpoint compatibility checks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+def codebook_file_hash(path: str, data: bytes | None = None) -> str:
+    """SHA-256 of the codebook file bytes, for checkpoint compatibility
+    checks; ``data`` holds those bytes where a caller already read them."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return hashlib.sha256(data).hexdigest()

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorm
+import lorm.cli
 from lorm._checks import QUOTE_LIMIT
 from lorm.cli import ConfigError, default_config, load_run_config, main
 from lorm.evaluation import WearTable
@@ -763,6 +765,29 @@ class TestCodebooksSweep:
         assert rc == 2 and "Traceback" not in err
         assert f"error: paths.codebooks: built for K=4, the tokenizer section says {k}" in err
         assert not (tmp_path / "checkpoint.lorm").exists()
+
+
+class TestCodebooksHash:
+    def test_checkpoint_records_the_hash_of_the_codebooks_trained_on(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        """codebooks.json replaced while train runs: the checkpoint records
+        the hash of the bytes that were loaded, not of the file left behind."""
+        books = tmp_path / "codebooks.json"
+        original = (pipeline["out"] / "codebooks.json").read_bytes()
+        books.write_bytes(original)
+        real = lorm.cli.train_model
+
+        def replacing_train_model(*args, **kwargs):
+            books.write_text(json.dumps(json.loads(original), indent=1))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lorm.cli, "train_model", replacing_train_model)
+        rc, err = train_on(pipeline, str(tmp_path), str(books))
+        assert rc == 0, err
+        assert books.read_bytes() != original
+        recorded = load_checkpoint(str(tmp_path / "checkpoint.lorm")).codebook_hash
+        assert recorded == hashlib.sha256(original).hexdigest()
 
 
 class TestStreamErrors:

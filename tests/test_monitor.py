@@ -1,5 +1,7 @@
 """Health tracking, alarms, threshold calibration, and deployment plumbing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from lorm.monitor import (
 )
 from lorm.sequence import build_mcps
 from lorm.signal_io import ChannelStats, normalize_window, split_context_target
-from lorm.tokenizer import CodebookSet, save_codebooks, tokenize_window
+from lorm.tokenizer import CodebookSet, load_codebooks, save_codebooks, tokenize_window
 from lorm.train import window_loss
 
 
@@ -296,6 +298,29 @@ class TestDeployedModelFiles:
         ckpt, books = self._write_pair(tmp_path, tamper=True)
         with pytest.raises(ValueError, match="does not match"):
             DeployedModel.from_files(ckpt, books)
+
+    @pytest.mark.parametrize("hook", ["codebook_file_hash", "load_codebooks"])
+    def test_checked_bytes_are_the_loaded_bytes(self, tmp_path, monkeypatch, hook):
+        """A codebooks file replaced once it is hashed, or just before it is
+        parsed, does not slip past the check: the codebooks deployed are the
+        bytes that the checkpoint's hash vouches for."""
+        import lorm.monitor
+
+        ckpt, books = self._write_pair(tmp_path)
+        want = load_codebooks(books).centroids.copy()
+
+        def tamper():
+            Path(books).write_text(Path(books).read_text().replace("-1.0", "-1.5"))
+
+        real = getattr(lorm.monitor, hook)
+        if hook == "codebook_file_hash":
+            patched = lambda path, *data: (real(path, *data), tamper())[0]
+        else:
+            patched = lambda path, *data: (tamper(), real(path, *data))[1]
+        monkeypatch.setattr(lorm.monitor, hook, patched)
+        deployed = DeployedModel.from_files(ckpt, books)
+        assert b"-1.5" in Path(books).read_bytes()
+        assert deployed.codebooks.centroids.tobytes() == want.tobytes()
 
 
 def reference_calibrate_threshold(hi_by_cut, wear_by_cut, wear_limit_um=300.0):

@@ -166,7 +166,8 @@ class TestWorkspace:
 
     def test_cache_holds_what_the_backward_reads(self):
         """Every per-layer cache entry is read by the full backward pass, and
-        of the top-level entries only the witnesses are not."""
+        of the top-level entries only the witnesses are not. The layer norms'
+        outputs are recomputed, not cached."""
         p, y = make_batch(4, seed=60, cfg=REFERENCE)
         params = init_model(REFERENCE, seed=3)
         d = np.random.default_rng(61).normal(size=(4, REFERENCE.num_channels, REFERENCE.num_tokens))
@@ -177,12 +178,31 @@ class TestWorkspace:
         backward_from_scores(logged, d)
         assert per_layer == [set(lc) for lc in cache["layers"]]
         assert set(cache) - top == {"e_tilde", "z", "v", "dists"}
+        assert all({"a_in", "f_in"}.isdisjoint(lc) for lc in cache["layers"])
+
+    @pytest.mark.parametrize("with_work", [False, True])
+    def test_cache_serves_one_backward_pass(self, with_work):
+        """The backward pass overwrites the cache's arrays, so a second pass
+        on the same cache raises instead of returning wrong gradients."""
+        p, y = make_batch(4, seed=62)
+        params = init_model(CFG, seed=3)
+        d = np.random.default_rng(63).normal(size=(4, CFG.num_channels, CFG.num_tokens))
+        work = {} if with_work else None
+        _, cache = forward_batch(p, params, CFG, want_cache=True, work=work)
+        want = backward_from_scores(cache, d).flat.copy()
+        heads = cache["layers"][0]["heads"].copy()
+        with pytest.raises(ValueError, match="served its backward pass"):
+            backward_from_scores(cache, d)
+        assert cache["layers"][0]["heads"].tobytes() == heads.tobytes()
+        _, cache = forward_batch(p, params, CFG, want_cache=True, work=work)
+        assert backward_from_scores(cache, d).flat.tobytes() == want.tobytes()
 
     def test_memory_at_reference_scale(self):
         """Workspace bytes plus the tracemalloc peak of a warm B=32 step stay
-        at the lean plan's 30.3 MB (6% headroom), so one more (B, t, F)
-        float32 array (2 MB) cached or allocated per step fails; no buffer
-        is larger than that array."""
+        at the 24.37 MB measured with the consumed cache (5% headroom), so
+        one more (B, t, F) float32 array (2 MB) cached or allocated per step
+        fails; no buffer is larger than that array, and the backward pass's
+        (B, t, d) temporaries and second scratch buffer are gone."""
         params = init_model(REFERENCE, seed=3)
         p, y = make_batch(32, seed=70, cfg=REFERENCE)
         largest = 32 * REFERENCE.max_seq_len * REFERENCE.ffn_dim * 4
@@ -197,8 +217,9 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
             held = sum(buf.nbytes for buf in work.values())
-            assert held + peak < 32.0e6, (held, peak)
+            assert held + peak < 25.5e6, (held, peak)
             assert max(buf.nbytes for buf in work.values()) <= largest
+            assert {"scratch.1", "d_heads", "dq", "dk", "dv"}.isdisjoint(work)
 
     def test_results_outlive_the_next_call(self):
         """Distributions outlive later calls; the gradient vector outlives
