@@ -33,6 +33,7 @@ from .evaluation import (
     compute_metrics,
     detection_deviation,
     format_metrics_table,
+    label_windows,
     write_metrics_json,
 )
 from .model import (
@@ -275,8 +276,14 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_fit_codebooks(cfg: RunConfig) -> int:
-    series = read_signal_csv(cfg.resolve("signal"))
+    signal_path = cfg.resolve("signal")
+    series = read_signal_csv(signal_path)
     train_w, _, stats = _prepare_splits(cfg, series)
+    if len(train_w) < cfg.backbone.num_tokens:
+        raise ConfigError(
+            f"tokenizer.num_tokens is {cfg.backbone.num_tokens}, but {signal_path} yields "
+            f"{len(train_w)} training windows; k-means needs at least one per token"
+        )
     targets = normalize_window(np.stack(train_w)[:, cfg.windowing.context_len :], stats)
     codebooks = fit_codebook_set(
         targets, k=cfg.backbone.num_tokens, seed=cfg.seed, channel_names=series.channel_names
@@ -370,12 +377,11 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
     host, sep, port_text = path[len("tcp://") :].partition(":")
     if not sep or not host:
         raise ConfigError(f"paths.signal: expected tcp://host:port, got {path!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ConfigError(f"paths.signal: bad port in {path!r}") from None
+    digits = port_text.lstrip("0")  # a port is 1..65535 in ASCII digits, not "+80" or "8_0"
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= 5 and int(digits) < 65536):
+        raise ConfigError(f"paths.signal: bad port in {path!r}")
     return stream_windows(
-        socket_sample_source(host, port, timeout_s=cfg.monitor.read_timeout_s),
+        socket_sample_source(host, int(digits), timeout_s=cfg.monitor.read_timeout_s),
         windowing,
         channel_count=channels,
         source=path,
@@ -460,8 +466,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     health, positions, wear = _read_health_and_wear(cfg)
     scored = positions >= 0
-    # the located cuts give the labels: wear strictly above the limit
-    labels = wear.wear_um[positions[scored]] > cfg.wear_limit_um
+    labels = label_windows(wear, cfg.wear_limit_um, health.window_index[scored])
     report = compute_metrics(health.alarm[scored], labels)
     # an alarm always has a health index, so -1 here means outside every cut
     first = np.flatnonzero(health.alarm)[:1]

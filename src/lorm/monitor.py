@@ -27,7 +27,7 @@ from ._checks import check_int, check_real
 from .evaluation import WearTable
 from .model import Checkpoint, forward_batch, load_checkpoint
 from .tokenizer import CodebookSet, codebook_file_hash, load_codebooks
-from .train import build_examples, window_loss
+from .train import build_examples, token_loss
 
 __all__ = [
     "MonitorConfig",
@@ -146,7 +146,7 @@ def score_window(window: np.ndarray, deployed: DeployedModel) -> float:
         window[None], ckpt.stats, ckpt.context_len, deployed.codebooks, ckpt.config.patch_len
     )
     dists, _ = forward_batch(p, ckpt.params, ckpt.config)
-    return window_loss(dists[0], y[0])
+    return token_loss(dists, y)[0]
 
 
 def monitor_stream(

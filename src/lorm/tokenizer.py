@@ -31,6 +31,7 @@ __all__ = [
 CODEBOOK_FORMAT_VERSION = 1
 
 MAX_KMEANS_ITER = 100
+KMEANS_REL_TOL = 1e-6
 
 
 class CodebookSet:
@@ -110,20 +111,13 @@ def kmeans_plusplus_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centroids
 
 
-def lloyd_kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    rel_tol: float = 1e-6,
-    init_centroids: np.ndarray | None = None,
-) -> KMeansResult:
+def lloyd_kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding.
 
-    Runs until the relative inertia change drops below ``rel_tol`` or
-    ``max_iter`` iterations. An empty cluster is repaired by reassigning the
-    point currently farthest from its own centroid. Deterministic for a
-    fixed seed.
+    Runs until the relative inertia change drops below ``KMEANS_REL_TOL`` or
+    for ``MAX_KMEANS_ITER`` iterations. An empty cluster is repaired by
+    reassigning the point currently farthest from its own centroid.
+    Deterministic for a fixed seed.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -134,18 +128,10 @@ def lloyd_kmeans(
     if n < k:
         raise ValueError("insufficient samples")
 
-    if init_centroids is None:
-        centroids = kmeans_plusplus_init(points, k, seed)
-    else:
-        centroids = np.array(init_centroids, dtype=np.float64, copy=True)
-        if centroids.shape != (k, points.shape[1]):
-            raise ValueError("init_centroids shape mismatch")
-
+    centroids = kmeans_plusplus_init(points, k, seed)
     prev_inertia = np.inf
     history: list[float] = []
-    labels = np.zeros(n, dtype=np.int64)
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_KMEANS_ITER + 1):
         d2 = _sq_distances(points, centroids)
         labels = np.argmin(d2, axis=1)  # argmin breaks ties toward lower index
         point_d2 = d2[np.arange(n), labels]
@@ -165,7 +151,7 @@ def lloyd_kmeans(
         history.append(inertia)
         if prev_inertia < np.inf:
             denom = max(prev_inertia, np.finfo(np.float64).tiny)
-            if abs(prev_inertia - inertia) / denom < rel_tol:
+            if abs(prev_inertia - inertia) / denom < KMEANS_REL_TOL:
                 break
         prev_inertia = inertia
 
@@ -200,7 +186,7 @@ def fit_codebook_set(
     if stacked.ndim != 3:
         raise ValueError(f"targets must be (n, target_dim, C), got shape {stacked.shape}")
     centroids = [
-        lloyd_kmeans(stacked[:, :, ch], k, seed, max_iter=MAX_KMEANS_ITER).centroids
+        lloyd_kmeans(stacked[:, :, ch], k, seed).centroids
         for ch in range(stacked.shape[2])
     ]
     return CodebookSet(np.stack(centroids), channel_names)

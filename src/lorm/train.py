@@ -35,7 +35,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "Adam",
-    "window_loss",
+    "token_loss",
     "build_examples",
     "loss_and_grad",
     "dataset_loss",
@@ -135,18 +135,6 @@ class Adam(object):
         np.subtract(params.flat, step, out=params.flat, where=self._where)
 
 
-def window_loss(dists: np.ndarray, tokens: np.ndarray) -> float:
-    """Cross-entropy of one window's (C,) observed tokens under its (C, K)
-    distributions, averaged over channels."""
-    p = np.asarray(dists, dtype=np.float64)
-    y = np.asarray(tokens, dtype=np.int64)
-    if p.ndim != 2 or y.shape != (p.shape[0],):
-        raise ValueError("need one token per channel distribution")
-    picked = p[np.arange(p.shape[0]), y]
-    # -mean(log(...)) as np.mean computes it: one pairwise sum, one division
-    return -float(np.add.reduce(np.log(np.maximum(picked, PROB_FLOOR)))) / p.shape[0]
-
-
 def build_examples(
     windows: Sequence[np.ndarray] | np.ndarray,
     stats: ChannelStats,
@@ -177,10 +165,13 @@ def build_examples(
     return p, tokenize_window(norm[:, context_len:, :], codebooks)
 
 
-def _batch_ce(dists: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean loss over a batch plus the (B, C) clamp mask."""
+def token_loss(dists: np.ndarray, tokens: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of (B, C) tokens under (B, C, K) distributions, the
+    loss of training and (at B=1) monitoring, plus the (B, C) clamp mask."""
     b, c, _ = dists.shape
-    picked = dists[np.arange(b)[:, None], np.arange(c)[None, :], y]
+    if tokens.shape != (b, c):
+        raise ValueError("need one token per channel distribution")
+    picked = dists[np.arange(b)[:, None], np.arange(c)[None, :], tokens]
     clamped = picked < PROB_FLOOR
     loss = float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
     return loss, clamped
@@ -206,7 +197,7 @@ def loss_and_grad(
     y = np.asarray(y_batch, dtype=np.int64)
     dists, cache = forward_batch(p_batch, params, cfg, want_cache=True, work=work)
     b, c, _ = dists.shape
-    loss, clamped = _batch_ce(dists, y)
+    loss, clamped = token_loss(dists, y)
     dv = dists.copy()
     dv[np.arange(b)[:, None], np.arange(c)[None, :], y] -= 1.0
     dv /= float(b * c)
@@ -231,7 +222,7 @@ def dataset_loss(
     for start in range(0, n, batch_size):
         chunk = slice(start, min(start + batch_size, n))
         dists, _ = forward_batch(p[chunk], params, cfg, work=work)
-        loss, _ = _batch_ce(dists, y[chunk])
+        loss, _ = token_loss(dists, y[chunk])
         total += loss * (chunk.stop - chunk.start)
     return total / n
 
@@ -337,7 +328,7 @@ def gradient_check(
 
     def loss_at() -> float:
         dists, _ = forward_batch(p64, work, cfg)
-        loss, _ = _batch_ce(dists, y)
+        loss, _ = token_loss(dists, y)
         return loss
 
     _, grads = loss_and_grad(p64, y, work, cfg)

@@ -259,6 +259,21 @@ def write_signal(path, columns=2, bad_row=None, bad_index=40):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
+def test_fit_codebooks_with_fewer_windows_than_tokens(tmp_path, capsys):
+    """3000 samples give 9 windows of 321, 7 of them for training: too few
+    for K=10. The message names the setting, the count and the file."""
+    synth = ["synth.duration_samples=3000", "synth.degradation_onset=0", "synth.cuts=1"]
+    assert main(["synth", "--out", str(tmp_path)] + [a for s in synth for a in ("--set", s)]) == 0
+    capsys.readouterr()
+    assert main(["fit-codebooks", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: tokenizer.num_tokens is 10, but {tmp_path / 'signal.csv'} yields 7 training "
+        "windows; k-means needs at least one per token\n"
+    )
+    assert not (tmp_path / "codebooks.json").exists()
+
+
 class TestSignalErrors:
     """A malformed signal file ends every reading command with exit code 1
     and a message naming the file and the record, never a traceback."""
@@ -902,6 +917,20 @@ class TestStreamErrors:
         probe.close()  # nothing listens on the port now
         rc = self.monitor(pipeline, tmp_path, port)
         self.check(capsys, rc, f"tcp://127.0.0.1:{port}: cannot connect", tmp_path)
+
+    @pytest.mark.parametrize(
+        "port",
+        ["99999", "65536", "0", "8_0", "+80", " 80", "\uff18\uff10",
+         pytest.param("1" + "0" * 5000, id="5001-digits")],
+    )
+    def test_bad_port_exits_2_before_hi_csv(self, pipeline, tmp_path, capsys, port):
+        """A port is 1..65535 in ASCII digits. int() reads more, and the
+        resolver would take 99999 as 34463 and 65536 as 0."""
+        (tmp_path / "hi.csv").write_text(HI_CSV)
+        assert self.monitor(pipeline, tmp_path, port) == 2
+        source = f"tcp://127.0.0.1:{port}"
+        assert capsys.readouterr().err == f"error: paths.signal: bad port in {source!r}\n"
+        assert (tmp_path / "hi.csv").read_text() == HI_CSV
 
     @pytest.mark.parametrize("value", ["0", "-1", '"soon"'])
     def test_read_timeout_must_be_positive(self, capsys, value):

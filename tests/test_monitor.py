@@ -25,7 +25,7 @@ from lorm.monitor import (
 from lorm.sequence import build_mcps
 from lorm.signal_io import ChannelStats, normalize_window, split_context_target
 from lorm.tokenizer import CodebookSet, load_codebooks, save_codebooks, tokenize_window
-from lorm.train import window_loss
+from lorm.train import PROB_FLOOR
 
 
 def tiny_cfg(**kw):
@@ -194,7 +194,10 @@ def reference_score(window, deployed):
     context, target = split_context_target(norm, ckpt.context_len)
     rows = build_mcps(context, ckpt.config.patch_len)
     dists, _ = forward_batch(rows[None, :, :], ckpt.params, ckpt.config)
-    return window_loss(dists[0], tokenize_window(target, deployed.codebooks))
+    tokens = tokenize_window(target, deployed.codebooks)
+    picked = dists[0][np.arange(len(tokens)), tokens]
+    # the per-window loss score_window took before token_loss
+    return -float(np.add.reduce(np.log(np.maximum(picked, PROB_FLOOR)))) / len(tokens)
 
 
 def geometry_deployed(context_len, target_len, patch_len, seed=0):

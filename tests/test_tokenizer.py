@@ -99,10 +99,11 @@ class TestLloyd:
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     def test_empty_cluster_repaired(self):
-        # an init centroid far from all data guarantees an empty cluster
-        pts = np.array([[0.0], [0.1], [0.2], [10.0], [10.1]])
-        init = np.array([[0.1], [10.0], [500.0]])
-        result = lloyd_kmeans(pts, 3, seed=0, init_centroids=init)
+        # with two distinct values, k-means++ seeds one of them twice, and the
+        # second copy's cluster starts empty
+        pts = np.array([[0.0], [0.0], [0.0], [10.0], [10.0]])
+        assert np.unique(kmeans_plusplus_init(pts, 3, seed=0)).size == 2
+        result = lloyd_kmeans(pts, 3, seed=0)
         assert len(set(result.labels.tolist())) == 3
         assert np.all(np.bincount(result.labels, minlength=3) > 0)
 

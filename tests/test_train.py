@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorm.model import (
     BackboneConfig,
@@ -32,8 +34,8 @@ from lorm.train import (
     dataset_loss,
     gradient_check,
     loss_and_grad,
+    token_loss,
     train_model,
-    window_loss,
     write_train_report_csv,
 )
 
@@ -73,18 +75,32 @@ class ReadLog(dict):
         return super().__getitem__(key)
 
 
-class TestWindowLoss:
+def window_loss_reference(dists, tokens):
+    """The per-window loss that monitoring used before token_loss: float64
+    probabilities, -(one pairwise sum of the clamped logs) / C."""
+    p = np.asarray(dists, dtype=np.float64)
+    picked = p[np.arange(p.shape[0]), np.asarray(tokens)]
+    return -float(np.add.reduce(np.log(np.maximum(picked, PROB_FLOOR)))) / p.shape[0]
+
+
+def one_window_loss(dists, tokens):
+    """token_loss of one window, as monitoring calls it (B=1)."""
+    return token_loss(np.asarray(dists)[None], np.asarray(tokens)[None])[0]
+
+
+class TestTokenLoss:
     def test_uniform_is_ln_k(self):
         dists = np.full((3, 5), 0.2)
-        assert window_loss(dists, [0, 3, 4]) == pytest.approx(np.log(5), abs=1e-12)
+        assert one_window_loss(dists, [0, 3, 4]) == pytest.approx(np.log(5), abs=1e-12)
 
     def test_probability_one_is_zero(self):
         dists = np.array([[1.0, 0.0, 0.0]])
-        assert window_loss(dists, [0]) == 0.0
+        assert one_window_loss(dists, [0]) == 0.0
 
     def test_clamp_floor(self):
         dists = np.array([[0.0, 1.0]])
-        assert window_loss(dists, [0]) == pytest.approx(-np.log(PROB_FLOOR), abs=1e-9)
+        assert one_window_loss(dists, [0]) == pytest.approx(-np.log(PROB_FLOOR), abs=1e-9)
+        assert token_loss(dists[None], np.array([[0]]))[1].tolist() == [[True]]
 
     def test_channel_mean_oracle(self):
         rng = np.random.default_rng(1)
@@ -92,11 +108,26 @@ class TestWindowLoss:
         dists = raw / raw.sum(axis=1, keepdims=True)
         y = [2, 0, 5, 1]
         expected = -sum(np.log(dists[c, y[c]]) for c in range(4)) / 4
-        assert window_loss(dists, y) == pytest.approx(expected, abs=1e-12)
+        assert one_window_loss(dists, y) == pytest.approx(expected, abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            window_loss(np.full((2, 3), 1 / 3), [0])
+        with pytest.raises(ValueError, match="need one token per channel distribution"):
+            token_loss(np.full((1, 2, 3), 1 / 3), np.array([[0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), c=st.integers(1, 16), k=st.integers(1, 6))
+    def test_one_window_is_the_window_loss_bit_for_bit(self, data, c, k):
+        """At B=1 the batch mean runs the pairwise sum and the division of the
+        old per-window formula, for any C (numpy unrolls sums from 8 terms)
+        and for probabilities at or below the clamp floor."""
+        prob = st.one_of(
+            st.floats(0.0, 1.0), st.floats(0.0, 2 * PROB_FLOOR), st.sampled_from([0.0, 5e-324])
+        )
+        dists = np.array(data.draw(st.lists(st.lists(prob, min_size=k, max_size=k),
+                                            min_size=c, max_size=c)))
+        tokens = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=c, max_size=c)))
+        got = one_window_loss(dists, tokens)
+        assert got.hex() == window_loss_reference(dists, tokens).hex()
 
 
 class TestLossAndGrad:
