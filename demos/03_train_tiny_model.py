@@ -112,14 +112,12 @@ digest = hashlib.sha256(b"".join(params[n].tobytes() for n in frozen)).hexdigest
 
 p, y = build_examples(target_train, target_stats, 60, books, PATCH)
 pv, yv = build_examples(target_val, target_stats, 60, books, PATCH)
-report = train_model(
-    p, y, pv, yv, params, backbone,
-    TrainConfig(learning_rate=1e-3, max_epochs=5, patience=5, seed=4),
-    freeze=True,
-)
+phase_two = TrainConfig(learning_rate=1e-3, max_epochs=5, patience=5, seed=4)
+report = train_model(p, y, pv, yv, params, backbone, phase_two, freeze=True)
 after = hashlib.sha256(b"".join(params[n].tobytes() for n in frozen)).hexdigest()
 print(f"phase two: val loss {report.best_val_loss:.4f}, frozen block unchanged: {digest == after}")
-print(f"final val loss (recomputed): {dataset_loss(pv, yv, params, backbone):.4f}")
+final = dataset_loss(pv, yv, params, backbone, phase_two.batch_size)
+print(f"final val loss (recomputed): {final:.4f}")
 
 # persist the deployment pair: checkpoint + the codebooks it expects
 workdir = tempfile.mkdtemp(prefix="lorm_demo_")

@@ -377,15 +377,14 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
     host, sep, port_text = path[len("tcp://") :].partition(":")
     if not sep or not host:
         raise ConfigError(f"paths.signal: expected tcp://host:port, got {path!r}")
-    digits = port_text.lstrip("0")  # a port is 1..65535 in ASCII digits, not "+80" or "8_0"
-    if not (digits.isascii() and digits.isdigit() and len(digits) <= 5 and int(digits) < 65536):
-        raise ConfigError(f"paths.signal: bad port in {path!r}")
-    return stream_windows(
-        socket_sample_source(host, int(digits), timeout_s=cfg.monitor.read_timeout_s),
-        windowing,
-        channel_count=channels,
-        source=path,
-    )
+    digits = port_text.lstrip("0")  # a port is in ASCII digits, not "+80" or "8_0"
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        samples = socket_sample_source(host, int(digits), timeout_s=cfg.monitor.read_timeout_s)
+    except ValueError:  # the library checks the range; int() refuses over 4300 digits
+        raise ConfigError(f"paths.signal: bad port in {path!r}") from None
+    return stream_windows(samples, windowing, channel_count=channels, source=path)
 
 
 def _file_windows(path: str, windowing: WindowingConfig, channels: int):

@@ -278,12 +278,9 @@ def _erf(x: np.ndarray, out: np.ndarray | None = None, work: dict | None = None)
     dest = out.reshape(-1)
     n = flat.size
     size = min(n, _ERF_BLOCK)
-    if work is None:
-        # three arrays as before: at B=1 each stays under glibc's 128 KB
-        # mmap threshold, where one 3n block would not
-        a, z, r = np.empty(size), np.empty(size), np.empty(size)
-    else:
-        a, z, r = _buffer(work, "erf", (3 * size,), np.float64).reshape(3, size)
+    # three arrays: at B=1 each stays under glibc's 128 KB mmap threshold,
+    # where one 3n block would not
+    a, z, r = (_buffer(work, key, (size,), np.float64) for key in ("erf_a", "erf_z", "erf_r"))
     if n <= _ERF_BLOCK:
         _erf_block(flat, dest, a, z, r)
     else:

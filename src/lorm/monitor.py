@@ -173,7 +173,7 @@ class ThresholdCalibration:
 
 
 def calibrate_threshold(
-    hi: Sequence[float], positions: Sequence[int], wear: WearTable, wear_limit_um: float = 300.0
+    hi: Sequence[float], positions: Sequence[int], wear: WearTable, wear_limit_um: float
 ) -> ThresholdCalibration:
     """Threshold read at the wear limit: hi[i] is window i's health index and
     positions[i] the row of its cut in ``wear``, -1 for a window left out.

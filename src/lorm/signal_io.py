@@ -16,7 +16,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, quote
 
 __all__ = [
     "MultiChannelSeries",
@@ -36,14 +36,14 @@ __all__ = [
     "socket_sample_source",
 ]
 
-DEFAULT_EPSILON = 1e-8
 _BLOCK_CHARS = 1 << 16  # most bytes the CSV parser reads per block, so memory stays bounded
 _TEXT_TYPES = frozenset({str, bytes, np.str_, np.bytes_})
 
 
 @dataclass
 class MultiChannelSeries:
-    """A T x C matrix of raw measurements plus channel metadata."""
+    """A T x C matrix of raw measurements plus channel names that a signal CSV
+    header carries back: UTF-8 text, no comma or line break, no outer spaces."""
 
     samples: np.ndarray
     channel_names: list[str]
@@ -59,6 +59,10 @@ class MultiChannelSeries:
             raise ValueError(
                 f"channel_names has {len(self.channel_names)} entries for {c} channels"
             )
+        for i, name in enumerate(self.channel_names):
+            if (not isinstance(name, str) or {",", "\n", "\r"} & set(name)
+                    or name.encode("utf-8", "ignore").decode().strip() != name):
+                raise ValueError(f"channel {i}: name {quote(name)} does not survive a CSV header")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
 
@@ -77,7 +81,7 @@ class ChannelStats:
 
     mean: np.ndarray
     std: np.ndarray
-    epsilon: float = DEFAULT_EPSILON
+    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
@@ -100,11 +104,9 @@ class WindowingConfig:
 
     window_len: int
     context_len: int
-    stride: int | None = None
+    stride: int
 
     def __post_init__(self) -> None:
-        if self.stride is None:
-            self.stride = self.window_len  # consecutive windows by default
         for name in ("window_len", "context_len", "stride"):
             check_int(name, getattr(self, name))
         if not self.context_len < self.window_len:
@@ -131,9 +133,7 @@ class StreamFormatError(ValueError):
         super().__init__(f"{where}record {record_index}: {message}")
 
 
-def compute_channel_stats(
-    series: "MultiChannelSeries | np.ndarray", epsilon: float = DEFAULT_EPSILON
-) -> ChannelStats:
+def compute_channel_stats(series: "MultiChannelSeries | np.ndarray") -> ChannelStats:
     """Column mean and population standard deviation (divide by T).
 
     Accepts either a series or a raw (T, C) sample matrix.
@@ -143,7 +143,7 @@ def compute_channel_stats(
         raise ValueError("empty input")
     mean = samples.mean(axis=0)
     std = samples.std(axis=0)  # ddof=0: population std
-    return ChannelStats(mean=mean, std=std, epsilon=epsilon)
+    return ChannelStats(mean=mean, std=std)
 
 
 def normalize_window(data: np.ndarray, stats: ChannelStats) -> np.ndarray:
@@ -186,7 +186,7 @@ def stack_windows(windows: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def train_val_split(
-    windows: Sequence[np.ndarray], val_fraction: float = 0.2, seed: int = 0
+    windows: Sequence[np.ndarray], val_fraction: float, seed: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Seeded window-level random split; validation gets round(n * val_fraction).
 
@@ -209,7 +209,7 @@ def train_val_split(
 def stream_windows(
     samples: Iterable[Sequence[float]],
     cfg: WindowingConfig,
-    channel_count: int | None = None,
+    channel_count: int,
     source: str | None = None,
 ) -> Iterator[np.ndarray]:
     """Assemble (W, C) windows from an ordered sample stream.
@@ -225,7 +225,7 @@ def stream_windows(
     Args:
         samples: iterable of per-sample rows, each with C values.
         cfg: windowing parameters; monitoring normally uses stride = W.
-        channel_count: expected C; inferred from the first row when None.
+        channel_count: C, the number of values in every row.
         source: the name of the sample source (a file or tcp://host:port),
             put at the head of every error message when given.
 
@@ -236,7 +236,7 @@ def stream_windows(
     """
     w, stride = cfg.window_len, cfg.stride
     keep, gap = max(w - stride, 0), max(stride - w, 0)  # rows shared by / between windows
-    window, expected = np.empty((w, channel_count or 0)), channel_count  # C unknown: no columns
+    window, expected = np.empty((w, channel_count)), channel_count
     filled = checked = skip = 0  # rows in window, rows of them checked, gap rows to drop
     end = w  # the fill count at which the unchecked rows of window are checked
     for index, row in enumerate(samples):
@@ -247,7 +247,7 @@ def stream_windows(
                     or expected == 1 and getattr(row, "ndim", 1) != 1):
                 raise ValueError
             window[filled] = row
-        except (TypeError, ValueError):  # a bad row, or the first: the per-row checks say which
+        except (TypeError, ValueError):  # a bad row: the per-row checks say which
             # a non-finite row before this one is named first, as if checked on arrival
             _check_finite(window[checked:filled], index - filled + checked, source)
             try:
@@ -256,9 +256,6 @@ def stream_windows(
                 raise StreamFormatError(index, f"non-numeric value ({exc})", source) from None
             if vec.ndim != 1:
                 raise StreamFormatError(index, f"expected a flat row, got shape {vec.shape}", source)
-            if expected is None:
-                expected = len(vec)
-                window = np.empty((w, expected))
             if len(vec) != expected:
                 raise StreamFormatError(index, f"expected {expected} fields, got {len(vec)}", source)
             window[filled] = vec
@@ -398,8 +395,16 @@ def socket_sample_source(
 
     The stream ends when the peer closes the connection. Errors name the
     source as tcp://host:port. With ``timeout_s``, connecting, and each wait
-    for more data, give up after that many seconds with a TimeoutError.
+    for more data, give up after that many seconds with a TimeoutError. A
+    port outside 1..65535 raises ValueError here, before any connection.
     """
+    check_int("port", port)  # the resolver would take 99999 as 99999 mod 65536
+    if port > 65535:
+        raise ValueError(f"port must be an integer <= 65535, got {port}")
+    return _socket_rows(host, port, timeout_s)
+
+
+def _socket_rows(host: str, port: int, timeout_s: float | None) -> Iterator[np.ndarray]:
     source = f"tcp://{host}:{port}"
     try:
         conn = socket.create_connection((host, port), timeout=timeout_s)

@@ -43,7 +43,7 @@ class CodebookSet:
     nor saved files.
     """
 
-    def __init__(self, centroids: np.ndarray, channel_names: Sequence[str] | None = None) -> None:
+    def __init__(self, centroids: np.ndarray, channel_names: Sequence[str]) -> None:
         stack = np.array(centroids, dtype=np.float64)
         if stack.ndim != 3:
             raise ValueError(f"centroids must be 3-D (C, K, target_dim), got shape {stack.shape}")
@@ -51,7 +51,7 @@ class CodebookSet:
             raise ValueError(f"codebook set needs C >= 1 and K >= 1, got shape {stack.shape}")
         if not np.isfinite(stack).all():
             raise ValueError("centroids contain non-finite values")
-        names = tuple(channel_names or (f"ch{i}" for i in range(len(stack))))
+        names = tuple(channel_names)
         if len(names) != len(stack):
             raise ValueError(f"one channel name per codebook required, got {len(names)} names")
         for i, name in enumerate(names):
@@ -126,7 +126,7 @@ def lloyd_kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < k:
-        raise ValueError("insufficient samples")
+        raise ValueError(f"insufficient samples: {n} points for k={k}")
 
     centroids = kmeans_plusplus_init(points, k, seed)
     prev_inertia = np.inf
@@ -168,7 +168,7 @@ def fit_codebook_set(
     targets: Sequence[np.ndarray] | np.ndarray,
     k: int,
     seed: int,
-    channel_names: Sequence[str] | None = None,
+    channel_names: Sequence[str],
 ) -> CodebookSet:
     """Fit one codebook per channel from per-window target segments.
 
@@ -176,12 +176,11 @@ def fit_codebook_set(
         targets: an (n, target_dim, C) array, or n (target_dim, C) arrays.
         k: clusters per channel.
         seed: shared k-means seed (channels differ by their data).
+        channel_names: one name per channel.
 
-    Raises ValueError("insufficient samples") when n < k. Deterministic:
+    Raises ValueError("insufficient samples: ...") when n < k. Deterministic:
     identical (targets, k, seed) give identical centroid bytes.
     """
-    if not len(targets):
-        raise ValueError("insufficient samples")
     stacked = np.asarray(targets, dtype=np.float64)
     if stacked.ndim != 3:
         raise ValueError(f"targets must be (n, target_dim, C), got shape {stacked.shape}")

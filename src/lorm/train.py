@@ -94,20 +94,12 @@ class Adam(object):
     written, whatever the gradient holds elsewhere.
     """
 
-    def __init__(
-        self,
-        params: ModelParameters,
-        names: Sequence[str],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
+    def __init__(self, params: ModelParameters, names: Sequence[str], cfg: TrainConfig) -> None:
         self.names = list(names)
-        self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = epsilon
+        self.lr = cfg.learning_rate
+        self.beta1 = cfg.beta1
+        self.beta2 = cfg.beta2
+        self.eps = cfg.epsilon
         self.t = 0
         self.m, self.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
         self._step, self._scratch = np.empty_like(params.flat), np.empty_like(params.flat)
@@ -210,7 +202,7 @@ def dataset_loss(
     y: np.ndarray,
     params: ModelParameters,
     cfg: BackboneConfig,
-    batch_size: int = 32,
+    batch_size: int,
     work: dict | None = None,
 ) -> float:
     """Mean window loss over a whole dataset, evaluated without gradients."""
@@ -234,7 +226,7 @@ def train_model(
     y_val: np.ndarray,
     params: ModelParameters,
     cfg: BackboneConfig,
-    train_cfg: TrainConfig | None = None,
+    train_cfg: TrainConfig,
     freeze: bool = False,
 ) -> TrainReport:
     """Mini-batch Adam with per-epoch shuffling and early stopping.
@@ -245,7 +237,6 @@ def train_model(
     feed-forward tensors are not computed. Every step and validation pass
     reuses one workspace of activation buffers for the length of the call.
     """
-    train_cfg = train_cfg or TrainConfig()
     n = p_train.shape[0]
     if n == 0:
         raise ValueError("training set is empty")
@@ -253,8 +244,7 @@ def train_model(
         raise ValueError("validation set is empty")
 
     trainable = sorted(partition_parameters(params).trainable) if freeze else params.names()
-    adam = Adam(params, trainable, train_cfg.learning_rate, train_cfg.beta1, train_cfg.beta2,
-                train_cfg.epsilon)
+    adam = Adam(params, trainable, train_cfg)
 
     rng = np.random.default_rng(train_cfg.seed)
     work: dict[str, np.ndarray] = {}
@@ -313,14 +303,12 @@ def gradient_check(
     y_batch: np.ndarray,
     params: ModelParameters,
     cfg: BackboneConfig,
-    step: float = 1e-5,
     max_coords_per_tensor: int = 16,
-    seed: int = 0,
 ) -> float:
     """Largest relative error between analytic and central-difference gradients.
 
-    Runs entirely in float64. Checks every coordinate of small tensors and a
-    seeded sample of larger ones.
+    Runs entirely in float64 with a step of 1e-5. Checks every coordinate of
+    small tensors and a seeded sample of larger ones.
     """
     work = ModelParameters(params.shapes, params.flat.astype(np.float64))
     y = np.asarray(y_batch, dtype=np.int64)
@@ -332,7 +320,7 @@ def gradient_check(
         return loss
 
     _, grads = loss_and_grad(p64, y, work, cfg)
-    rng = np.random.default_rng(seed)
+    rng, step = np.random.default_rng(0), 1e-5
     worst, start, flat = 0.0, 0, work.flat
     for _, shape in work.shapes:
         size = math.prod(shape)

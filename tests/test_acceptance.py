@@ -255,7 +255,9 @@ class TestCriterion2:
     def test_training_effectiveness(self, trained_stack, acceptance_log):
         report1, report2 = trained_stack["reports"]
         pv, yv = trained_stack["val_set"]
-        val_loss = dataset_loss(pv, yv, trained_stack["params"], trained_stack["backbone"])
+        val_loss = dataset_loss(
+            pv, yv, trained_stack["params"], trained_stack["backbone"], TrainConfig().batch_size
+        )
         bar = 0.8 * math.log(NUM_TOKENS)
         epochs = len(report1.epochs) + len(report2.epochs)
         seconds = trained_stack["seconds"]

@@ -211,7 +211,7 @@ def geometry_deployed(context_len, target_len, patch_len, seed=0):
         patch_len=patch_len,
     )
     rng = np.random.default_rng(seed)
-    books = CodebookSet(rng.normal(size=(channels, num_tokens, target_len)))
+    books = CodebookSet(rng.normal(size=(channels, num_tokens, target_len)), ["a", "b", "c"])
     ckpt = Checkpoint(
         params=init_model(cfg, seed=seed),
         config=cfg,
@@ -383,7 +383,7 @@ class TestCalibrateThreshold:
     def test_lengths_must_agree(self):
         table = WearTable([1], [300.0], [1], [2])
         with pytest.raises(ValueError, match="equal length"):
-            calibrate_threshold([0.1, 0.2], [0], table)
+            calibrate_threshold([0.1, 0.2], [0], table, 300.0)
 
     @settings(max_examples=300, deadline=None)
     @given(

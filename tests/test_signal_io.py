@@ -117,7 +117,7 @@ class TestNormalize:
     def test_window_normalization_matches_series(self):
         series = make_series(t=100, c=2, seed=9)
         stats = compute_channel_stats(series)
-        cfg = WindowingConfig(window_len=25, context_len=24)
+        cfg = WindowingConfig(window_len=25, context_len=24, stride=25)
         windows = segment_windows(series, cfg)
         normed_series = normalize_window(series.samples, stats)
         for k, w in enumerate(windows):
@@ -127,7 +127,7 @@ class TestNormalize:
     def test_leading_batch_dimensions(self):
         series = make_series(t=100, c=2, seed=10)
         stats = compute_channel_stats(series)
-        windows = segment_windows(series, WindowingConfig(window_len=20, context_len=19))
+        windows = segment_windows(series, WindowingConfig(window_len=20, context_len=19, stride=20))
         batched = normalize_window(windows, stats)
         assert batched.shape == windows.shape
         for w, nw in zip(windows, batched):
@@ -135,11 +135,6 @@ class TestNormalize:
 
 
 class TestWindowing:
-    def test_stride_defaults_to_window_len(self):
-        cfg = WindowingConfig(window_len=321, context_len=320)
-        assert cfg.stride == 321
-        assert cfg.target_len == 1
-
     def test_count_and_offsets(self):
         series = make_series(t=1000)
         for stride in (50, 100, 137):
@@ -162,12 +157,13 @@ class TestWindowing:
 
     def test_short_series_yields_nothing(self):
         series = make_series(t=50)
-        cfg = WindowingConfig(window_len=100, context_len=99)
+        cfg = WindowingConfig(window_len=100, context_len=99, stride=100)
         assert segment_windows(series, cfg).shape == (0, 100, 3)
 
     def test_context_target_split_concat_identity(self):
         series = make_series(t=400)
-        cfg = WindowingConfig(window_len=60, context_len=45)
+        cfg = WindowingConfig(window_len=60, context_len=45, stride=60)
+        assert cfg.target_len == 15
         for w in segment_windows(series, cfg):
             context, target = split_context_target(w, 45)
             assert context.shape == (45, 3) and target.shape == (15, 3)
@@ -182,7 +178,7 @@ class TestWindowing:
 
     def test_windowing_validation(self):
         with pytest.raises(ValueError, match="context_len"):
-            WindowingConfig(window_len=100, context_len=100)
+            WindowingConfig(window_len=100, context_len=100, stride=100)
         with pytest.raises(ValueError, match="stride"):
             WindowingConfig(window_len=100, context_len=99, stride=0)
 
@@ -190,21 +186,21 @@ class TestWindowing:
 class TestTrainValSplit:
     def test_disjoint_union(self):
         series = index_series(2000)
-        windows = segment_windows(series, WindowingConfig(window_len=100, context_len=99))
+        windows = segment_windows(series, WindowingConfig(100, 99, 100))
         train, val = train_val_split(windows, 0.2, seed=11)
         assert sorted(starts(train + val)) == starts(windows)
         assert len(val) == round(len(windows) * 0.2)
 
     def test_splits_keep_order_and_share_memory(self):
         series = index_series(2000)
-        windows = segment_windows(series, WindowingConfig(window_len=100, context_len=99))
+        windows = segment_windows(series, WindowingConfig(100, 99, 100))
         train, val = train_val_split(windows, 0.2, seed=11)
         assert starts(train) == sorted(starts(train))
         assert starts(val) == sorted(starts(val))
         assert all(np.shares_memory(w, series.samples) for w in train + val)
 
     def test_seeded_determinism(self):
-        windows = segment_windows(index_series(900), WindowingConfig(100, 99))
+        windows = segment_windows(index_series(900), WindowingConfig(100, 99, 100))
         a = train_val_split(windows, 0.25, seed=4)
         b = train_val_split(windows, 0.25, seed=4)
         assert starts(a[0]) == starts(b[0])
@@ -212,18 +208,18 @@ class TestTrainValSplit:
         assert starts(a[0]) != starts(c[0])
 
     def test_val_never_empty_or_total(self):
-        windows = segment_windows(make_series(t=250), WindowingConfig(100, 99))
+        windows = segment_windows(make_series(t=250), WindowingConfig(100, 99, 100))
         assert len(windows) == 2
         train, val = train_val_split(windows, 0.9, seed=0)
         assert len(train) == 1 and len(val) == 1
 
     def test_too_few_windows(self):
-        windows = segment_windows(make_series(t=120), WindowingConfig(100, 99))
+        windows = segment_windows(make_series(t=120), WindowingConfig(100, 99, 100))
         with pytest.raises(ValueError):
-            train_val_split(windows, 0.2)
+            train_val_split(windows, 0.2, seed=0)
 
 
-def reference_stream_windows(samples, cfg, channel_count=None):
+def reference_stream_windows(samples, cfg, channel_count):
     """The list-of-rows window assembly that the ring buffer replaced."""
     w, stride = cfg.window_len, cfg.stride
     buf, drop, expected = [], 0, channel_count
@@ -234,8 +230,6 @@ def reference_stream_windows(samples, cfg, channel_count=None):
             raise StreamFormatError(index, f"non-numeric value ({exc})") from None
         if vec.ndim != 1:
             raise StreamFormatError(index, f"expected a flat row, got shape {vec.shape}")
-        if expected is None:
-            expected = vec.shape[0]
         if vec.shape[0] != expected:
             raise StreamFormatError(index, f"expected {expected} fields, got {vec.shape[0]}")
         if not np.all(np.isfinite(vec)):
@@ -276,27 +270,26 @@ class TestStreamWindowsRing:
     assembly, for every stride regime and row type."""
 
     @pytest.mark.parametrize("stride", [1, 7, 33, 60, 100, 150, 257])
-    @pytest.mark.parametrize("channel_count", [None, 3])
     @pytest.mark.parametrize("as_list", [False, True])
-    def test_matches_reference(self, stride, channel_count, as_list):
+    def test_matches_reference(self, stride, as_list):
         series = make_series(t=700, c=3, seed=41)
         cfg = WindowingConfig(window_len=100, context_len=97, stride=stride)
         rows = [r.tolist() for r in series.samples] if as_list else list(series.samples)
-        got = list(stream_windows(iter(rows), cfg, channel_count=channel_count))
-        want = list(reference_stream_windows(iter(rows), cfg, channel_count=channel_count))
+        got = list(stream_windows(iter(rows), cfg, channel_count=3))
+        want = list(reference_stream_windows(iter(rows), cfg, channel_count=3))
         assert len(want) == len(segment_windows(series, cfg)) > 0
         assert_same_windows(got, want)
 
     def test_single_row_windows(self):
         rows = [[float(i), -float(i)] for i in range(9)]
         cfg = WindowingConfig(window_len=2, context_len=1, stride=1)
-        got = list(stream_windows(iter(rows), cfg))
-        assert_same_windows(got, list(reference_stream_windows(iter(rows), cfg)))
+        got = list(stream_windows(iter(rows), cfg, 2))
+        assert_same_windows(got, list(reference_stream_windows(iter(rows), cfg, 2)))
 
     def test_windows_are_independent_copies(self):
         series = make_series(t=300, c=2, seed=42)
         cfg = WindowingConfig(window_len=50, context_len=49, stride=10)
-        got = list(stream_windows(iter(series.samples), cfg))
+        got = list(stream_windows(iter(series.samples), cfg, 2))
         for i, a in enumerate(got):
             assert a.flags.owndata and a.flags.writeable
             assert not np.shares_memory(a, series.samples)
@@ -319,8 +312,8 @@ class TestStreamWindowsRing:
         bad_index = 237
         rows[bad_index] = bad_row
         cfg = WindowingConfig(window_len=50, context_len=49, stride=stride)
-        got, err = collect_until_error(stream_windows(iter(rows), cfg))
-        want, want_err = collect_until_error(reference_stream_windows(iter(rows), cfg))
+        got, err = collect_until_error(stream_windows(iter(rows), cfg, 2))
+        want, want_err = collect_until_error(reference_stream_windows(iter(rows), cfg, 2))
         assert err is not None and want_err is not None
         assert err.record_index == want_err.record_index == bad_index
         assert str(err) == str(want_err) and message in str(err)
@@ -334,34 +327,34 @@ class TestStreamWindows:
         series = make_series(t=1500, c=2, seed=13)
         cfg = WindowingConfig(window_len=100, context_len=99, stride=stride)
         batch = segment_windows(series, cfg)
-        streamed = list(stream_windows(iter(series.samples), cfg))
+        streamed = list(stream_windows(iter(series.samples), cfg, 2))
         assert len(streamed) == len(batch)
         for a, b in zip(streamed, batch):
             assert np.array_equal(a, b)
 
     def test_field_count_error_names_record(self):
         rows = [[1.0, 2.0], [1.0, 2.0], [1.0]]
-        cfg = WindowingConfig(window_len=2, context_len=1)
+        cfg = WindowingConfig(window_len=2, context_len=1, stride=2)
         with pytest.raises(StreamFormatError) as err:
-            list(stream_windows(iter(rows), cfg))
+            list(stream_windows(iter(rows), cfg, 2))
         assert err.value.record_index == 2
 
     def test_non_numeric_error(self):
         rows = [[1.0, 2.0], ["x", "y"]]
-        cfg = WindowingConfig(window_len=2, context_len=1)
+        cfg = WindowingConfig(window_len=2, context_len=1, stride=2)
         with pytest.raises(StreamFormatError):
-            list(stream_windows(iter(rows), cfg))
+            list(stream_windows(iter(rows), cfg, 2))
 
     def test_non_finite_error(self):
         rows = [[1.0], [np.nan]]
-        cfg = WindowingConfig(window_len=2, context_len=1)
+        cfg = WindowingConfig(window_len=2, context_len=1, stride=2)
         with pytest.raises(StreamFormatError, match="non-finite"):
-            list(stream_windows(iter(rows), cfg))
+            list(stream_windows(iter(rows), cfg, 1))
 
     def test_trailing_partial_window_dropped(self):
         rows = [[float(i)] for i in range(7)]
         cfg = WindowingConfig(window_len=3, context_len=2, stride=3)
-        streamed = list(stream_windows(iter(rows), cfg))
+        streamed = list(stream_windows(iter(rows), cfg, 1))
         assert starts(streamed) == [0, 3]
 
 
@@ -393,7 +386,7 @@ class TestSocketReplay:
         """Socket-fed windows are identical to file segmentation regardless of
         how the sender chunks its bytes."""
         series = make_series(t=500, c=3, seed=23)
-        cfg = WindowingConfig(window_len=100, context_len=99)
+        cfg = WindowingConfig(window_len=100, context_len=99, stride=100)
         payload = "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in series.samples
         ).encode("utf-8")
@@ -421,6 +414,20 @@ class TestSocketReplay:
         assert len(streamed) == len(batch)
         for a, b in zip(streamed, batch):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("port", [0, -1, 65536, 99999, True, False, 80.0, "80"])
+    def test_bad_port_raises_before_connecting(self, port):
+        """The resolver would take 99999 as 34463 and 65536 as 0, so the call
+        itself raises, before any connection is tried."""
+        connect = mock.patch.object(socket, "create_connection", side_effect=AssertionError)
+        with connect, pytest.raises(ValueError, match="^port must be an integer"):
+            socket_sample_source("127.0.0.1", port)
+
+    def test_good_port_connects_only_when_read(self):
+        connect = mock.patch.object(socket, "create_connection", side_effect=AssertionError)
+        with connect:
+            for port in (1, 65535, np.int64(8080)):
+                socket_sample_source("127.0.0.1", port).close()
 
 
 def serve_once(payload: bytes, sizes=(), hold=None):
@@ -464,7 +471,7 @@ class TestRecordIndex:
         payload = "\n".join(self.LINES) + "\n"
         path = tmp_path / "sig.csv"
         path.write_text("a,b\n" + payload)
-        cfg = WindowingConfig(window_len=2, context_len=1)
+        cfg = WindowingConfig(window_len=2, context_len=1, stride=2)
         with pytest.raises(StreamFormatError) as from_csv:
             list(stream_windows(csv_sample_source(str(path)), cfg, channel_count=2))
 
@@ -495,6 +502,18 @@ class TestValidation:
     def test_series_rejects_name_mismatch(self):
         with pytest.raises(ValueError):
             MultiChannelSeries(samples=np.zeros((4, 2)), channel_names=["a"])
+
+    @pytest.mark.parametrize(
+        "names",
+        [["a,b", "c"], ["a\nb", "c"], ["a", "b\rc"], [" a", "b"], ["a", "b\t"], ["a", 5],
+         [b"a", "b"], ["a", "b\ud800"]],
+    )
+    def test_series_rejects_names_a_header_cannot_hold(self, names):
+        """A comma or line break splits a name, the reader strips the spaces
+        around one, and the writer joins only text it can encode as UTF-8."""
+        message = "^channel [01]: name .* does not survive a CSV header$"
+        with pytest.raises(ValueError, match=message):
+            MultiChannelSeries(samples=np.zeros((4, 2)), channel_names=names)
 
     def test_stack_windows_empty(self):
         with pytest.raises(ValueError, match="empty input"):
@@ -608,6 +627,29 @@ class TestSignalCsvProperties:
         assert np.array_equal(bits(back.samples), bits(samples))
         assert np.array_equal(bits(np.stack(rows)), bits(samples))
 
+    @settings(max_examples=100, deadline=None)
+    @given(names=st.lists(st.text(st.characters(), max_size=4), min_size=1, max_size=3))
+    def test_names_a_series_takes_read_back(self, names):
+        try:
+            series = MultiChannelSeries(samples=np.zeros((2, len(names))), channel_names=names)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sig.csv")
+            write_signal_csv(series, path)
+            assert read_signal_csv(path).channel_names == names
+
+    @settings(max_examples=100, deadline=None)
+    @given(header=st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=12
+    ))
+    def test_names_the_reader_gives_make_a_series(self, header):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sig.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(header + "\n" + ",".join(["1.0"] * (header.count(",") + 1)) + "\n")
+            assert len(read_signal_csv(path).channel_names) == header.count(",") + 1
+
 
 BAD_RECORDS = {
     "short": ("7.0", "expected 2 fields, got 1"),
@@ -621,7 +663,7 @@ BAD_RECORDS = {
 
 def record_errors(path, payload):
     """The StreamFormatError of both file readers and of a socket feed."""
-    cfg = WindowingConfig(window_len=2, context_len=1)
+    cfg = WindowingConfig(window_len=2, context_len=1, stride=2)
     errors = []
     with pytest.raises(StreamFormatError) as err:
         read_signal_csv(path)
@@ -771,7 +813,7 @@ class TestLineEndingsAndBytes:
         payload = "".join(f"{a!r},{b!r}\n" for a, b in samples.tolist()).encode("utf-8")
         hold = threading.Event()
         port, thread = serve_once(payload, hold=hold)
-        cfg = WindowingConfig(window_len=w, context_len=w - 1)
+        cfg = WindowingConfig(window_len=w, context_len=w - 1, stride=w)
         try:
             start = time.monotonic()
             windows = stream_windows(
@@ -866,7 +908,7 @@ def as_rows(samples, kinds):
 @st.composite
 def stream_cases(draw, min_rows=0):
     """(samples, rows, cfg, channel_count): strides below, equal to and
-    above W, channel_count None or given, rows of mixed types."""
+    above W, rows of mixed types."""
     w = draw(st.integers(2, 9))
     stride = draw(st.one_of(st.integers(1, w - 1), st.just(w), st.integers(w + 1, 3 * w + 2)))
     samples = draw(arrays(
@@ -879,9 +921,8 @@ def stream_cases(draw, min_rows=0):
     ))
     kinds = draw(st.lists(st.sampled_from(["list", "tuple", "view", "strided"]),
                           min_size=len(samples), max_size=len(samples)))
-    channel_count = draw(st.sampled_from([None, samples.shape[1]]))
     cfg = WindowingConfig(window_len=w, context_len=w - 1, stride=stride)
-    return samples, as_rows(samples, kinds), cfg, channel_count
+    return samples, as_rows(samples, kinds), cfg, samples.shape[1]
 
 
 def bad_row(samples, index, kind):
@@ -944,29 +985,25 @@ class TestStreamWindowsInPlace:
         assert_same_outcome(rows, cfg, channel_count)
 
     @pytest.mark.parametrize("kind", BAD_KINDS)
-    @pytest.mark.parametrize("channel_count", [None, 2])
     @pytest.mark.parametrize("stride, index, where", PLACES)
-    def test_bad_row_at(self, kind, channel_count, stride, index, where):
+    def test_bad_row_at(self, kind, stride, index, where):
         samples = make_series(t=40, c=2, seed=44).samples
         rows = as_rows(samples, ["list"] * len(samples))
         rows[index] = bad_row(samples, index, kind)
         cfg = WindowingConfig(window_len=10, context_len=9, stride=stride)
-        err = assert_same_outcome(rows, cfg, channel_count)
-        # a first row of another length sets C, so the second row is the bad one
-        sets_c = index == 0 and channel_count is None and kind in ("short", "long")
-        assert err is not None and err.record_index == index + sets_c
+        err = assert_same_outcome(rows, cfg, 2)
+        assert err is not None and err.record_index == index
 
     @pytest.mark.parametrize("kind", ["text", "bytes", "nested"])
-    @pytest.mark.parametrize("channel_count", [None, 1])
     @pytest.mark.parametrize("stride, index, where", PLACES)
-    def test_one_channel_row_at(self, kind, channel_count, stride, index, where):
+    def test_one_channel_row_at(self, kind, stride, index, where):
         """numpy takes "1", b"1" and a (1, 1) array as a one-channel row:
         each is still rejected as not flat, where it arrives."""
         samples = make_series(t=40, c=1, seed=45).samples
         rows = as_rows(samples, ["view"] * len(samples))
         rows[index] = bad_row(samples, index, kind)
         cfg = WindowingConfig(window_len=10, context_len=9, stride=stride)
-        err = assert_same_outcome(rows, cfg, channel_count)
+        err = assert_same_outcome(rows, cfg, 1)
         assert err is not None and err.record_index == index
         assert "expected a flat row, got shape" in str(err)
 
@@ -981,7 +1018,7 @@ class TestStreamWindowsInPlace:
     def test_trailing_rows_are_checked(self):
         rows = [[1.0], [2.0], [np.nan]]
         cfg = WindowingConfig(window_len=2, context_len=1, stride=2)
-        got, err = collect_until_error(stream_windows(iter(rows), cfg, source="feed"))
+        got, err = collect_until_error(stream_windows(iter(rows), cfg, 1, source="feed"))
         assert len(got) == 1 and err.record_index == 2
         assert str(err) == "feed: record 2: non-finite value"
 

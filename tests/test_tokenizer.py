@@ -126,7 +126,7 @@ def nearest_centroid(target, centroids):
 
 
 def single_channel(centroids):
-    return CodebookSet(np.array(centroids)[None])
+    return CodebookSet(np.array(centroids)[None], ["ch0"])
 
 
 class TestAssignment:
@@ -154,7 +154,7 @@ class TestAssignment:
         """Tokens for leading shapes (), (n,) and (n, m) equal a per-channel
         nearest-centroid loop on every target, ties included."""
         rng = np.random.default_rng(dim)
-        books = CodebookSet(rng.normal(size=(3, 6, dim)))
+        books = CodebookSet(rng.normal(size=(3, 6, dim)), ["a", "b", "c"])
         targets = rng.normal(size=(8, 5, dim, 3))
         targets[0, 0] = books.centroids[0, 2][:, None]  # exact hit
         targets[1, 0, :, 1] = 0.5 * (books.centroids[1, 0] + books.centroids[1, 3])  # tie
@@ -184,16 +184,22 @@ class TestAssignment:
 
     def test_tokens_in_range_property(self):
         pts = blob_points(13, n=100, dim=1, k=4)
-        books = fit_codebook_set(pts[:, :, None], 4, seed=1)
+        books = fit_codebook_set(pts[:, :, None], 4, seed=1, channel_names=["ch0"])
         tokens = tokenize_window(pts[:, :, None], books)
         assert tokens.shape == (100, 1)
         assert np.all((0 <= tokens) & (tokens < 4))
 
 
 class TestFitCodebook:
+    def test_insufficient_samples_names_count_and_k(self):
+        with pytest.raises(ValueError, match="^insufficient samples: 3 points for k=4$"):
+            lloyd_kmeans(np.zeros((3, 2)), 4, seed=0)
+        with pytest.raises(ValueError, match="^insufficient samples: 0 points for k=2$"):
+            fit_codebook_set(np.zeros((0, 1, 2)), 2, seed=0, channel_names=["a", "b"])
+
     def test_insufficient_samples(self):
         with pytest.raises(ValueError, match="insufficient samples"):
-            fit_codebook_set(np.zeros((3, 1, 2)), 4, seed=0)
+            fit_codebook_set(np.zeros((3, 1, 2)), 4, seed=0, channel_names=["a", "b"])
 
     def test_fit_codebook_set_shapes(self):
         rng = np.random.default_rng(0)
@@ -369,7 +375,7 @@ class TestCodebookSet:
 
     def test_later_edits_reach_neither_tokens_nor_file(self, tmp_path):
         centroids = np.array([[[0.0], [1.0]]])
-        books = CodebookSet(centroids)
+        books = CodebookSet(centroids, ["ch0"])
         before = tmp_path / "before.json"
         save_codebooks(books, str(before))
         centroids[0, 1, 0] = 5.0
@@ -381,9 +387,9 @@ class TestCodebookSet:
             books.centroids[0, 1, 0] = 5.0
 
     def test_equality_is_identity(self):
-        books = CodebookSet(np.zeros((2, 3, 1)))
+        books = CodebookSet(np.zeros((2, 3, 1)), ["a", "b"])
         assert books == books
-        assert books != CodebookSet(np.zeros((2, 3, 1)))
+        assert books != CodebookSet(np.zeros((2, 3, 1)), ["a", "b"])
 
     def test_names_are_a_tuple_of_str(self, tmp_path):
         """Names are kept as a tuple, so an edit after construction cannot
@@ -398,17 +404,14 @@ class TestCodebookSet:
         save_codebooks(books, str(path))
         assert load_codebooks(str(path)).channel_names == ("a", "b")
 
-    def test_default_names(self):
-        assert CodebookSet(np.zeros((3, 2, 1))).channel_names == ("ch0", "ch1", "ch2")
-
     @pytest.mark.parametrize(
         "centroids, names, message",
         [
-            (np.zeros((2, 1)), None, "must be 3-D"),
-            (np.zeros((1, 0, 1)), None, "K >= 1"),
-            (np.zeros((0, 2, 1)), None, "C >= 1"),
-            (np.array([[[0.0], [np.inf]]]), None, "non-finite"),
-            (np.array([[[0.0], [np.nan]]]), None, "non-finite"),
+            (np.zeros((2, 1)), ["a"], "must be 3-D"),
+            (np.zeros((1, 0, 1)), ["a"], "K >= 1"),
+            (np.zeros((0, 2, 1)), [], "C >= 1"),
+            (np.array([[[0.0], [np.inf]]]), ["a"], "non-finite"),
+            (np.array([[[0.0], [np.nan]]]), ["a"], "non-finite"),
             (np.zeros((2, 2, 1)), ["a"], "one channel name per codebook"),
             (np.zeros((1, 2, 1)), ["a", "b"], "one channel name per codebook"),
             (np.zeros((2, 2, 1)), ["a", 5], "channel 1: name must be a string, got 5"),

@@ -146,7 +146,8 @@ class TestLossAndGrad:
         params = init_model(CFG, seed=3, dtype=np.float64)
         p, y = make_batch(5, seed=4)
         loss, _ = loss_and_grad(p, y, params, CFG)
-        assert loss == pytest.approx(dataset_loss(p, y, params, CFG), abs=1e-12)
+        want = dataset_loss(p, y, params, CFG, TrainConfig().batch_size)
+        assert loss == pytest.approx(want, abs=1e-12)
 
     def test_near_uniform_at_init(self):
         params = init_model(CFG, seed=5, dtype=np.float64)
@@ -283,7 +284,7 @@ class TestAdam:
         before = params.copy()
         grads = params.copy()
         grads.flat[...] = 0.5
-        opt = Adam(params, params.names(), learning_rate=0.01, epsilon=1e-8)
+        opt = Adam(params, params.names(), TrainConfig(learning_rate=0.01, epsilon=1e-8))
         opt.step(params, grads)
         for n in params.names():
             expected = before[n] - 0.01 * 0.5 / (0.5 + 1e-8)
@@ -294,7 +295,8 @@ class TestAdam:
         params = init_model(CFG, seed=8, dtype=np.float64)
         name = "head_ln.bias"
         theta0 = params[name].copy()
-        opt = Adam(params, [name], learning_rate=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        cfg = TrainConfig(learning_rate=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        opt = Adam(params, [name], cfg)
         g1, g2 = 0.3, -0.2
         grads = params.copy()
         grads.flat[...] = 0.0
@@ -315,7 +317,7 @@ class TestAdam:
     def test_only_listed_names_updated(self):
         params = init_model(CFG, seed=9, dtype=np.float64)
         before = params.copy()
-        opt = Adam(params, ["head.w_c"], learning_rate=0.1)
+        opt = Adam(params, ["head.w_c"], TrainConfig(learning_rate=0.1))
         grads = params.copy()
         grads.flat[...] = 1.0
         opt.step(params, grads)
@@ -330,7 +332,7 @@ class TestAdam:
         params["layers.0.attn.w_q"][0, :3] = [np.nan, np.inf, -0.0]
         names = sorted(partition_parameters(params).trainable)
         before = params.copy()
-        opt = Adam(params, names, learning_rate=0.1)
+        opt = Adam(params, names, TrainConfig(learning_rate=0.1))
         grads = params.copy()
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -347,7 +349,7 @@ class TestAdam:
         want = {n: params[n].copy() for n in params.names()}
         m = {n: np.zeros_like(w) for n, w in want.items()}
         v = {n: np.zeros_like(w) for n, w in want.items()}
-        opt = Adam(params, params.names(), learning_rate=1e-2)
+        opt = Adam(params, params.names(), TrainConfig(learning_rate=1e-2))
         grads = params.copy()
         rng = np.random.default_rng(5)
         for t in range(1, 6):
@@ -396,7 +398,7 @@ class TestTrainModel:
         params = init_model(CFG, seed=16, dtype=np.float64)
         cfg = TrainConfig(learning_rate=3e-3, batch_size=4, max_epochs=300, patience=300)
         train_model(p, y, p, y, params, CFG, cfg)
-        assert dataset_loss(p, y, params, CFG) < 0.1 * np.log(CFG.num_tokens)
+        assert dataset_loss(p, y, params, CFG, cfg.batch_size) < 0.1 * np.log(CFG.num_tokens)
 
     def test_params_end_at_best_epoch(self):
         p_train, y_train, p_val, y_val = self._data()
@@ -461,7 +463,7 @@ class TestTrainModel:
     def test_empty_train_rejected(self):
         p, y = make_batch(2)
         with pytest.raises(ValueError, match="training set is empty"):
-            train_model(p[:0], y[:0], p, y, init_model(CFG, seed=0), CFG)
+            train_model(p[:0], y[:0], p, y, init_model(CFG, seed=0), CFG, TrainConfig())
 
     def test_non_finite_abort(self):
         p_train, y_train, p_val, y_val = self._data(8, 4)
@@ -494,7 +496,7 @@ class TestBuildExamples:
             samples=rng.normal(size=(200, 2)),
             channel_names=["a", "b"],
         )
-        windowing = WindowingConfig(window_len=31, context_len=30)
+        windowing = WindowingConfig(window_len=31, context_len=30, stride=31)
         windows = segment_windows(series, windowing)
         stats = compute_channel_stats(series)
         books = CodebookSet(
@@ -523,7 +525,7 @@ class TestBuildExamples:
         )
         stats = compute_channel_stats(series)
         target_len = window_len - context_len
-        books = CodebookSet(rng.normal(size=(3, 5, target_len)))
+        books = CodebookSet(rng.normal(size=(3, 5, target_len)), ["a", "b", "c"])
         p, y = build_examples(windows, stats, context_len, books, patch_len)
 
         p_rows, y_rows = [], []
@@ -543,7 +545,7 @@ class TestBuildExamples:
     def test_non_finite_after_normalisation_rejected(self):
         windows = [np.full((11, 1), 1e308)]
         stats = ChannelStats(mean=np.array([-1e308]), std=np.ones(1))
-        books = CodebookSet(np.zeros((1, 2, 1)))
+        books = CodebookSet(np.zeros((1, 2, 1)), ["a"])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             build_examples(windows, stats, 10, books, patch_len=4)
 
