@@ -270,11 +270,11 @@ class TestStreamWindowsRing:
     assembly, for every stride regime and row type."""
 
     @pytest.mark.parametrize("stride", [1, 7, 33, 60, 100, 150, 257])
-    @pytest.mark.parametrize("as_list", [False, True])
-    def test_matches_reference(self, stride, as_list):
+    @pytest.mark.parametrize("kind", ["view", "list", "tuple", "strided"])
+    def test_matches_reference(self, stride, kind):
         series = make_series(t=700, c=3, seed=41)
         cfg = WindowingConfig(window_len=100, context_len=97, stride=stride)
-        rows = [r.tolist() for r in series.samples] if as_list else list(series.samples)
+        rows = as_rows(series.samples, [kind] * len(series.samples))
         got = list(stream_windows(iter(rows), cfg, channel_count=3))
         want = list(reference_stream_windows(iter(rows), cfg, channel_count=3))
         assert len(want) == len(segment_windows(series, cfg)) > 0
@@ -985,22 +985,26 @@ class TestStreamWindowsInPlace:
         assert_same_outcome(rows, cfg, channel_count)
 
     @pytest.mark.parametrize("kind", BAD_KINDS)
+    @pytest.mark.parametrize("good", ["list", "view"])
     @pytest.mark.parametrize("stride, index, where", PLACES)
-    def test_bad_row_at(self, kind, stride, index, where):
+    def test_bad_row_at(self, kind, good, stride, index, where):
+        """A bad row among good rows that are lists or numpy row views."""
         samples = make_series(t=40, c=2, seed=44).samples
-        rows = as_rows(samples, ["list"] * len(samples))
+        rows = as_rows(samples, [good] * len(samples))
         rows[index] = bad_row(samples, index, kind)
         cfg = WindowingConfig(window_len=10, context_len=9, stride=stride)
         err = assert_same_outcome(rows, cfg, 2)
         assert err is not None and err.record_index == index
 
     @pytest.mark.parametrize("kind", ["text", "bytes", "nested"])
+    @pytest.mark.parametrize("good", ["view", "list"])
     @pytest.mark.parametrize("stride, index, where", PLACES)
-    def test_one_channel_row_at(self, kind, stride, index, where):
+    def test_one_channel_row_at(self, kind, good, stride, index, where):
         """numpy takes "1", b"1" and a (1, 1) array as a one-channel row:
-        each is still rejected as not flat, where it arrives."""
+        each is still rejected as not flat, where it arrives, among good rows
+        that are numpy row views or lists."""
         samples = make_series(t=40, c=1, seed=45).samples
-        rows = as_rows(samples, ["view"] * len(samples))
+        rows = as_rows(samples, [good] * len(samples))
         rows[index] = bad_row(samples, index, kind)
         cfg = WindowingConfig(window_len=10, context_len=9, stride=stride)
         err = assert_same_outcome(rows, cfg, 1)
