@@ -18,6 +18,7 @@ import numpy as np
 
 from lorm import (
     BackboneConfig,
+    Checkpoint,
     SynthConfig,
     TrainConfig,
     WindowingConfig,
@@ -123,14 +124,14 @@ print(f"final val loss (recomputed): {final:.4f}")
 workdir = tempfile.mkdtemp(prefix="lorm_demo_")
 books_path = os.path.join(workdir, "codebooks.json")
 save_codebooks(books, books_path)
-save_checkpoint(
-    os.path.join(workdir, "checkpoint.lorm"),
-    params,
-    backbone,
-    target_stats,
+checkpoint = Checkpoint(
+    params=params,
+    config=backbone,
+    stats=target_stats,
     window_len=61,
     context_len=60,
     channel_names=target_run.series.channel_names,
     codebook_hash=codebook_file_hash(books_path),
 )
+save_checkpoint(os.path.join(workdir, "checkpoint.lorm"), checkpoint)
 print(f"wrote checkpoint + codebooks under {workdir}")

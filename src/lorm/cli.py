@@ -38,6 +38,7 @@ from .evaluation import (
 )
 from .model import (
     BackboneConfig,
+    Checkpoint,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -336,16 +337,16 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
         p_train, y_train, p_val, y_val, params, backbone, cfg.train, freeze=freeze
     )
     write_train_report_csv(report, cfg.out_path("train_report.csv"))
-    save_checkpoint(
-        cfg.out_path("checkpoint.lorm"),
-        params,
-        backbone,
-        stats,
+    ckpt = Checkpoint(
+        params=params,
+        config=backbone,
+        stats=stats,
         window_len=cfg.windowing.window_len,
         context_len=cfg.windowing.context_len,
         channel_names=series.channel_names,
         codebook_hash=codebook_file_hash(codebooks_path, codebooks_bytes),
     )
+    save_checkpoint(cfg.out_path("checkpoint.lorm"), ckpt)
     print(
         f"best epoch {report.best_epoch} val_loss {report.best_val_loss:.6f} "
         f"({'early stop' if report.stopped_early else 'ran to max_epochs'})"

@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import struct
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
 from typing import Iterable
@@ -141,16 +142,8 @@ class ModelParameters:
         return ModelParameters(self.shapes, self.flat.copy())
 
 
-@dataclass
-class ParameterPartition:
-    """Disjoint trainable/frozen name sets covering every parameter."""
-
-    trainable: frozenset[str]
-    frozen: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if self.trainable & self.frozen:
-            raise ValueError("trainable and frozen sets overlap")
+# disjoint trainable/frozen name sets covering every parameter
+ParameterPartition = namedtuple("ParameterPartition", "trainable frozen")
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -715,7 +708,8 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    """Everything needed to redeploy a trained model on a stream."""
+    """Everything needed to redeploy a trained model on a stream. ``check``
+    holds every rule of the record; building and saving one run it."""
 
     params: ModelParameters
     config: BackboneConfig
@@ -725,39 +719,52 @@ class Checkpoint:
     channel_names: list[str]
     codebook_hash: str
 
+    def check(self) -> None:
+        cfg, s, w, names = self.config, self.context_len, self.window_len, self.channel_names
+        if not (type(w) is type(s) is int and 0 < s < w):
+            problem = f"window geometry {s!r}/{w!r} is not 0 < S < W"
+        elif not (isinstance(names, list) and all(type(n) is str for n in names)
+                  and isinstance(self.codebook_hash, str)):
+            problem = "channel_names must be a list of strings, codebook_hash a string"
+        elif not len(names) == cfg.num_channels == self.stats.num_channels:
+            problem = (f"{len(names)} channel names, stats for "
+                       f"{self.stats.num_channels} channels, model for {cfg.num_channels}")
+        elif num_patches(s, cfg.patch_len) * cfg.num_channels != cfg.max_seq_len:
+            problem = f"context_len {s} mismatches max_seq_len {cfg.max_seq_len}"
+        elif self.params.shapes != param_shapes(cfg):
+            raise CheckpointError("parameters do not match the configuration's canonical layout")
+        elif not np.isfinite(self.params.flat).all():
+            raise CheckpointError("parameter block holds non-finite values")
+        else:
+            return
+        raise CheckpointError(f"invalid metadata ({problem})")
 
-def save_checkpoint(
-    path: str,
-    params: ModelParameters,
-    cfg: BackboneConfig,
-    stats: ChannelStats,
-    window_len: int,
-    context_len: int,
-    channel_names: Iterable[str],
-    codebook_hash: str,
-) -> None:
-    """Write the binary checkpoint: LORM magic, u32 version, length-prefixed
-    JSON metadata, then the parameter vector as little-endian float32."""
+    __post_init__ = check
+
+
+def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
+    """Check ``ckpt`` again, then write the binary checkpoint: LORM magic, u32
+    version, length-prefixed JSON metadata, then the parameter vector as
+    little-endian float32."""
+    ckpt.check()
     meta = {
-        "config": asdict(cfg),
-        "windowing": {"window_len": window_len, "context_len": context_len},
+        "config": asdict(ckpt.config),
+        "windowing": {"window_len": ckpt.window_len, "context_len": ckpt.context_len},
         "stats": {
-            "mean": [float(x) for x in stats.mean],
-            "std": [float(x) for x in stats.std],
-            "epsilon": float(stats.epsilon),
+            "mean": [float(x) for x in ckpt.stats.mean],
+            "std": [float(x) for x in ckpt.stats.std],
+            "epsilon": float(ckpt.stats.epsilon),
         },
-        "channel_names": list(channel_names),
-        "codebook_hash": codebook_hash,
+        "channel_names": ckpt.channel_names,
+        "codebook_hash": ckpt.codebook_hash,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    if params.shapes != param_shapes(cfg):
-        raise CheckpointError("parameters do not match the configuration's canonical layout")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(params.flat.astype("<f4", copy=False).tobytes())
+        fh.write(ckpt.params.flat.astype("<f4", copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -778,25 +785,13 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: corrupt metadata block ({exc})") from None
     try:
         cfg = BackboneConfig.from_dict(meta["config"])
-        window_len = meta["windowing"]["window_len"]
-        context_len = meta["windowing"]["context_len"]
+        window_len, context_len = meta["windowing"]["window_len"], meta["windowing"]["context_len"]
         stats = ChannelStats(
             mean=np.asarray(meta["stats"]["mean"]),
             std=np.asarray(meta["stats"]["std"]),
             epsilon=meta["stats"]["epsilon"],
         )
-        channel_names = meta["channel_names"]
-        codebook_hash = meta["codebook_hash"]
-        if not (type(window_len) is type(context_len) is int and 0 < context_len < window_len):
-            raise ValueError(f"window geometry {context_len!r}/{window_len!r} is not 0 < S < W")
-        names_ok = isinstance(channel_names, list) and all(type(n) is str for n in channel_names)
-        if not (names_ok and isinstance(codebook_hash, str)):
-            raise ValueError("channel_names must be a list of strings, codebook_hash a string")
-        if not len(channel_names) == cfg.num_channels == stats.num_channels:
-            raise ValueError(f"{len(channel_names)} channel names, stats for "
-                             f"{stats.num_channels} channels, model for {cfg.num_channels}")
-        if num_patches(context_len, cfg.patch_len) * cfg.num_channels != cfg.max_seq_len:
-            raise ValueError(f"context_len {context_len} mismatches max_seq_len {cfg.max_seq_len}")
+        names, codebook_hash = meta["channel_names"], meta["codebook_hash"]
     except KeyError as exc:
         raise CheckpointError(f"{path}: metadata lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -814,15 +809,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(
             f"{path}: parameter block holds {len(raw)} bytes, expected {4 * size}"
         )
-    flat = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-    if not np.isfinite(flat).all():
-        raise CheckpointError(f"{path}: parameter block holds non-finite values")
-    return Checkpoint(
-        params=ModelParameters(shapes, flat),
-        config=cfg,
-        stats=stats,
-        window_len=window_len,
-        context_len=context_len,
-        channel_names=channel_names,
-        codebook_hash=codebook_hash,
-    )
+    params = ModelParameters(shapes, np.frombuffer(raw, dtype="<f4").astype(np.float32))
+    try:
+        return Checkpoint(params, cfg, stats, window_len, context_len, names, codebook_hash)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

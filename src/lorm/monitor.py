@@ -81,7 +81,8 @@ class HealthTracker(object):
     """Stateful per-stream HI computation. Feed WLF values in arrival order.
 
     The first buffer_len WLF values are kept in ``buffer``; once it is full
-    the baseline is their mean and the buffer is emptied.
+    the baseline is their mean and the buffer is emptied. A non-finite WLF,
+    which would turn the baseline or the HI into NaN, raises ValueError.
     """
 
     def __init__(self, cfg: MonitorConfig) -> None:
@@ -92,6 +93,8 @@ class HealthTracker(object):
 
     def update(self, wlf: float) -> HealthRecord:
         self._count, wlf = self._count + 1, float(wlf)
+        if not math.isfinite(wlf):
+            raise ValueError(f"window {self._count}: wlf is {wlf!r}, not finite")
         if self.baseline is None:
             self.buffer.append(wlf)
             if len(self.buffer) == self.cfg.buffer_len:

@@ -162,16 +162,16 @@ def trained_stack(tmp_path_factory):
     ).hexdigest()
 
     ckpt_path = str(out / "checkpoint.lorm")
-    save_checkpoint(
-        ckpt_path,
-        params,
-        backbone,
-        stats_b,
+    ckpt = Checkpoint(
+        params=params,
+        config=backbone,
+        stats=stats_b,
         window_len=WINDOWING.window_len,
         context_len=WINDOWING.context_len,
         channel_names=target.series.channel_names,
         codebook_hash=codebook_file_hash(books_path),
     )
+    save_checkpoint(ckpt_path, ckpt)
     return {
         "backbone": backbone,
         "params": params,
@@ -460,27 +460,17 @@ class TestCriterion9:
         )
         first = str(tmp_path / "a.lorm")
         second = str(tmp_path / "b.lorm")
-        save_checkpoint(
-            first,
-            init_model(cfg, seed=10),
-            cfg,
-            ChannelStats(mean=np.zeros(2), std=np.ones(2)),
+        ckpt = Checkpoint(
+            params=init_model(cfg, seed=10),
+            config=cfg,
+            stats=ChannelStats(mean=np.zeros(2), std=np.ones(2)),
             window_len=16,  # 3 patches of 5 per channel: max_seq_len 6
             context_len=15,
             channel_names=["a", "b"],
             codebook_hash="x" * 64,
         )
-        loaded = load_checkpoint(first)
-        save_checkpoint(
-            second,
-            loaded.params,
-            loaded.config,
-            loaded.stats,
-            window_len=loaded.window_len,
-            context_len=loaded.context_len,
-            channel_names=loaded.channel_names,
-            codebook_hash=loaded.codebook_hash,
-        )
+        save_checkpoint(first, ckpt)
+        save_checkpoint(second, load_checkpoint(first))
         with open(first, "rb") as fa, open(second, "rb") as fb:
             ckpt_ok = fa.read() == fb.read()
 

@@ -328,6 +328,24 @@ class TestSignalErrors:
         assert f"error: {signal}: 3 channels, but the checkpoint expects 2" in err
         assert "Traceback" not in err
 
+    def test_monitor_stops_at_a_non_finite_wlf(self, pipeline, tmp_path, capsys):
+        """A sample finite in float64 but beyond float32 makes window k's WLF
+        NaN: monitor exits 1 naming the window, and hi.csv keeps the k - 1
+        rows before it instead of NaN health indices."""
+        out, k = pipeline["out"], 14  # past the baseline of 10 windows
+        lines = (out / "signal.csv").read_text().splitlines(keepends=True)
+        row = 1 + (k - 1) * 30 + 59  # stride 30: in window k's context, in no earlier window
+        lines[row] = "1e39," + lines[row].split(",", 1)[1]
+        signal = tmp_path / "bad.csv"
+        signal.write_text("".join(lines))
+        with np.errstate(all="ignore"):
+            assert self.run(pipeline, "monitor", signal, tmp_path) == 1
+        hi = tmp_path / "hi.csv"
+        err = capsys.readouterr().err
+        assert err == f"error: window {k}: wlf is nan, not finite; {hi} holds {k - 1} windows\n"
+        rows = (out / "hi.csv").read_text().splitlines(keepends=True)
+        assert hi.read_text() == "".join(rows[:k])
+
 
 WEAR_CSV = "cut_id,wear_um,first_window,last_window\n1,150.0,1,2\n2,320.0,3,4\n"
 HI_CSV = "window_index,wlf,hi,alarm\n1,0.5,,0\n2,0.7,0.2,0\n3,0.9,0.4,1\n4,1.1,0.6,1\n"

@@ -14,6 +14,7 @@ from lorm.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     BackboneConfig,
+    Checkpoint,
     CheckpointError,
     backward_from_scores,
     forward_batch,
@@ -749,21 +750,27 @@ class TestReferenceScaleBitwise:
                 assert grads[name].tobytes() == want_grads[name].tobytes(), name
 
 
+LIST_OF_STRINGS = "channel_names must be a list of strings, codebook_hash a string"
+
+
 class TestCheckpoint:
     def _stats(self):
         return ChannelStats(mean=np.array([0.5, -1.0]), std=np.array([2.0, 3.0]))
 
+    def _ckpt(self, params, **fields):
+        return Checkpoint(**{
+            "params": params,
+            "config": TINY,
+            "stats": self._stats(),
+            "window_len": 16,  # 3 patches of 5 per channel: TINY's max_seq_len 6
+            "context_len": 15,
+            "channel_names": ["a", "b"],
+            "codebook_hash": "cafe" * 16,
+            **fields,
+        })
+
     def _save(self, path, params):
-        save_checkpoint(
-            str(path),
-            params,
-            TINY,
-            self._stats(),
-            window_len=16,  # 3 patches of 5 per channel: TINY's max_seq_len 6
-            context_len=15,
-            channel_names=["a", "b"],
-            codebook_hash="cafe" * 16,
-        )
+        save_checkpoint(str(path), self._ckpt(params))
 
     def test_round_trip_byte_identity(self, tmp_path):
         params = tiny_params(dtype=np.float32)
@@ -771,7 +778,7 @@ class TestCheckpoint:
         p2 = tmp_path / "m2.lorm"
         self._save(p1, params)
         ckpt = load_checkpoint(str(p1))
-        self._save(p2, ckpt.params)
+        save_checkpoint(str(p2), ckpt)
         assert p1.read_bytes() == p2.read_bytes()
         for name in params.names():
             assert np.array_equal(ckpt.params[name], params[name])
@@ -890,6 +897,64 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=message) as exc:
             load_checkpoint(str(path))
         assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"window_len": "x"}, "window geometry 15/'x' is not 0 < S < W"),
+            ({"window_len": 16.0}, "window geometry 15/16.0 is not 0 < S < W"),
+            ({"context_len": 16}, "window geometry 16/16 is not 0 < S < W"),
+            ({"window_len": 11, "context_len": 10}, "context_len 10 mismatches max_seq_len 6"),
+            ({"channel_names": ["a"]}, "1 channel names, stats for 2 channels, model for 2"),
+            ({"channel_names": "ab"}, LIST_OF_STRINGS),
+            (
+                {"stats": ChannelStats(mean=[0.0] * 3, std=[1.0] * 3)},
+                "2 channel names, stats for 3 channels, model for 2",
+            ),
+            ({"codebook_hash": 7}, LIST_OF_STRINGS),
+        ],
+    )
+    def test_inconsistent_record_is_refused_when_built(self, fields, message):
+        """The in-memory cases of test_inconsistent_metadata_names_file, with
+        the message load_checkpoint puts after the file's name. The stats and
+        config cases of that test are refused by ChannelStats and
+        BackboneConfig themselves."""
+        with pytest.raises(CheckpointError) as exc:
+            self._ckpt(tiny_params(dtype=np.float32), **fields)
+        assert str(exc.value) == f"invalid metadata ({message})"
+
+    def test_non_finite_record_is_refused_when_built(self):
+        params = tiny_params(dtype=np.float32)
+        params.flat[3] = np.inf
+        with pytest.raises(CheckpointError, match="^parameter block holds non-finite values$"):
+            self._ckpt(params)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c.params.flat.__setitem__(0, np.nan), "^parameter block holds non-finite"),
+            (lambda c: c.channel_names.append("c"), r"^invalid metadata \(3 channel names"),
+        ],
+    )
+    def test_save_refuses_record_changed_after_build(self, tmp_path, edit, message):
+        """save_checkpoint checks the record again, so one edited in place
+        after it was built writes no file."""
+        ckpt = self._ckpt(tiny_params(dtype=np.float32))
+        edit(ckpt)
+        path = tmp_path / "m.lorm"
+        with pytest.raises(CheckpointError, match=message):
+            save_checkpoint(str(path), ckpt)
+        assert not path.exists()
+
+    def test_file_message_is_the_record_message_after_the_path(self, tmp_path):
+        path = tmp_path / "m.lorm"
+        self._save(path, tiny_params(dtype=np.float32))
+        self._rewrite_meta(path, lambda m: m.update(channel_names=["a"]))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value) == (
+            f"{path}: invalid metadata (1 channel names, stats for 2 channels, model for 2)"
+        )
 
     def test_non_finite_parameter_names_file(self, tmp_path):
         path = tmp_path / "m.lorm"

@@ -1,5 +1,6 @@
 """Health tracking, alarms, threshold calibration, and deployment plumbing."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,15 @@ class TestHealthTracker:
             assert r.hi == float(w) - base
             assert r.alarm == (r.hi > 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [1, 2, 4])  # in the buffer, filling it, after it
+    def test_non_finite_wlf_names_its_window(self, bad, position):
+        tracker = HealthTracker(MonitorConfig(buffer_len=2, threshold=0.2))
+        for _ in range(position - 1):
+            tracker.update(1.0)
+        with pytest.raises(ValueError, match=f"^window {position}: wlf is {bad!r}, not finite$"):
+            tracker.update(bad)
+
     def test_replay_determinism(self):
         rng = np.random.default_rng(4)
         wlfs = [float(v) for v in rng.uniform(0, 3, size=30)]
@@ -260,6 +270,18 @@ class TestMonitorStream:
             (r.wlf, r.hi, r.alarm) for r in manual
         ]
 
+    def test_overflowing_sample_stops_at_its_window(self):
+        """A sample finite in float64 but beyond float32 gives a NaN WLF; the
+        stream stops at that window instead of yielding NaN health indices."""
+        deployed = tiny_deployed(seed=7)
+        windows = [make_window(seed=s) for s in range(5)]
+        windows[2][5, 1] = 1e39  # a context sample
+        records = []
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^window 3: wlf is nan"):
+            for record in monitor_stream(deployed, iter(windows), MonitorConfig(buffer_len=1)):
+                records.append(record)
+        assert [r.window_index for r in records] == [1, 2]
+
 
 class TestDeployedModelFiles:
     def _write_pair(self, tmp_path, tamper=False):
@@ -274,16 +296,16 @@ class TestDeployedModelFiles:
 
         digest = codebook_file_hash(str(books_path))
         ckpt_path = tmp_path / "model.lorm"
-        save_checkpoint(
-            str(ckpt_path),
-            params,
-            cfg,
-            ChannelStats(mean=np.zeros(2), std=np.ones(2)),
+        ckpt = Checkpoint(
+            params=params,
+            config=cfg,
+            stats=ChannelStats(mean=np.zeros(2), std=np.ones(2)),
             window_len=21,
             context_len=20,
             channel_names=["a", "b"],
             codebook_hash=digest,
         )
+        save_checkpoint(str(ckpt_path), ckpt)
         if tamper:
             text = books_path.read_text().replace("-1.0", "-1.5")
             books_path.write_text(text)
