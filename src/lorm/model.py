@@ -189,47 +189,6 @@ _ERF_SMALL = tuple(map(np.float64, (
     0.11283791670945006, -0.37612638903183543, 0.12837916709551256,
 )))
 
-# erf(x) = 1 - exp(-x^2) * erfcx(x) for 1 <= x <= 6, where erfcx(x) =
-# exp(x^2) * erfc(x) is fitted on each [k, k + 1] as a polynomial in
-# t = 2 (x - k) - 1 by mpmath.chebyfit at 50 digits (highest degree first).
-# Each piece has the fewest coefficients that keep erfc within 1e-18
-# absolute. Beyond 6, erfc < 2.2e-17 and erf rounds to 1 in float64.
-_ERFCX_PIECES = (
-    (  # [1, 2]
-        2.0206514750441873e-13, -1.512018061489917e-12, 1.0201594788774491e-11,
-        -7.257032617086992e-11, 5.04654734183512e-10, -3.405938587821499e-09,
-        2.2328417586062252e-08, -1.4191186135917107e-07, 8.72304473829848e-07,
-        -5.171328672722121e-06, 2.947085745299996e-05, -0.0001608111733699307,
-        0.0008360838095667121, -0.004116363162445659, 0.01903775996386935,
-        -0.08181145886628002, 0.3215854164543175,
-    ),
-    (  # [2, 3]
-        -2.0708147078071605e-12, 1.723024076899895e-11, -1.33143101900905e-10,
-        1.0586241265313587e-09, -8.231138927663064e-09, 6.235178565185672e-08,
-        -4.5991375435346844e-07, 3.2971844748816603e-06, -2.292471679099313e-05,
-        0.00015418980102799784, -0.0010001961727623635, 0.006234499271661308,
-        -0.03717367339489734, 0.21080636406114361,
-    ),
-    (  # [3, 4]
-        8.677394833461469e-11, -8.095126220242712e-10, 7.173925175362221e-09,
-        -6.433425732192288e-08, 5.653402667147934e-07, -4.858414667578579e-06,
-        4.079289522679516e-05, -0.00033413430299333543, 0.0026652832981378057,
-        -0.020661788916724405, 0.1552936556088943,
-    ),
-    (  # [4, 5]
-        -1.2762800853119695e-08, 1.3408694473554682e-07, -1.3608255039253535e-06,
-        1.3827660550755668e-05, -0.00013807204221457956, 0.001353281657648864,
-        -0.013007964314606692, 0.12248480426449534,
-    ),
-    (  # [5, 6]
-        5.640901480414343e-06, -6.677002415504479e-05, 0.0007727410283540222,
-        -0.008897235342121676, 0.10096221839949909,
-    ),
-)
-# one row per power of t (highest first), one column per piece; shorter pieces
-# are zero-padded at the high-degree end, which leaves their Horner sums exact
-_ERFCX = np.array([(0.0,) * (17 - len(c)) + c for c in _ERFCX_PIECES]).T.copy()
-
 # elements per block: the three float64 scratch buffers (768 KB) stay in a
 # 2 MB L2 cache, and a block is large enough to amortise numpy's per-call cost
 _ERF_BLOCK = 32768
@@ -261,8 +220,8 @@ def _erf(x: np.ndarray, out: np.ndarray | None = None, work: dict | None = None)
     that value rounded to float32, which is the correctly rounded erf for
     every float32 input. The array is worked through in blocks so that every
     Horner pass runs in cache; an array of one block (every monitoring
-    input) takes no per-block slices. Elements with |x| >= 1 (or NaN) are
-    finished by :func:`_erf_tail`. ``out`` (C-contiguous, x's shape and
+    input) takes no per-block slices. Elements with |x| >= 1 (or NaN) take
+    the C library's erf (``math.erf``). ``out`` (C-contiguous, x's shape and
     dtype) may be x itself; a workspace ``work`` lends the float64 scratch.
     """
     flat = x.reshape(-1)
@@ -294,12 +253,13 @@ def _erf_block(
     if np.maximum.reduce(z, axis=None) < 1.0:  # False for NaN
         _erf_small(a, z, r)
     else:
-        # |x| >= 1 overflows or meets inf - inf in the polynomial; _erf_tail
-        # overwrites those elements
+        # |x| >= 1 overflows or meets inf - inf in the polynomial; the C
+        # library's erf overwrites those elements (about 1% of a trained
+        # model's FFN inputs), one at a time
         with np.errstate(over="ignore", invalid="ignore"):
             _erf_small(a, z, r)
-            idx = np.flatnonzero(~(z < 1.0))
-            r[idx] = _erf_tail(a[idx])
+        idx = np.flatnonzero(~(z < 1.0))
+        r[idx] = list(map(math.erf, a[idx].tolist()))
     dest[...] = r
 
 
@@ -312,21 +272,6 @@ def _erf_small(a: np.ndarray, z: np.ndarray, r: np.ndarray) -> None:
     np.add(r, _ERF_SMALL[-1], out=r)
     np.multiply(r, a, out=r)
     np.add(r, a, out=r)
-
-
-def _erf_tail(a: np.ndarray) -> np.ndarray:
-    """erf of float64 values with |a| >= 1 or NaN, as 1 - exp(-a^2) erfcx(|a|)."""
-    ax = np.fmin(np.abs(a), 6.0)  # NaN becomes 6 here and is restored below
-    k = np.minimum(ax.astype(np.intp), 5)  # piece [k, k + 1]
-    t = 2.0 * (ax - k) - 1.0
-    piece = k - 1
-    erfcx = np.zeros_like(ax)
-    for coef in _ERFCX:
-        erfcx *= t
-        erfcx += coef.take(piece)
-    result = 1.0 - np.exp(-ax * ax) * erfcx
-    result[np.isnan(a)] = np.nan
-    return np.copysign(result, a)
 
 
 def gelu(

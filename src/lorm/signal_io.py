@@ -114,10 +114,6 @@ class WindowingConfig:
                 f"context_len must satisfy 0 < S < W, got S={self.context_len} W={self.window_len}"
             )
 
-    @property
-    def target_len(self) -> int:
-        return self.window_len - self.context_len
-
 
 class StreamFormatError(ValueError):
     """A malformed record was encountered while streaming samples.

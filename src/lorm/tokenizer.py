@@ -131,8 +131,8 @@ def lloyd_kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     centroids = kmeans_plusplus_init(points, k, seed)
     prev_inertia = np.inf
     history: list[float] = []
+    d2 = _sq_distances(points, centroids)
     for n_iter in range(1, MAX_KMEANS_ITER + 1):
-        d2 = _sq_distances(points, centroids)
         labels = np.argmin(d2, axis=1)  # argmin breaks ties toward lower index
         point_d2 = d2[np.arange(n), labels]
 
@@ -146,7 +146,7 @@ def lloyd_kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         for j in range(k):
             centroids[j] = points[labels == j].mean(axis=0)
 
-        d2 = _sq_distances(points, centroids)
+        d2 = _sq_distances(points, centroids)  # also the next iteration's assignment
         inertia = float(d2[np.arange(n), labels].sum())
         history.append(inertia)
         if prev_inertia < np.inf:

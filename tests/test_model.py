@@ -1,6 +1,7 @@
 """Backbone correctness: parameter registry, initialisation, forward pass
 against an independent double-precision reference, masking, and checkpoints."""
 
+import hashlib
 import json
 import math
 import struct
@@ -29,7 +30,6 @@ from lorm.model import (
     _ERF_SMALL,
     _causal_bias,
     _erf,
-    _erf_tail,
     _layer_norm,
     _mean,
     _softmax_last,
@@ -311,7 +311,8 @@ class TestErf:
 
     @staticmethod
     def _boundaries():
-        # +-0, +-inf and both float32 neighbours of every branch boundary
+        # +-0, +-inf and both float32 neighbours of each integer 0 to 6; 1 is
+        # the only branch boundary (the polynomial below it, math.erf from it)
         edges = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], dtype=np.float32)
         pts = [edges, np.nextafter(edges, np.float32(-np.inf)), np.nextafter(edges, np.float32(np.inf))]
         pts = np.concatenate(pts + [np.array([np.inf], dtype=np.float32)])
@@ -331,6 +332,28 @@ class TestErf:
         got = _erf(x)
         assert got.dtype == np.float64
         assert np.max(np.abs(got - ref_erf(x))) <= 4e-16
+
+    def test_float64_tail_is_math_erf(self):
+        """Elements with |x| >= 1, inf and NaN get math.erf's float64 bits."""
+        x = np.concatenate([np.linspace(-8.0, 8.0, 400_001), self._boundaries().astype(np.float64),
+                            [np.nan, -np.nan, 1e300, -1e300, -0.999999]])
+        tail = ~(np.abs(x) < 1.0)
+        got = _erf(x)
+        assert got[tail].tobytes() == ref_erf(x[tail]).tobytes()
+
+    def test_float32_tail_hash_on_1_to_4(self):
+        """_erf on every float32 in [1, 4], in ascending order, against a
+        fixed sha256 of its bytes, and the same bytes negated on [-4, -1]."""
+        lo, hi = (int(np.float32(v).view(np.uint32)) for v in (1.0, 4.0))
+        digest = hashlib.sha256()
+        for start in range(lo, hi + 1, 1 << 20):
+            x = np.arange(start, min(start + (1 << 20), hi + 1), dtype=np.uint32).view(np.float32)
+            got = _erf(x)
+            digest.update(got.tobytes())
+            assert _erf(-x).tobytes() == (-got).tobytes()
+        assert digest.hexdigest() == (
+            "91365a8dbb375034dff479611333616fa6b77d14f58e965b65e22813058d1f79"
+        )
 
     def test_nan_and_shape(self):
         got = _erf(np.array([[np.nan, 0.5], [-7.0, 1.0]], dtype=np.float32))
@@ -664,7 +687,7 @@ def old_erf(x):
             r = (r + c) * z
         r = (r + _ERF_SMALL[-1]) * a + a
     tail = ~(z < 1.0)
-    r[tail] = _erf_tail(a[tail])
+    r[tail] = ref_erf(a[tail])
     return r.astype(x.dtype)
 
 

@@ -163,7 +163,6 @@ class TestWindowing:
     def test_context_target_split_concat_identity(self):
         series = make_series(t=400)
         cfg = WindowingConfig(window_len=60, context_len=45, stride=60)
-        assert cfg.target_len == 15
         for w in segment_windows(series, cfg):
             context, target = split_context_target(w, 45)
             assert context.shape == (45, 3) and target.shape == (15, 3)

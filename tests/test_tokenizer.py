@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lorm import tokenizer
 from lorm.tokenizer import (
     CodebookSet,
     codebook_file_hash,
@@ -106,6 +107,15 @@ class TestLloyd:
         result = lloyd_kmeans(pts, 3, seed=0)
         assert len(set(result.labels.tolist())) == 3
         assert np.all(np.bincount(result.labels, minlength=3) > 0)
+
+    def test_one_distance_matrix_per_iteration(self, monkeypatch):
+        """The inertia's distance matrix is also the next assignment's."""
+        calls = []
+        counted = tokenizer._sq_distances
+        monkeypatch.setattr(tokenizer, "_sq_distances", lambda *a: calls.append(1) or counted(*a))
+        result = lloyd_kmeans(blob_points(7, n=64, k=4, spread=0.5), 4, seed=1)
+        assert result.n_iter > 1
+        assert len(calls) == result.n_iter + 1
 
     def test_determinism(self):
         pts = blob_points(11, n=50, k=3)
