@@ -1,9 +1,10 @@
-"""Self-supervised condition monitoring by masked token prediction.
+"""Self-supervised condition monitoring by future token prediction.
 
-Multi-channel signal windows are split into a continuous context and a
-per-channel discretised target token; a compact Transformer learns to predict
-the target tokens from the flattened multi-sensor context, and the online
-prediction error serves as a health index with threshold alarms.
+Multi-channel signal windows are split into a continuous context and, per
+channel, the future target segment quantised to one token; a compact
+Transformer learns to predict each channel's target token from the flattened
+multi-sensor context, and the online prediction error serves as a health
+index with threshold alarms.
 
 Every name in a module's ``__all__`` is importable from here; the command
 line (``lorm.cli``) is not imported.

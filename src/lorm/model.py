@@ -218,9 +218,9 @@ def _erf(x: np.ndarray, out: np.ndarray | None = None, work: dict | None = None)
 
     Float64 results are within one ulp of the exact erf; a float32 result is
     that value rounded to float32, which is the correctly rounded erf for
-    every float32 input. The array is worked through in blocks so that every
-    Horner pass runs in cache; an array of one block (every monitoring
-    input) takes no per-block slices. Elements with |x| >= 1 (or NaN) take
+    every float32 input. The array is worked through in blocks of at most
+    ``_ERF_BLOCK`` elements, so that every Horner pass runs in cache (one
+    block for every monitoring input). Elements with |x| >= 1 (or NaN) take
     the C library's erf (``math.erf``). ``out`` (C-contiguous, x's shape and
     dtype) may be x itself; a workspace ``work`` lends the float64 scratch.
     """
@@ -228,50 +228,32 @@ def _erf(x: np.ndarray, out: np.ndarray | None = None, work: dict | None = None)
     if out is None:
         out = np.empty(x.shape, x.dtype)
     dest = out.reshape(-1)
-    n = flat.size
-    size = min(n, _ERF_BLOCK)
+    size = min(flat.size, _ERF_BLOCK)
     # three arrays: at B=1 each stays under glibc's 128 KB mmap threshold,
     # where one 3n block would not
-    a, z, r = (_buffer(work, key, (size,), np.float64) for key in ("erf_a", "erf_z", "erf_r"))
-    if n <= _ERF_BLOCK:
-        _erf_block(flat, dest, a, z, r)
-    else:
-        for start in range(0, n, _ERF_BLOCK):
-            stop = min(start + _ERF_BLOCK, n)
-            m = stop - start
-            _erf_block(flat[start:stop], dest[start:stop], a[:m], z[:m], r[:m])
-    return out
-
-
-def _erf_block(
-    src: np.ndarray, dest: np.ndarray, a: np.ndarray, z: np.ndarray, r: np.ndarray
-) -> None:
-    """dest = erf(src) for one block, through the float64 scratch arrays a,
-    z and r of src's length."""
-    a[...] = src
-    np.multiply(a, a, out=z)
-    if np.maximum.reduce(z, axis=None) < 1.0:  # False for NaN
-        _erf_small(a, z, r)
-    else:
-        # |x| >= 1 overflows or meets inf - inf in the polynomial; the C
-        # library's erf overwrites those elements (about 1% of a trained
-        # model's FFN inputs), one at a time
+    scratch = [_buffer(work, key, (size,), np.float64) for key in ("erf_a", "erf_z", "erf_r")]
+    for start in range(0, flat.size, _ERF_BLOCK):
+        block = dest[start:start + _ERF_BLOCK]
+        a, z, r = (buf[:block.size] for buf in scratch)
+        a[...] = flat[start:start + block.size]
+        # a + a * r(a * a) by Horner overflows or meets inf - inf for |x| >= 1,
+        # whose elements math.erf then overwrites
         with np.errstate(over="ignore", invalid="ignore"):
-            _erf_small(a, z, r)
-        idx = np.flatnonzero(~(z < 1.0))
-        r[idx] = list(map(math.erf, a[idx].tolist()))
-    dest[...] = r
-
-
-def _erf_small(a: np.ndarray, z: np.ndarray, r: np.ndarray) -> None:
-    """r = a + a * r(z), with z = a * a: erf(a) for |a| < 1, by Horner."""
-    np.multiply(z, _ERF_SMALL[0], out=r)
-    for c in _ERF_SMALL[1:-1]:
-        np.add(r, c, out=r)
-        np.multiply(r, z, out=r)
-    np.add(r, _ERF_SMALL[-1], out=r)
-    np.multiply(r, a, out=r)
-    np.add(r, a, out=r)
+            np.multiply(a, a, out=z)
+            np.multiply(z, _ERF_SMALL[0], out=r)
+            for c in _ERF_SMALL[1:-1]:
+                np.add(r, c, out=r)
+                np.multiply(r, z, out=r)
+            np.add(r, _ERF_SMALL[-1], out=r)
+            np.multiply(r, a, out=r)
+            np.add(r, a, out=r)
+        if not np.maximum.reduce(z, axis=None) < 1.0:  # True for NaN
+            # about 1% of a trained model's FFN inputs, one at a time
+            idx = np.flatnonzero(~(z < 1.0))
+            r[idx] = list(map(math.erf, a[idx].tolist()))
+        # one cast copy: a float32 out= of the add above would be slower
+        block[...] = r
+    return out
 
 
 def gelu(

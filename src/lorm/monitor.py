@@ -160,10 +160,15 @@ def monitor_stream(
     """Score windows in arrival order and yield one HealthRecord each.
 
     Strictly causal: the record for window k depends only on windows <= k.
+    A window that cannot be scored raises ValueError naming it.
     """
     tracker = HealthTracker(cfg)
-    for window in windows:
-        yield tracker.update(score_window(window, deployed))
+    for k, window in enumerate(windows, 1):
+        try:
+            wlf = score_window(window, deployed)
+        except ValueError as exc:
+            raise ValueError(f"window {k}: {exc}") from exc
+        yield tracker.update(wlf)
 
 
 @dataclass

@@ -151,8 +151,11 @@ def build_examples(
     if not 0 < context_len < w:
         raise ValueError(f"context_len must satisfy 0 < S < W, got S={context_len} W={w}")
     norm = normalize_window(windows, stats)
-    if not np.isfinite(norm).all():
-        raise ValueError("normalised window contains non-finite values")
+    # models run in float32 (init_model's default), where a larger sample is inf
+    limit = float(np.finfo(np.float32).max)
+    if not (-limit <= norm.min() and norm.max() <= limit):  # also for NaN
+        bad = float(norm[~(np.abs(norm) <= limit)][0])
+        raise ValueError(f"normalised window holds {bad!r}, non-finite as float32")
     p = build_mcps(norm[:, :context_len, :], patch_len)
     return p, tokenize_window(norm[:, context_len:, :], codebooks)
 

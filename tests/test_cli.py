@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import socket
 import struct
 import subprocess
@@ -328,21 +329,25 @@ class TestSignalErrors:
         assert f"error: {signal}: 3 channels, but the checkpoint expects 2" in err
         assert "Traceback" not in err
 
-    def test_monitor_stops_at_a_non_finite_wlf(self, pipeline, tmp_path, capsys):
-        """A sample finite in float64 but beyond float32 makes window k's WLF
-        NaN: monitor exits 1 naming the window, and hi.csv keeps the k - 1
-        rows before it instead of NaN health indices."""
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_monitor_stops_at_a_sample_beyond_float32(self, pipeline, tmp_path, capsys):
+        """A sample finite in float64 but beyond float32 stops monitor at its
+        window k with exit 1, no numpy warning and no NaN WLF; hi.csv keeps
+        the k - 1 rows before it."""
         out, k = pipeline["out"], 14  # past the baseline of 10 windows
         lines = (out / "signal.csv").read_text().splitlines(keepends=True)
         row = 1 + (k - 1) * 30 + 59  # stride 30: in window k's context, in no earlier window
         lines[row] = "1e39," + lines[row].split(",", 1)[1]
         signal = tmp_path / "bad.csv"
         signal.write_text("".join(lines))
-        with np.errstate(all="ignore"):
-            assert self.run(pipeline, "monitor", signal, tmp_path) == 1
+        assert self.run(pipeline, "monitor", signal, tmp_path) == 1
         hi = tmp_path / "hi.csv"
         err = capsys.readouterr().err
-        assert err == f"error: window {k}: wlf is nan, not finite; {hi} holds {k - 1} windows\n"
+        assert re.fullmatch(
+            rf"error: window {k}: normalised window holds \S+e\+38, non-finite as float32; "
+            rf"{re.escape(str(hi))} holds {k - 1} windows\n",
+            err,
+        ), err
         rows = (out / "hi.csv").read_text().splitlines(keepends=True)
         assert hi.read_text() == "".join(rows[:k])
 

@@ -270,14 +270,17 @@ class TestMonitorStream:
             (r.wlf, r.hi, r.alarm) for r in manual
         ]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_sample_stops_at_its_window(self):
-        """A sample finite in float64 but beyond float32 gives a NaN WLF; the
-        stream stops at that window instead of yielding NaN health indices."""
+        """A sample finite in float64 but beyond float32 is rejected before
+        the float32 model sees it: the stream stops at that window, naming
+        it, instead of yielding a NaN WLF."""
         deployed = tiny_deployed(seed=7)
         windows = [make_window(seed=s) for s in range(5)]
         windows[2][5, 1] = 1e39  # a context sample
         records = []
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^window 3: wlf is nan"):
+        match = r"^window 3: normalised window holds \S+, non-finite as float32$"
+        with pytest.raises(ValueError, match=match):
             for record in monitor_stream(deployed, iter(windows), MonitorConfig(buffer_len=1)):
                 records.append(record)
         assert [r.window_index for r in records] == [1, 2]

@@ -1,5 +1,6 @@
 """Loss, Adam, the training loop, freezing, and gradient fidelity."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -548,6 +549,24 @@ class TestBuildExamples:
         books = CodebookSet(np.zeros((1, 2, 1)), ["a"])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             build_examples(windows, stats, 10, books, patch_len=4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bad, shown", [(-4e38, "-4e+38"), (1e300, "1e+300"), (np.nan, "nan")]
+    )
+    def test_sample_beyond_float32_rejected(self, bad, shown):
+        """The model runs in float32: a sample past its range is named,
+        target samples included, and float32's largest value passes."""
+        eps = 2.0**-30  # std + eps == 1: normalised samples equal the raw ones
+        stats = ChannelStats(mean=np.zeros(2), std=np.full(2, 1.0 - eps), epsilon=eps)
+        books = CodebookSet(np.zeros((2, 2, 1)), ["a", "b"])
+        windows = np.zeros((3, 11, 2))
+        windows[1, 0, 0] = windows[2, 10, 1] = float(np.finfo(np.float32).max)
+        build_examples(windows, stats, 10, books, patch_len=5)
+        windows[2, 10, 1] = bad
+        match = f"^normalised window holds {re.escape(shown)}, non-finite as float32$"
+        with pytest.raises(ValueError, match=match):
+            build_examples(windows, stats, 10, books, patch_len=5)
 
     def test_empty_rejected(self):
         stats = ChannelStats(mean=np.zeros(1), std=np.ones(1))
