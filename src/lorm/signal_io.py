@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-import socket
 from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, Iterable, Iterator, Sequence
@@ -401,6 +400,8 @@ def socket_sample_source(
 
 
 def _socket_rows(host: str, port: int, timeout_s: float | None) -> Iterator[np.ndarray]:
+    import socket  # only monitor on a tcp:// feed pays for loading it
+
     source = f"tcp://{host}:{port}"
     try:
         conn = socket.create_connection((host, port), timeout=timeout_s)

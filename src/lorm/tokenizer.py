@@ -8,7 +8,6 @@ fitting different channels may run in parallel.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from dataclasses import dataclass
@@ -291,6 +290,8 @@ def _codebooks_from_doc(doc) -> CodebookSet:
 def codebook_file_hash(path: str, data: bytes | None = None) -> str:
     """SHA-256 of the codebook file bytes, for checkpoint compatibility
     checks; ``data`` holds those bytes where a caller already read them."""
+    import hashlib  # only pretrain, train and monitor hash codebooks
+
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()

@@ -12,7 +12,10 @@ head; pre-training updates everything.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,6 +49,11 @@ __all__ = [
 
 # probabilities are clamped here before the log so the loss stays finite
 PROB_FLOOR = 1e-12
+# gradient_check checks every coordinate of a tensor this small, and a
+# seeded sample of this many coordinates of a larger one
+_CHECK_COORDS = 16
+# the thread-count getter and setter of numpy's bundled OpenBLAS build
+_OPENBLAS_THREAD_API = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
 
 @dataclass
@@ -222,6 +230,47 @@ def dataset_loss(
     return total / n
 
 
+@functools.cache
+def _numpy_openblas():
+    """The thread-count getter and setter of the OpenBLAS library numpy
+    loaded, or None where this process maps none under numpy's directory
+    (another BLAS, or no /proc/self/maps to look in)."""
+    import ctypes  # pretrain and train only, and numpy has loaded it already
+
+    numpy_dir = os.path.dirname(np.__file__)  # wheels put it in numpy.libs/
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return None
+    paths = {f[5].rstrip("\n") for f in fields if len(f) == 6 and f[5].startswith(numpy_dir)}
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:  # the library is mapped already, so this is numpy's own copy
+            get, set_ = (getattr(ctypes.CDLL(path), name) for name in _OPENBLAS_THREAD_API)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, then restore its count; where
+    that library is not found, or already runs one thread, change nothing."""
+    api = _numpy_openblas()
+    before = api[0]() if api else 1
+    if before == 1:
+        yield
+        return
+    api[1](1)
+    try:
+        yield
+    finally:
+        api[1](before)
+
+
 def train_model(
     p_train: np.ndarray,
     y_train: np.ndarray,
@@ -239,6 +288,12 @@ def train_model(
     updated, and the weight gradients of the frozen attention and
     feed-forward tensors are not computed. Every step and validation pass
     reuses one workspace of activation buffers for the length of the call.
+
+    numpy's bundled OpenBLAS runs at one thread for the length of the call,
+    since how a weight gradient's sum over B*t rows is blocked, and so its
+    bits, follows the thread count; the count is process-wide, and the
+    previous one comes back when the call returns. Where that library is not
+    found, the call runs at whatever count BLAS has.
     """
     n = p_train.shape[0]
     if n == 0:
@@ -256,38 +311,41 @@ def train_model(
     since_best = 0
     y_train = np.asarray(y_train, dtype=np.int64)
 
-    for epoch in range(1, train_cfg.max_epochs + 1):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, train_cfg.batch_size):
-            idx = order[start : start + train_cfg.batch_size]
-            loss, grads = loss_and_grad(p_train[idx], y_train[idx], params, cfg, trainable, work)
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite training loss {loss} at epoch {epoch}, "
-                    f"batch starting at {start}"
+    with _one_blas_thread():
+        for epoch in range(1, train_cfg.max_epochs + 1):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, train_cfg.batch_size):
+                idx = order[start : start + train_cfg.batch_size]
+                loss, grads = loss_and_grad(
+                    p_train[idx], y_train[idx], params, cfg, trainable, work
                 )
-            adam.step(params, grads)
-            epoch_loss += loss * len(idx)
-        epoch_loss /= n
+                if not np.isfinite(loss):
+                    raise RuntimeError(
+                        f"non-finite training loss {loss} at epoch {epoch}, "
+                        f"batch starting at {start}"
+                    )
+                adam.step(params, grads)
+                epoch_loss += loss * len(idx)
+            epoch_loss /= n
 
-        val_loss = dataset_loss(p_val, y_val, params, cfg, train_cfg.batch_size, work)
-        if not np.isfinite(val_loss):
-            raise RuntimeError(f"non-finite validation loss {val_loss} at epoch {epoch}")
-        report.epochs.append(epoch)
-        report.train_losses.append(epoch_loss)
-        report.val_losses.append(val_loss)
+            val_loss = dataset_loss(p_val, y_val, params, cfg, train_cfg.batch_size, work)
+            if not np.isfinite(val_loss):
+                raise RuntimeError(f"non-finite validation loss {val_loss} at epoch {epoch}")
+            report.epochs.append(epoch)
+            report.train_losses.append(epoch_loss)
+            report.val_losses.append(val_loss)
 
-        if val_loss < report.best_val_loss:
-            report.best_val_loss = val_loss
-            report.best_epoch = epoch
-            best_state[...] = params.flat
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= train_cfg.patience:
-                report.stopped_early = True
-                break
+            if val_loss < report.best_val_loss:
+                report.best_val_loss = val_loss
+                report.best_epoch = epoch
+                best_state[...] = params.flat
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= train_cfg.patience:
+                    report.stopped_early = True
+                    break
 
     params.flat[...] = best_state
     return report
@@ -306,12 +364,12 @@ def gradient_check(
     y_batch: np.ndarray,
     params: ModelParameters,
     cfg: BackboneConfig,
-    max_coords_per_tensor: int = 16,
 ) -> float:
     """Largest relative error between analytic and central-difference gradients.
 
     Runs entirely in float64 with a step of 1e-5. Checks every coordinate of
-    small tensors and a seeded sample of larger ones.
+    tensors of at most 16 elements and a seeded sample of 16 coordinates of
+    larger ones.
     """
     work = ModelParameters(params.shapes, params.flat.astype(np.float64))
     y = np.asarray(y_batch, dtype=np.int64)
@@ -327,10 +385,10 @@ def gradient_check(
     worst, start, flat = 0.0, 0, work.flat
     for _, shape in work.shapes:
         size = math.prod(shape)
-        if size <= max_coords_per_tensor:
+        if size <= _CHECK_COORDS:
             coords = np.arange(size)
         else:
-            coords = rng.choice(size, size=max_coords_per_tensor, replace=False)
+            coords = rng.choice(size, size=_CHECK_COORDS, replace=False)
         for i in start + coords:
             keep = flat[i]
             flat[i] = keep + step

@@ -1468,6 +1468,42 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+# the module-level import of each would add milliseconds to every command's
+# start; socket and hashlib load only where a command uses them
+DEFERRED = {"socket", "selectors", "hashlib", "_hashlib", "numpy.ma"}
+LOADED_BY = """
+import sys
+import argparse, json, numpy
+base = set(sys.modules)
+import lorm.cli
+loaded = {"import lorm.cli": sorted(set(sys.modules) - base)}
+for command in ("calibrate", "eval"):
+    before = set(sys.modules)
+    assert lorm.cli.main([command, "--out", sys.argv[1]]) == 0
+    loaded[command] = sorted(set(sys.modules) - before)
+with open(sys.argv[2], "w") as fh:
+    json.dump(loaded, fh)
+"""
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    (tmp_path / "hi.csv").write_text(HI_CSV)
+    (tmp_path / "wear.csv").write_text(WEAR_CSV)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(lorm.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    report = tmp_path / "loaded.json"
+    subprocess.run(
+        [sys.executable, "-c", LOADED_BY, str(tmp_path), str(report)],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=60,
+    )
+    loaded = json.loads(report.read_text())
+    assert {step: sorted(DEFERRED & set(names)) for step, names in loaded.items()} == {
+        "import lorm.cli": [], "calibrate": [], "eval": []
+    }
+
+
 def test_cli_import_does_not_load_scipy():
     """Importing scipy.special would add about 0.3 s to every command's start."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(lorm.__file__)))

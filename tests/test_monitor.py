@@ -378,7 +378,41 @@ def calibrate_windows(rows, windows, hi, wear_limit_um=300.0):
     return calibrate_threshold(hi, positions, table, wear_limit_um)
 
 
+def np_unique_calibrate_threshold(hi, positions, wear, wear_limit_um):
+    """calibrate_threshold as it was with np.unique taking the held rows."""
+    hi, positions = np.asarray(hi, dtype=np.float64), np.asarray(positions)
+    held = np.unique(positions[positions >= 0])
+    row = held[np.lexsort((wear.cut_id[held], np.abs(wear.wear_um[held] - wear_limit_um)))[0]]
+    return ThresholdCalibration(
+        tau=float(np.mean(hi[positions == row])),
+        cut_id=int(wear.cut_id[row]),
+        wear_um=float(wear.wear_um[row]),
+    )
+
+
 class TestCalibrateThreshold:
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            [3, -1, 0, 3, 2, -1, 0, 2, 3, 1],  # unsorted, repeats, left out
+            [-1, 2, -1, 2, 2, -1, -1, -1, -1, -1],  # a single cut
+            [1, 4, 1, -1, 4, 4, 0, -1, 1, 4],  # cuts 5 and 2 tie at 10 um from the limit
+            [4, 4, 4, 4, 4, 4, 4, 4, 4, 4],  # one cut holds every window
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_matches_np_unique_rows(self, positions, dtype):
+        table = WearTable([3, 5, 9, 0, 2], [150.0, 290.0, 200.0, 250.0, 310.0],
+                          [1, 3, 5, 7, 9], [2, 4, 6, 8, 10])
+        hi = np.random.default_rng(0).normal(size=10) * np.array([1e16, 1, 0.1, 1, 1e-3] * 2)
+        positions = np.array(positions, dtype=dtype)
+        got = calibrate_threshold(hi, positions, table, 300.0)
+        want = np_unique_calibrate_threshold(hi, positions, table, 300.0)
+        assert (got.tau.hex(), got.cut_id, got.wear_um) == (
+            want.tau.hex(), want.cut_id, want.wear_um
+        )
+        assert (type(got.tau), type(got.cut_id), type(got.wear_um)) == (float, int, float)
+
     def test_picks_cut_nearest_limit(self):
         # cut 3 wear 301.2 is nearest to 300; tau = mean hi over that cut
         rows = [(1, 150.0, 1, 2), (2, 240.0, 3, 3), (3, 301.2, 4, 6)]

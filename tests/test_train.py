@@ -1,6 +1,9 @@
 """Loss, Adam, the training loop, freezing, and gradient fidelity."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorm import train
 from lorm.model import (
     BackboneConfig,
     backward_from_scores,
@@ -371,7 +375,7 @@ class TestGradientCheck:
     def test_causal_model(self):
         params = init_model(CFG, seed=10, dtype=np.float64)
         p, y = make_batch(2, seed=11)
-        assert gradient_check(p, y, params, CFG, max_coords_per_tensor=8) < 1e-4
+        assert gradient_check(p, y, params, CFG) < 1e-4
 
     def test_bidirectional_model(self):
         cfg = BackboneConfig(
@@ -383,7 +387,85 @@ class TestGradientCheck:
         rng = np.random.default_rng(13)
         p = rng.normal(size=(2, 5, 4))
         y = rng.integers(0, 3, size=(2, 2))
-        assert gradient_check(p, y, params, cfg, max_coords_per_tensor=8) < 1e-4
+        assert gradient_check(p, y, params, cfg) < 1e-4
+
+
+# one epoch at the reference scale (3 channels, 20 patches of 16, K=8, d=64,
+# 2 layers) over 50 windows at batch 32: the second batch's weight gradients
+# sum over 18 * 60 = 1,080 rows, a count whose OpenBLAS blocking, and so
+# whose bits, follow the thread count
+REFERENCE_EPOCH = """
+import hashlib
+import numpy as np
+from lorm.model import BackboneConfig, init_model
+from lorm.train import TrainConfig, train_model
+cfg = BackboneConfig(num_tokens=8, num_channels=3, patch_len=16, max_seq_len=60)
+rng = np.random.default_rng(0)
+p = rng.normal(size=(58, 60, 16)).astype(np.float32)
+y = rng.integers(0, 8, size=(58, 3))
+params = init_model(cfg, seed=1)
+train_cfg = TrainConfig(batch_size=32, max_epochs=1, seed=2)
+train_model(p[:50], y[:50], p[50:], y[50:], params, cfg, train_cfg)
+print(hashlib.sha256(params.flat.tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    """train_model holds numpy's OpenBLAS at one thread while it runs."""
+
+    @staticmethod
+    def openblas():
+        api = train._numpy_openblas()
+        if api is None:
+            pytest.skip(f"numpy's OpenBLAS with {' and '.join(train._OPENBLAS_THREAD_API)} "
+                        "is not loaded in this process")
+        return api
+
+    def test_same_bits_at_one_and_two_threads(self):
+        self.openblas()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(train.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", REFERENCE_EPOCH],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                stdout=subprocess.PIPE, text=True, check=True, timeout=300,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert digests[0] == digests[1]
+
+    def test_one_thread_inside_and_the_count_restored(self, monkeypatch):
+        get, set_ = self.openblas()
+        seen = []
+
+        def counting_loss_and_grad(*args):
+            seen.append(get())
+            if len(seen) == 3:
+                raise RuntimeError("third step")
+            return loss_and_grad(*args)
+
+        monkeypatch.setattr(train, "loss_and_grad", counting_loss_and_grad)
+        p, y = make_batch(16, seed=14)
+        params = init_model(CFG, seed=17, dtype=np.float64)
+        before = get()
+        set_(2)
+        try:
+            cfg = TrainConfig(batch_size=4, max_epochs=1)
+            train_model(p[:8], y[:8], p[8:], y[8:], params, CFG, cfg)
+            assert (seen, get()) == ([1, 1], 2)
+            with pytest.raises(RuntimeError, match="third step"):
+                train_model(p[:8], y[:8], p[8:], y[8:], params, CFG, cfg)
+            assert (seen, get()) == ([1, 1, 1], 2)
+        finally:
+            set_(before)
+
+    def test_trains_unpinned_where_openblas_is_not_found(self, monkeypatch):
+        monkeypatch.setattr(train, "_numpy_openblas", lambda: None)
+        p, y = make_batch(12, seed=14)
+        params = init_model(CFG, seed=17, dtype=np.float64)
+        report = train_model(p[:8], y[:8], p[8:], y[8:], params, CFG, TrainConfig(max_epochs=1))
+        assert report.epochs == [1]
 
 
 class TestTrainModel:
