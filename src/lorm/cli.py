@@ -308,6 +308,11 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
             f"paths.codebooks: built for {codebooks.num_channels} channels, "
             f"signal has {series.num_channels}"
         )
+    if list(codebooks.channel_names) != series.channel_names:
+        raise ConfigError(
+            f"paths.codebooks: fitted on channels {list(codebooks.channel_names)}, "
+            f"signal has {series.channel_names}"
+        )
     if codebooks.K != cfg.backbone.num_tokens:
         raise ConfigError(
             f"paths.codebooks: built for K={codebooks.K}, "
@@ -322,6 +327,11 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
             raise ConfigError(
                 "paths.init_checkpoint: checkpoint architecture differs from the "
                 "configured model section"
+            )
+        if ckpt.channel_names != series.channel_names:
+            raise ConfigError(
+                f"paths.init_checkpoint: trained on channels {ckpt.channel_names}, "
+                f"signal has {series.channel_names}"
             )
         params = ckpt.params
     else:
@@ -372,9 +382,9 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
         context_len=deployed.checkpoint.context_len,
         stride=cfg.windowing.stride,
     )
-    channels = len(deployed.checkpoint.channel_names)
+    names = deployed.checkpoint.channel_names
     if not path.startswith("tcp://"):
-        return _file_windows(path, windowing, channels)
+        return _file_windows(path, windowing, names)
     host, sep, port_text = path[len("tcp://") :].partition(":")
     if not sep or not host:
         raise ConfigError(f"paths.signal: expected tcp://host:port, got {path!r}")
@@ -385,14 +395,18 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
         samples = socket_sample_source(host, int(digits), timeout_s=cfg.monitor.read_timeout_s)
     except ValueError:  # the library checks the range; int() refuses over 4300 digits
         raise ConfigError(f"paths.signal: bad port in {path!r}") from None
-    return stream_windows(samples, windowing, channel_count=channels, source=path)
+    return stream_windows(samples, windowing, channel_count=len(names), source=path)
 
 
-def _file_windows(path: str, windowing: WindowingConfig, channels: int):
+def _file_windows(path: str, windowing: WindowingConfig, names: list[str]):
     series = read_signal_csv(path)
-    if series.num_channels != channels:
+    if series.num_channels != len(names):
         raise ValueError(
-            f"{path}: {series.num_channels} channels, but the checkpoint expects {channels}"
+            f"{path}: {series.num_channels} channels, but the checkpoint expects {len(names)}"
+        )
+    if series.channel_names != names:
+        raise ValueError(
+            f"{path}: channels {series.channel_names}, but the checkpoint expects {names}"
         )
     yield from segment_windows(series, windowing)
 

@@ -1,8 +1,8 @@
 """Online condition monitoring: WLF scoring, health index, alarms, calibration.
 
-Each incoming window is scored by the deployed model's token cross-entropy
-(the window-level fit, WLF). The first buffer_len windows form a baseline;
-afterwards the health index is
+Each incoming window is scored by its window-level fit (WLF), the mean of
+its row of :func:`lorm.train.token_errors` under the deployed model. The
+first buffer_len windows form a baseline; afterwards the health index is
 
     hi(k) = wlf(k) - mean(wlf(1..buffer_len))
 
@@ -27,7 +27,7 @@ from ._checks import check_int, check_real
 from .evaluation import WearTable
 from .model import Checkpoint, forward_batch, load_checkpoint
 from .tokenizer import CodebookSet, codebook_file_hash, load_codebooks
-from .train import build_examples, token_loss
+from .train import build_examples, token_errors
 
 __all__ = [
     "MonitorConfig",
@@ -112,9 +112,12 @@ class DeployedModel:
     codebooks: CodebookSet
 
     def __post_init__(self) -> None:
-        cfg = self.checkpoint.config
-        if self.codebooks.K != cfg.num_tokens or self.codebooks.num_channels != cfg.num_channels:
-            raise ValueError("codebooks are incompatible with the checkpoint configuration")
+        cfg, books, names = self.checkpoint.config, self.codebooks, self.checkpoint.channel_names
+        if books.K != cfg.num_tokens or list(books.channel_names) != names:
+            raise ValueError(
+                f"codebooks (K={books.K}, channels {list(books.channel_names)}) are "
+                f"incompatible with the checkpoint (K={cfg.num_tokens}, channels {names})"
+            )
 
     @classmethod
     def from_files(cls, checkpoint_path: str, codebooks_path: str) -> "DeployedModel":
@@ -136,8 +139,8 @@ class DeployedModel:
 
 def score_window(window: np.ndarray, deployed: DeployedModel) -> float:
     """WLF for one raw (W, C) window: normalise with the stored training
-    stats, split, flatten, predict, and take the cross-entropy of the true
-    target tokens."""
+    stats, split, flatten, predict, and take the mean of the true target
+    tokens' per-channel cross-entropy."""
     ckpt = deployed.checkpoint
     window = np.asarray(window, dtype=np.float64)
     expected = (ckpt.window_len, len(ckpt.channel_names))
@@ -149,7 +152,7 @@ def score_window(window: np.ndarray, deployed: DeployedModel) -> float:
         window[None], ckpt.stats, ckpt.context_len, deployed.codebooks, ckpt.config.patch_len
     )
     dists, _ = forward_batch(p, ckpt.params, ckpt.config)
-    return token_loss(dists, y)[0]
+    return float(token_errors(dists, y)[0].mean())
 
 
 def monitor_stream(

@@ -1,13 +1,14 @@
 """Training: token cross-entropy, Adam, the epoch loop, and gradient checks.
 
-The objective for one window is the mean negative log-probability of the
-observed target token across channels:
+The error of channel c in a window is the negative log-probability of its
+observed target token,
 
-    loss = -(1/C) * sum_c log(max(pi_c[y_c], 1e-12))
+    e_c = -log(max(pi_c[y_c], 1e-12))
 
-computed in float64. A batch averages window losses. Fine-tuning freezes the
-attention and feed-forward tensors and adapts only embeddings, norms, and the
-head; pre-training updates everything.
+computed in float64 by :func:`token_errors`, which returns the (B, C) matrix
+of them. A window's loss is its row mean, and a batch's the mean of the
+matrix. Fine-tuning freezes the attention and feed-forward tensors and
+adapts only embeddings, norms, and the head; pre-training updates everything.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "Adam",
-    "token_loss",
+    "token_errors",
     "build_examples",
     "loss_and_grad",
     "dataset_loss",
@@ -168,16 +169,15 @@ def build_examples(
     return p, tokenize_window(norm[:, context_len:, :], codebooks)
 
 
-def token_loss(dists: np.ndarray, tokens: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of (B, C) tokens under (B, C, K) distributions, the
-    loss of training and (at B=1) monitoring, plus the (B, C) clamp mask."""
+def token_errors(dists: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Cross-entropy of each of (B, C) tokens under (B, C, K) float64
+    distributions, as a (B, C) float64 matrix: training takes its mean, and
+    monitoring the mean of one window's row."""
     b, c, _ = dists.shape
     if tokens.shape != (b, c):
         raise ValueError("need one token per channel distribution")
     picked = dists[np.arange(b)[:, None], np.arange(c)[None, :], tokens]
-    clamped = picked < PROB_FLOOR
-    loss = float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
-    return loss, clamped
+    return -np.log(np.maximum(picked, PROB_FLOOR))
 
 
 def loss_and_grad(
@@ -199,12 +199,13 @@ def loss_and_grad(
     """
     y = np.asarray(y_batch, dtype=np.int64)
     dists, cache = forward_batch(p_batch, params, cfg, want_cache=True, work=work)
+    loss = float(token_errors(dists, y).mean())
     b, c, _ = dists.shape
-    loss, clamped = token_loss(dists, y)
-    dv = dists.copy()
-    dv[np.arange(b)[:, None], np.arange(c)[None, :], y] -= 1.0
+    onehot = np.arange(b)[:, None], np.arange(c)[None, :], y
+    dv, picked = dists.copy(), dists[onehot]
+    dv[onehot] = picked - 1.0
     dv /= float(b * c)
-    dv[clamped] = 0.0
+    dv[picked < PROB_FLOOR] = 0.0
     return loss, backward_from_scores(cache, dv, trainable)
 
 
@@ -225,8 +226,7 @@ def dataset_loss(
     for start in range(0, n, batch_size):
         chunk = slice(start, min(start + batch_size, n))
         dists, _ = forward_batch(p[chunk], params, cfg, work=work)
-        loss, _ = token_loss(dists, y[chunk])
-        total += loss * (chunk.stop - chunk.start)
+        total += float(token_errors(dists, y[chunk]).mean()) * (chunk.stop - chunk.start)
     return total / n
 
 
@@ -377,8 +377,7 @@ def gradient_check(
 
     def loss_at() -> float:
         dists, _ = forward_batch(p64, work, cfg)
-        loss, _ = token_loss(dists, y)
-        return loss
+        return float(token_errors(dists, y).mean())
 
     _, grads = loss_and_grad(p64, y, work, cfg)
     rng, step = np.random.default_rng(0), 1e-5

@@ -20,6 +20,7 @@ from lorm.cli import main as cli_main
 from lorm.model import (
     BackboneConfig,
     Checkpoint,
+    forward_batch,
     init_model,
     load_checkpoint,
     partition_parameters,
@@ -56,6 +57,7 @@ from lorm.train import (
     build_examples,
     dataset_loss,
     gradient_check,
+    token_errors,
     train_model,
     TrainConfig,
 )
@@ -310,6 +312,34 @@ class TestCriterion3:
             f"(needs +{3 * iqr:.3f})",
         )
         assert ok
+
+
+class TestDriftingChannel:
+    """Not a numbered criterion: the per-channel errors that the WLF averages
+    name the channel that drifts."""
+
+    def test_errors_name_the_fault_channel(self, tool_runs, trained_stack):
+        deployed = trained_stack["deployed"]
+        ckpt = deployed.checkpoint
+        test_run, records = tool_runs["test"]
+        windows = segment_windows(test_run.series, WINDOWING)
+        p, y = build_examples(
+            windows, ckpt.stats, ckpt.context_len, deployed.codebooks, ckpt.config.patch_len
+        )
+        dists, _ = forward_batch(p, ckpt.params, ckpt.config)
+        errors = token_errors(dists, y)
+        assert errors.shape == (len(records), CHANNELS)
+        # the batched pass rounds its float32 activations apart from B=1's
+        wlf = np.array([r.wlf for r in records])
+        assert np.abs(errors.mean(axis=1) - wlf).max() < 1e-5
+
+        offsets = np.arange(len(windows)) * WINDOWING.stride
+        pre = errors[offsets + WINDOWING.window_len <= TOOL["degradation_onset"]]
+        post = errors[offsets >= TOOL["degradation_onset"]]
+        rise = post.mean(axis=0) - pre.mean(axis=0)
+        fault = SynthConfig().fault_channel
+        others = np.delete(rise, fault)
+        assert rise[fault] >= 1.0 and (rise[fault] >= 5.0 * others).all(), rise
 
 
 class TestCriterion4:

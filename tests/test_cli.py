@@ -828,6 +828,82 @@ class TestCodebooksHash:
         assert recorded == hashlib.sha256(original).hexdigest()
 
 
+class TestChannelNames:
+    """A signal whose header names the checkpoint's or the codebooks' channels
+    in another order is refused: each channel would be scored against
+    another channel's codebook."""
+
+    SWAPPED = "['ch1', 'ch0']"
+
+    def swapped_signal(self, pipeline, tmp_path):
+        """The pipeline's signal under the header ch1,ch0."""
+        lines = (pipeline["out"] / "signal.csv").read_text().splitlines(keepends=True)
+        assert lines[0] == "ch0,ch1\n"
+        signal = tmp_path / "swapped.csv"
+        signal.write_text("ch1,ch0\n" + "".join(lines[1:400]))
+        return signal
+
+    def run(self, pipeline, tmp_path, command, *sets, capsys):
+        args = [command, "--config", str(pipeline["config_path"]), "--out", str(tmp_path)]
+        for assignment in ("train.max_epochs=1",) + sets:
+            args += ["--set", assignment]
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return rc, err
+
+    @pytest.mark.parametrize("command, key", [("pretrain", "pretrain_signal"), ("train", "signal")])
+    def test_training_refuses_codebooks_of_other_names(
+        self, pipeline, tmp_path, capsys, command, key
+    ):
+        signal = self.swapped_signal(pipeline, tmp_path)
+        rc, err = self.run(
+            pipeline, tmp_path, command, f"paths.{key}={signal}",
+            f"paths.codebooks={pipeline['out'] / 'codebooks.json'}", capsys=capsys,
+        )
+        assert rc == 2
+        assert err == (
+            "error: paths.codebooks: fitted on channels ['ch0', 'ch1'], "
+            f"signal has {self.SWAPPED}\n"
+        )
+        assert not (tmp_path / "checkpoint.lorm").exists()
+
+    def test_train_refuses_an_init_checkpoint_of_other_names(self, pipeline, tmp_path, capsys):
+        """Codebooks renamed to the swapped header pass; the checkpoint
+        pretrained on ch0,ch1 does not."""
+        signal = self.swapped_signal(pipeline, tmp_path)
+        doc = json.loads((pipeline["out"] / "codebooks.json").read_text())
+        for channel, name in zip(doc["channels"], ["ch1", "ch0"]):
+            channel["name"] = name
+        books = tmp_path / "codebooks.json"
+        books.write_text(json.dumps(doc))
+        rc, err = self.run(
+            pipeline, tmp_path, "train", f"paths.signal={signal}", f"paths.codebooks={books}",
+            f"paths.init_checkpoint={pipeline['out'] / 'pretrained.lorm'}", capsys=capsys,
+        )
+        assert rc == 2
+        assert err == (
+            "error: paths.init_checkpoint: trained on channels ['ch0', 'ch1'], "
+            f"signal has {self.SWAPPED}\n"
+        )
+        assert not (tmp_path / "checkpoint.lorm").exists()
+
+    def test_monitor_refuses_a_file_of_other_names(self, pipeline, tmp_path, capsys):
+        signal = self.swapped_signal(pipeline, tmp_path)
+        out = pipeline["out"]
+        rc, err = self.run(
+            pipeline, tmp_path, "monitor", f"paths.signal={signal}",
+            f"paths.codebooks={out / 'codebooks.json'}",
+            f"paths.checkpoint={out / 'checkpoint.lorm'}", capsys=capsys,
+        )
+        assert rc == 1
+        assert err.startswith(
+            f"error: {signal}: channels {self.SWAPPED}, but the checkpoint expects "
+            "['ch0', 'ch1']; "
+        )
+        assert (tmp_path / "hi.csv").read_text() == "window_index,wlf,hi,alarm\n"
+
+
 class TestStreamErrors:
     """A bad, stalled or absent tcp:// feed ends monitor with exit code 1 and
     a message naming tcp://host:port, never a traceback or a hang."""

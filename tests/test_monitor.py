@@ -206,7 +206,7 @@ def reference_score(window, deployed):
     dists, _ = forward_batch(rows[None, :, :], ckpt.params, ckpt.config)
     tokens = tokenize_window(target, deployed.codebooks)
     picked = dists[0][np.arange(len(tokens)), tokens]
-    # the per-window loss score_window took before token_loss
+    # the per-window loss score_window took before the (B, C) window errors
     return -float(np.add.reduce(np.log(np.maximum(picked, PROB_FLOOR)))) / len(tokens)
 
 
@@ -321,6 +321,16 @@ class TestDeployedModelFiles:
         assert deployed.checkpoint.channel_names == ["a", "b"]
         wlf = score_window(make_window(seed=9), deployed)
         assert np.isfinite(wlf)
+
+    @pytest.mark.parametrize("names", [["b", "a"], ["a", "c"]])
+    def test_codebooks_of_other_channel_names_refused(self, names):
+        """Codebooks of the checkpoint's channel count and K, but whose
+        channels are named otherwise or in another order, are refused."""
+        deployed = tiny_deployed()
+        books = CodebookSet(deployed.codebooks.centroids, channel_names=names)
+        with pytest.raises(ValueError, match=r"channels \['a', 'b'\]\)$") as exc:
+            DeployedModel(checkpoint=deployed.checkpoint, codebooks=books)
+        assert f"codebooks (K=4, channels {names}) are incompatible" in str(exc.value)
 
     def test_hash_mismatch_detected(self, tmp_path):
         ckpt, books = self._write_pair(tmp_path, tamper=True)

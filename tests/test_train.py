@@ -39,7 +39,7 @@ from lorm.train import (
     dataset_loss,
     gradient_check,
     loss_and_grad,
-    token_loss,
+    token_errors,
     train_model,
     write_train_report_csv,
 )
@@ -81,58 +81,73 @@ class ReadLog(dict):
 
 
 def window_loss_reference(dists, tokens):
-    """The per-window loss that monitoring used before token_loss: float64
-    probabilities, -(one pairwise sum of the clamped logs) / C."""
+    """The per-window loss that monitoring used before the (B, C) window
+    errors: float64 probabilities, -(one pairwise sum of the clamped logs) / C."""
     p = np.asarray(dists, dtype=np.float64)
     picked = p[np.arange(p.shape[0]), np.asarray(tokens)]
     return -float(np.add.reduce(np.log(np.maximum(picked, PROB_FLOOR)))) / p.shape[0]
 
 
 def one_window_loss(dists, tokens):
-    """token_loss of one window, as monitoring calls it (B=1)."""
-    return token_loss(np.asarray(dists)[None], np.asarray(tokens)[None])[0]
+    """The WLF of one window, as monitoring takes it: the mean of the one
+    row of token_errors at B=1."""
+    return float(token_errors(np.asarray(dists)[None], np.asarray(tokens)[None])[0].mean())
 
 
-class TestTokenLoss:
+class TestTokenErrors:
     def test_uniform_is_ln_k(self):
         dists = np.full((3, 5), 0.2)
         assert one_window_loss(dists, [0, 3, 4]) == pytest.approx(np.log(5), abs=1e-12)
 
-    def test_probability_one_is_zero(self):
-        dists = np.array([[1.0, 0.0, 0.0]])
-        assert one_window_loss(dists, [0]) == 0.0
+    def test_probability_one_is_positive_zero(self):
+        """Each error -log(1.0) is -0.0, and their mean +0.0; the negated
+        mean of the logs that the window loss took before gave -0.0."""
+        dists = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert token_errors(dists[None], np.array([[0, 1]])).tolist() == [[0.0, 0.0]]
+        assert one_window_loss(dists, [0, 1]).hex() == (0.0).hex()
+        assert window_loss_reference(dists, [0, 1]).hex() == (-0.0).hex()
 
     def test_clamp_floor(self):
         dists = np.array([[0.0, 1.0]])
-        assert one_window_loss(dists, [0]) == pytest.approx(-np.log(PROB_FLOOR), abs=1e-9)
-        assert token_loss(dists[None], np.array([[0]]))[1].tolist() == [[True]]
+        errors = token_errors(dists[None], np.array([[0]]))
+        assert errors.tolist() == [[-np.log(PROB_FLOOR)]]
 
-    def test_channel_mean_oracle(self):
+    def test_per_channel_oracle(self):
+        """One float64 error per (window, channel), each the negative log of
+        the picked probability."""
         rng = np.random.default_rng(1)
-        raw = rng.uniform(0.05, 1.0, size=(4, 6))
-        dists = raw / raw.sum(axis=1, keepdims=True)
-        y = [2, 0, 5, 1]
-        expected = -sum(np.log(dists[c, y[c]]) for c in range(4)) / 4
-        assert one_window_loss(dists, y) == pytest.approx(expected, abs=1e-12)
+        raw = rng.uniform(0.05, 1.0, size=(2, 4, 6))
+        dists = raw / raw.sum(axis=2, keepdims=True)
+        y = np.array([[2, 0, 5, 1], [3, 3, 0, 4]])
+        errors = token_errors(dists, y)
+        assert errors.shape == (2, 4) and errors.dtype == np.float64
+        for b in range(2):
+            for c in range(4):
+                assert errors[b, c] == pytest.approx(-np.log(dists[b, c, y[b, c]]), abs=1e-12)
+        assert one_window_loss(dists[1], y[1]) == errors[1].mean()
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="need one token per channel distribution"):
-            token_loss(np.full((1, 2, 3), 1 / 3), np.array([[0]]))
+            token_errors(np.full((1, 2, 3), 1 / 3), np.array([[0]]))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), c=st.integers(1, 16), k=st.integers(1, 6))
     def test_one_window_is_the_window_loss_bit_for_bit(self, data, c, k):
-        """At B=1 the batch mean runs the pairwise sum and the division of the
+        """At B=1 the row mean runs the pairwise sum and the division of the
         old per-window formula, for any C (numpy unrolls sums from 8 terms)
-        and for probabilities at or below the clamp floor."""
+        and for probabilities at or below the clamp floor. Negating before
+        the sum flips every term's sign and so the sum's, except for a zero
+        sum: where every picked probability is 1.0 the old -0.0 is now +0.0."""
         prob = st.one_of(
             st.floats(0.0, 1.0), st.floats(0.0, 2 * PROB_FLOOR), st.sampled_from([0.0, 5e-324])
         )
         dists = np.array(data.draw(st.lists(st.lists(prob, min_size=k, max_size=k),
                                             min_size=c, max_size=c)))
         tokens = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=c, max_size=c)))
-        got = one_window_loss(dists, tokens)
-        assert got.hex() == window_loss_reference(dists, tokens).hex()
+        want = window_loss_reference(dists, tokens)
+        if want == 0.0:  # the old -0.0 of an all-1.0 pick reads +0.0 now
+            want = 0.0
+        assert one_window_loss(dists, tokens).hex() == want.hex()
 
 
 class TestLossAndGrad:
@@ -153,6 +168,25 @@ class TestLossAndGrad:
         loss, _ = loss_and_grad(p, y, params, CFG)
         want = dataset_loss(p, y, params, CFG, TrainConfig().batch_size)
         assert loss == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "picked, clamped",
+        [(np.nextafter(PROB_FLOOR, 0), True), (PROB_FLOOR, False),
+         (np.nextafter(PROB_FLOOR, 1), False)],
+    )
+    def test_clamp_edges(self, monkeypatch, picked, clamped):
+        """A channel's score gradient is zero exactly where its picked
+        probability is strictly below PROB_FLOOR; the loss reads the floor
+        there, and the other channel keeps its gradient."""
+        dists = np.array([[[picked, 1.0 - picked], [0.5, 0.5]]])
+        seen = []
+        monkeypatch.setattr(train, "forward_batch", lambda *args, **kw: (dists.copy(), None))
+        monkeypatch.setattr(train, "backward_from_scores", lambda cache, dv, names: seen.append(dv))
+        loss, _ = loss_and_grad(np.zeros((1, 6, 5)), np.array([[0, 1]]), None, CFG)
+        dv = seen[0]
+        assert (not dv[0, 0].any()) == clamped
+        assert dv[0, 1].tolist() == [0.25, -0.25]
+        assert loss == (-np.log(max(picked, PROB_FLOOR)) - np.log(0.5)) / 2
 
     def test_near_uniform_at_init(self):
         params = init_model(CFG, seed=5, dtype=np.float64)
