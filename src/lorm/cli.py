@@ -67,12 +67,7 @@ from .signal_io import (
     write_signal_csv,
 )
 from .synth import SynthConfig, generate_run
-from .tokenizer import (
-    codebook_file_hash,
-    fit_codebook_set,
-    load_codebooks,
-    save_codebooks,
-)
+from .tokenizer import fit_codebook_set, load_codebooks, save_codebooks
 from .train import (
     TrainConfig,
     build_examples,
@@ -300,39 +295,30 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
     init_path = cfg.resolve("init_checkpoint") if cfg.paths["init_checkpoint"] else ""
     series = read_signal_csv(signal_path)
     train_w, val_w, stats = _prepare_splits(cfg, series)
-    with open(codebooks_path, "rb") as fh:  # one read, parsed and hashed
-        codebooks_bytes = fh.read()
-    codebooks = load_codebooks(codebooks_path, codebooks_bytes)
-    if codebooks.num_channels != series.num_channels:
-        raise ConfigError(
-            f"paths.codebooks: built for {codebooks.num_channels} channels, "
-            f"signal has {series.num_channels}"
-        )
-    if list(codebooks.channel_names) != series.channel_names:
-        raise ConfigError(
-            f"paths.codebooks: fitted on channels {list(codebooks.channel_names)}, "
-            f"signal has {series.channel_names}"
-        )
-    if codebooks.K != cfg.backbone.num_tokens:
-        raise ConfigError(
-            f"paths.codebooks: built for K={codebooks.K}, "
-            f"the tokenizer section says {cfg.backbone.num_tokens}"
-        )
+    codebooks = load_codebooks(codebooks_path)
+    target_dim = cfg.windowing.window_len - cfg.windowing.context_len
+    try:
+        codebooks.check_fits(cfg.backbone.num_tokens, target_dim, series.channel_names, "this run")
+    except ValueError as exc:
+        raise ConfigError(f"paths.codebooks: {exc}") from None
 
     seq_len = num_patches(cfg.windowing.context_len, cfg.backbone.patch_len) * series.num_channels
     backbone = replace(cfg.backbone, max_seq_len=seq_len, num_channels=series.num_channels)
     if init_path:
         ckpt = load_checkpoint(init_path)
-        if ckpt.config != backbone:
-            raise ConfigError(
-                "paths.init_checkpoint: checkpoint architecture differs from the "
-                "configured model section"
-            )
         if ckpt.channel_names != series.channel_names:
             raise ConfigError(
                 f"paths.init_checkpoint: trained on channels {ckpt.channel_names}, "
                 f"signal has {series.channel_names}"
             )
+        theirs, mine = asdict(ckpt.config), asdict(backbone)
+        # max_seq_len last: context_len and patch_len decide it
+        for name in sorted(mine, key="max_seq_len".__eq__):
+            if theirs[name] != mine[name]:
+                raise ConfigError(
+                    f"paths.init_checkpoint: checkpoint has {name}={theirs[name]!r}, "
+                    f"this run {mine[name]!r}"
+                )
         params = ckpt.params
     else:
         params = init_model(backbone, seed=cfg.seed)
@@ -354,7 +340,7 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
         window_len=cfg.windowing.window_len,
         context_len=cfg.windowing.context_len,
         channel_names=series.channel_names,
-        codebook_hash=codebook_file_hash(codebooks_path, codebooks_bytes),
+        codebook_hash=codebooks.file_hash,
     )
     save_checkpoint(cfg.out_path("checkpoint.lorm"), ckpt)
     print(
@@ -400,10 +386,6 @@ def _window_source(cfg: RunConfig, deployed: DeployedModel):
 
 def _file_windows(path: str, windowing: WindowingConfig, names: list[str]):
     series = read_signal_csv(path)
-    if series.num_channels != len(names):
-        raise ValueError(
-            f"{path}: {series.num_channels} channels, but the checkpoint expects {len(names)}"
-        )
     if series.channel_names != names:
         raise ValueError(
             f"{path}: channels {series.channel_names}, but the checkpoint expects {names}"

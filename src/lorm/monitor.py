@@ -26,7 +26,7 @@ import numpy as np
 from ._checks import check_int, check_real
 from .evaluation import WearTable
 from .model import Checkpoint, forward_batch, load_checkpoint
-from .tokenizer import CodebookSet, codebook_file_hash, load_codebooks
+from .tokenizer import CodebookSet, load_codebooks
 from .train import build_examples, token_errors
 
 __all__ = [
@@ -112,29 +112,24 @@ class DeployedModel:
     codebooks: CodebookSet
 
     def __post_init__(self) -> None:
-        cfg, books, names = self.checkpoint.config, self.codebooks, self.checkpoint.channel_names
-        if books.K != cfg.num_tokens or list(books.channel_names) != names:
-            raise ValueError(
-                f"codebooks (K={books.K}, channels {list(books.channel_names)}) are "
-                f"incompatible with the checkpoint (K={cfg.num_tokens}, channels {names})"
-            )
+        ckpt = self.checkpoint
+        self.codebooks.check_fits(
+            ckpt.config.num_tokens, ckpt.window_len - ckpt.context_len, ckpt.channel_names,
+            "the checkpoint",
+        )
 
     @classmethod
     def from_files(cls, checkpoint_path: str, codebooks_path: str) -> "DeployedModel":
         """Load a pair; codebooks that do not hash as the checkpoint recorded
-        are rejected. The codebooks file is read once, and the bytes hashed
-        are the bytes parsed."""
+        are rejected. The hash checked is that of the bytes parsed."""
         ckpt = load_checkpoint(checkpoint_path)
-        with open(codebooks_path, "rb") as fh:
-            data = fh.read()
-        if ckpt.codebook_hash:
-            actual = codebook_file_hash(codebooks_path, data)
-            if actual != ckpt.codebook_hash:
-                raise ValueError(
-                    f"{codebooks_path}: codebooks file does not match the checkpoint "
-                    f"(hash {actual[:12]}.. != {ckpt.codebook_hash[:12]}..)"
-                )
-        return cls(checkpoint=ckpt, codebooks=load_codebooks(codebooks_path, data))
+        books = load_codebooks(codebooks_path)
+        if ckpt.codebook_hash and books.file_hash != ckpt.codebook_hash:
+            raise ValueError(
+                f"{codebooks_path}: codebooks file does not match the checkpoint "
+                f"(hash {books.file_hash[:12]}.. != {ckpt.codebook_hash[:12]}..)"
+            )
+        return cls(checkpoint=ckpt, codebooks=books)
 
 
 def score_window(window: np.ndarray, deployed: DeployedModel) -> float:

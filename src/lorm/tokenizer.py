@@ -39,10 +39,13 @@ class CodebookSet:
 
     The constructor copies ``centroids`` and keeps the names as a tuple of
     str, so later edits to the caller's array or list change neither tokens
-    nor saved files.
+    nor saved files. ``file_hash`` is the SHA-256 of the file the set was
+    read from, "" for a set built in memory.
     """
 
-    def __init__(self, centroids: np.ndarray, channel_names: Sequence[str]) -> None:
+    def __init__(
+        self, centroids: np.ndarray, channel_names: Sequence[str], file_hash: str = ""
+    ) -> None:
         stack = np.array(centroids, dtype=np.float64)
         if stack.ndim != 3:
             raise ValueError(f"centroids must be 3-D (C, K, target_dim), got shape {stack.shape}")
@@ -59,6 +62,7 @@ class CodebookSet:
         stack.flags.writeable = False
         self.centroids = stack
         self.channel_names = names
+        self.file_hash = file_hash
 
     @property
     def num_channels(self) -> int:
@@ -71,6 +75,18 @@ class CodebookSet:
     @property
     def target_dim(self) -> int:
         return self.centroids.shape[2]
+
+    def check_fits(self, k: int, target_dim: int, names: Sequence[str], other: str) -> None:
+        """Raise ValueError unless these codebooks give ``other`` (a model or
+        a run) its K, target length and channel names, checked in that order;
+        the message gives both sides."""
+        for what, mine, theirs in (
+            ("K", self.K, k),
+            ("target_dim", self.target_dim, target_dim),
+            ("channel_names", list(self.channel_names), list(names)),
+        ):
+            if mine != theirs:
+                raise ValueError(f"codebooks have {what}={mine}, {other} {theirs}")
 
 
 @dataclass
@@ -231,31 +247,30 @@ def save_codebooks(codebooks: CodebookSet, path: str) -> None:
         json.dump(doc, fh)
 
 
-def load_codebooks(path: str, data: bytes | None = None) -> CodebookSet:
-    """Read a codebook JSON document from ``path``, or parse ``data``, its
-    bytes as a caller read them (to hash the same bytes it parses).
+def load_codebooks(path: str) -> CodebookSet:
+    """Read a codebook JSON document from ``path``. The file is read once:
+    the set's ``file_hash`` is the SHA-256 of the bytes it was parsed from.
 
     Raises:
         ValueError: naming ``path``, for malformed JSON, an unsupported
             version, a missing field, or a malformed channel (naming its
             index and field).
     """
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
         raise ValueError(f"{path}: not a codebooks JSON document ({exc})") from None
     try:
-        return _codebooks_from_doc(doc)
+        return _codebooks_from_doc(doc, codebook_file_hash(path, data))
     except KeyError as exc:
         raise ValueError(f"{path}: codebooks file lacks the {exc} field") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _codebooks_from_doc(doc) -> CodebookSet:
+def _codebooks_from_doc(doc, file_hash: str) -> CodebookSet:
     if not isinstance(doc, dict):
         raise ValueError("codebooks file must hold a JSON object")
     if doc.get("version") != CODEBOOK_FORMAT_VERSION:
@@ -284,7 +299,7 @@ def _codebooks_from_doc(doc) -> CodebookSet:
                 f"channel {i}: centroid shape mismatch, {centroids.shape} != {shape}"
             )
         stack.append(centroids)
-    return CodebookSet(np.stack(stack), [ch["name"] for ch in channels])
+    return CodebookSet(np.stack(stack), [ch["name"] for ch in channels], file_hash)
 
 
 def codebook_file_hash(path: str, data: bytes | None = None) -> str:

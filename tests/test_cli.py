@@ -326,7 +326,10 @@ class TestSignalErrors:
         write_signal(signal, columns=3)
         assert self.run(pipeline, "monitor", signal, tmp_path) == 1
         err = capsys.readouterr().err
-        assert f"error: {signal}: 3 channels, but the checkpoint expects 2" in err
+        assert (
+            f"error: {signal}: channels ['ch0', 'ch1', 'ch2'], but the checkpoint expects "
+            "['ch0', 'ch1']; "
+        ) in err
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -788,20 +791,30 @@ class TestCodebooksSweep:
         rc, err = train_on(pipeline, str(tmp_path), path)
         assert rc == 1 and f"error: {exc.value}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_codebooks_of_other_k_exit_2(self, pipeline, tmp_path, capsys, k):
-        """Codebooks fitted at K=4 do not fit a tokenizer section that says
-        otherwise: train stops before any training, and says why."""
+    @pytest.mark.parametrize(
+        "command, key, setting, message",
+        [
+            ("train", "signal", "tokenizer.num_tokens=3", "K=4, this run 3"),
+            ("train", "signal", "tokenizer.num_tokens=5", "K=4, this run 5"),
+            ("pretrain", "pretrain_signal", "windowing.context_len=59", "target_dim=1, this run 2"),
+            ("train", "signal", "windowing.context_len=59", "target_dim=1, this run 2"),
+        ],
+    )
+    def test_codebooks_that_do_not_fit_the_run_exit_2(
+        self, pipeline, tmp_path, capsys, command, key, setting, message
+    ):
+        """Codebooks fitted at K=4 and target length 1 do not fit a run whose
+        tokenizer or windowing section says otherwise: pretrain and train
+        stop before any training, and say why."""
         out = pipeline["out"]
         rc = main([
-            "train", "--config", str(pipeline["config_path"]), "--out", str(tmp_path),
-            "--set", f"paths.signal={out / 'signal.csv'}",
+            command, "--config", str(pipeline["config_path"]), "--out", str(tmp_path),
+            "--set", f"paths.{key}={out / 'signal.csv'}",
             "--set", f"paths.codebooks={out / 'codebooks.json'}",
-            "--set", f"tokenizer.num_tokens={k}",
+            "--set", setting,
         ])
         err = capsys.readouterr().err
-        assert rc == 2 and "Traceback" not in err
-        assert f"error: paths.codebooks: built for K=4, the tokenizer section says {k}" in err
+        assert rc == 2 and err == f"error: paths.codebooks: codebooks have {message}\n"
         assert not (tmp_path / "checkpoint.lorm").exists()
 
 
@@ -863,8 +876,8 @@ class TestChannelNames:
         )
         assert rc == 2
         assert err == (
-            "error: paths.codebooks: fitted on channels ['ch0', 'ch1'], "
-            f"signal has {self.SWAPPED}\n"
+            "error: paths.codebooks: codebooks have channel_names=['ch0', 'ch1'], "
+            f"this run {self.SWAPPED}\n"
         )
         assert not (tmp_path / "checkpoint.lorm").exists()
 
@@ -886,6 +899,22 @@ class TestChannelNames:
             "error: paths.init_checkpoint: trained on channels ['ch0', 'ch1'], "
             f"signal has {self.SWAPPED}\n"
         )
+        assert not (tmp_path / "checkpoint.lorm").exists()
+
+    def test_train_refuses_an_init_checkpoint_of_other_patch_len(
+        self, pipeline, tmp_path, capsys
+    ):
+        """The refusal names the first setting that differs, not max_seq_len,
+        which patch_len decides."""
+        out = pipeline["out"]
+        rc, err = self.run(
+            pipeline, tmp_path, "train", f"paths.signal={out / 'signal.csv'}",
+            f"paths.codebooks={out / 'codebooks.json'}",
+            f"paths.init_checkpoint={out / 'pretrained.lorm'}", "patch.patch_len=8",
+            capsys=capsys,
+        )
+        assert rc == 2
+        assert err == "error: paths.init_checkpoint: checkpoint has patch_len=12, this run 8\n"
         assert not (tmp_path / "checkpoint.lorm").exists()
 
     def test_monitor_refuses_a_file_of_other_names(self, pipeline, tmp_path, capsys):

@@ -322,43 +322,57 @@ class TestDeployedModelFiles:
         wlf = score_window(make_window(seed=9), deployed)
         assert np.isfinite(wlf)
 
-    @pytest.mark.parametrize("names", [["b", "a"], ["a", "c"]])
-    def test_codebooks_of_other_channel_names_refused(self, names):
-        """Codebooks of the checkpoint's channel count and K, but whose
-        channels are named otherwise or in another order, are refused."""
+    @pytest.mark.parametrize(
+        "shape, names, message",
+        [
+            ((2, 3, 1), ["a", "b"], "K=3, the checkpoint 4"),
+            ((2, 4, 2), ["a", "b"], "target_dim=2, the checkpoint 1"),
+            ((2, 4, 1), ["b", "a"], "channel_names=['b', 'a'], the checkpoint ['a', 'b']"),
+            ((2, 4, 1), ["a", "c"], "channel_names=['a', 'c'], the checkpoint ['a', 'b']"),
+        ],
+    )
+    def test_codebooks_that_do_not_fit_refused(self, shape, names, message):
+        """Codebooks of another K, another target length than window_len -
+        context_len, or channels named otherwise or in another order than
+        the checkpoint's are refused when the model is built."""
         deployed = tiny_deployed()
-        books = CodebookSet(deployed.codebooks.centroids, channel_names=names)
-        with pytest.raises(ValueError, match=r"channels \['a', 'b'\]\)$") as exc:
+        books = CodebookSet(np.zeros(shape), channel_names=names)
+        with pytest.raises(ValueError) as exc:
             DeployedModel(checkpoint=deployed.checkpoint, codebooks=books)
-        assert f"codebooks (K=4, channels {names}) are incompatible" in str(exc.value)
+        assert str(exc.value) == f"codebooks have {message}"
 
     def test_hash_mismatch_detected(self, tmp_path):
         ckpt, books = self._write_pair(tmp_path, tamper=True)
         with pytest.raises(ValueError, match="does not match"):
             DeployedModel.from_files(ckpt, books)
 
-    @pytest.mark.parametrize("hook", ["codebook_file_hash", "load_codebooks"])
-    def test_checked_bytes_are_the_loaded_bytes(self, tmp_path, monkeypatch, hook):
-        """A codebooks file replaced once it is hashed, or just before it is
-        parsed, does not slip past the check: the codebooks deployed are the
+    @pytest.mark.parametrize("tamper_first", [True, False])
+    def test_checked_bytes_are_the_loaded_bytes(self, tmp_path, monkeypatch, tamper_first):
+        """A codebooks file replaced just before or just after it is hashed
+        does not slip past the check: load_codebooks reads the file once, so
+        the deployed centroids and file_hash come from the same bytes, the
         bytes that the checkpoint's hash vouches for."""
-        import lorm.monitor
+        import hashlib
+
+        import lorm.tokenizer
 
         ckpt, books = self._write_pair(tmp_path)
+        original = Path(books).read_bytes()
         want = load_codebooks(books).centroids.copy()
 
         def tamper():
-            Path(books).write_text(Path(books).read_text().replace("-1.0", "-1.5"))
+            Path(books).write_bytes(original.replace(b"-1.0", b"-1.5"))
 
-        real = getattr(lorm.monitor, hook)
-        if hook == "codebook_file_hash":
-            patched = lambda path, *data: (real(path, *data), tamper())[0]
-        else:
+        real = lorm.tokenizer.codebook_file_hash
+        if tamper_first:
             patched = lambda path, *data: (tamper(), real(path, *data))[1]
-        monkeypatch.setattr(lorm.monitor, hook, patched)
+        else:
+            patched = lambda path, *data: (real(path, *data), tamper())[0]
+        monkeypatch.setattr(lorm.tokenizer, "codebook_file_hash", patched)
         deployed = DeployedModel.from_files(ckpt, books)
         assert b"-1.5" in Path(books).read_bytes()
         assert deployed.codebooks.centroids.tobytes() == want.tobytes()
+        assert deployed.codebooks.file_hash == hashlib.sha256(original).hexdigest()
 
 
 def reference_calibrate_threshold(hi_by_cut, wear_by_cut, wear_limit_um=300.0):

@@ -328,6 +328,8 @@ class TestCodebookFiles:
         with open(path, "rb") as fh:
             expected = hashlib.sha256(fh.read()).hexdigest()
         assert codebook_file_hash(path) == expected
+        assert load_codebooks(path).file_hash == expected
+        assert books.file_hash == ""  # built in memory
 
     def test_set_validation(self):
         with pytest.raises(ValueError):
