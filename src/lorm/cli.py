@@ -31,7 +31,6 @@ from ._checks import check_int, check_real, quote
 from .evaluation import (
     WearTable,
     compute_metrics,
-    detection_deviation,
     format_metrics_table,
     label_windows,
     write_metrics_json,
@@ -312,9 +311,13 @@ def _run_training(cfg: RunConfig, freeze: bool, signal_key: str) -> int:
                 f"signal has {series.channel_names}"
             )
         theirs, mine = asdict(ckpt.config), asdict(backbone)
-        # max_seq_len last: context_len and patch_len decide it
+        # max_seq_len last: with the channels and patch_len equal, only
+        # context_len, which the checkpoint records, changes it; name that
         for name in sorted(mine, key="max_seq_len".__eq__):
             if theirs[name] != mine[name]:
+                if name == "max_seq_len":
+                    name = "context_len"
+                    theirs[name], mine[name] = ckpt.context_len, cfg.windowing.context_len
                 raise ConfigError(
                     f"paths.init_checkpoint: checkpoint has {name}={theirs[name]!r}, "
                     f"this run {mine[name]!r}"
@@ -462,20 +465,22 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     health, positions, wear = _read_health_and_wear(cfg)
     scored = positions >= 0
-    labels = label_windows(wear, cfg.wear_limit_um, health.window_index[scored])
+    labels = label_windows(wear, cfg.wear_limit_um, positions[scored])
     report = compute_metrics(health.alarm[scored], labels)
-    # an alarm always has a health index, so -1 here means outside every cut
     first = np.flatnonzero(health.alarm)[:1]
-    first_alarm = int(health.window_index[first[0]]) if first.size else None
-    if first.size and positions[first[0]] < 0:
-        raise ValueError(
-            f"{cfg.resolve('hi')}: first alarm, window {first_alarm}, is outside "
-            f"{cfg.resolve('wear')}"
-        )
-    deviation = detection_deviation(first_alarm, wear, cfg.wear_limit_um)
+    first_alarm = deviation = None
+    if first.size:
+        first_alarm, row = int(health.window_index[first[0]]), positions[first[0]]
+        # an alarm always has a health index, so -1 here means outside every cut
+        if row < 0:
+            raise ValueError(
+                f"{cfg.resolve('hi')}: first alarm, window {first_alarm}, is outside "
+                f"{cfg.resolve('wear')}"
+            )
+        deviation = abs(float(wear.wear_um[row]) - cfg.wear_limit_um)
     write_metrics_json(
         {
-            "classification": report.to_dict(),
+            "classification": asdict(report),
             "detection_deviation_um": deviation,
             "first_alarm_window": first_alarm,
         },

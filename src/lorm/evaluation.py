@@ -1,11 +1,10 @@
-"""Wear tables, window labelling, classification metrics, detection deviation.
+"""Wear tables, window labelling, classification metrics.
 
 A wear table maps each monitored window (1-based index, matching the
 window_index column of hi.csv) to a ring cut and each cut to a measured wear
 in micrometres. A window is abnormal when its cut's wear strictly exceeds the
 limit. Alarm flags against those labels give the usual confusion-matrix
-metrics; the detection deviation is how far the wear at the first alarm sat
-from the limit.
+metrics.
 
 Everything here is pure and safe to call from any thread.
 """
@@ -15,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "MetricReport",
     "label_windows",
     "compute_metrics",
-    "detection_deviation",
     "format_metrics_table",
     "write_metrics_json",
 ]
@@ -162,22 +160,14 @@ class MetricReport:
     fpr: float
     degenerate: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def _wear_of_windows(wear: WearTable, window_indices: Sequence[int]) -> np.ndarray:
-    pos = wear.locate(window_indices)
-    if (pos < 0).any():
-        raise ValueError(f"window {window_indices[int(np.argmin(pos))]} is not covered by any cut")
-    return wear.wear_um[pos]
-
-
-def label_windows(
-    wear: WearTable, limit_um: float, window_indices: Sequence[int]
-) -> np.ndarray:
-    """Boolean abnormal labels: wear of the window's cut strictly above limit."""
-    return _wear_of_windows(wear, window_indices) > limit_um
+def label_windows(wear: WearTable, limit_um: float, positions: Sequence[int]) -> np.ndarray:
+    """Boolean abnormal labels: the wear of each window's cut, given as its
+    row in ``wear`` (as ``WearTable.locate`` returns it), strictly above limit."""
+    rows = np.asarray(positions, dtype=np.int64)
+    if (rows < 0).any():
+        raise ValueError(f"row {rows.min()} names no cut: its window is outside the wear table")
+    return wear.wear_um[rows] > limit_um
 
 
 def _ratio(num: int, den: int, name: str, degenerate: list[str]) -> float:
@@ -214,15 +204,6 @@ def compute_metrics(predictions: Sequence[bool], labels: Sequence[bool]) -> Metr
         fpr=fpr,
         degenerate=degenerate,
     )
-
-
-def detection_deviation(
-    first_alarm_window: int | None, wear: WearTable, limit_um: float
-) -> float | None:
-    """|wear at the first alarm - limit|, or None when no alarm ever fired."""
-    if first_alarm_window is None:
-        return None
-    return abs(float(_wear_of_windows(wear, [first_alarm_window])[0]) - limit_um)
 
 
 def format_metrics_table(report: MetricReport, deviation_um: float | None = None) -> str:

@@ -33,7 +33,7 @@ from lorm.monitor import (
     monitor_stream,
     score_window,
 )
-from lorm.evaluation import compute_metrics, detection_deviation, WearTable
+from lorm.evaluation import compute_metrics
 from lorm.sequence import build_mcps, num_patches
 from lorm.signal_io import (
     ChannelStats,
@@ -450,12 +450,20 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_detection_deviation_arithmetic(self, acceptance_log):
-        table = WearTable(
-            cut_id=[1, 2], wear_um=[285.61, 335.18], first_window=[1, 11], last_window=[10, 20]
+    def test_detection_deviation_arithmetic(self, tmp_path, acceptance_log):
+        """``lorm eval`` on a 285.61 um cut (windows 1-10) and a 335.18 um
+        cut (11-20), with alarms from window 11 on, then from window 1 on."""
+        (tmp_path / "wear.csv").write_text(
+            "cut_id,wear_um,first_window,last_window\n1,285.61,1,10\n2,335.18,11,20\n"
         )
-        late = detection_deviation(11, table, 300.0)
-        early = detection_deviation(1, table, 300.0)
+        deviations = []
+        for first_alarm in (11, 1):
+            rows = "".join(f"{w},0.5,0.1,{int(w >= first_alarm)}\n" for w in range(1, 21))
+            (tmp_path / "hi.csv").write_text("window_index,wlf,hi,alarm\n" + rows)
+            assert cli_main(["eval", "--out", str(tmp_path)]) == 0
+            doc = json.loads((tmp_path / "metrics.json").read_text())
+            deviations.append(doc["detection_deviation_um"])
+        late, early = deviations
         ok = abs(late - 35.18) < 1e-12 and abs(early - 14.39) < 1e-12
         acceptance_log(
             8, ok, f"|335.18-300|={late!r}, |285.61-300|={early!r}, both within 1e-12"

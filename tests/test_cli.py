@@ -481,6 +481,60 @@ class TestHealthAndWearErrors:
         assert not (tmp_path / "metrics.json").exists()
 
 
+THREE_CUTS_CSV = (
+    "cut_id,wear_um,first_window,last_window\n"
+    "1,285.61,1,10\n2,301.21,11,20\n3,335.18,21,30\n"
+)
+
+
+class TestEval:
+    """eval labels the windows from the rows of the cuts that it looked up
+    once, and reports how far the wear at the first alarm sat from the limit."""
+
+    def run(self, tmp_path, first_alarm):
+        """eval over windows 1..30 of THREE_CUTS_CSV, alarms from
+        ``first_alarm`` on (none if None); returns metrics.json."""
+        rows = "".join(
+            f"{w},0.5,0.1,{int(first_alarm is not None and w >= first_alarm)}\n"
+            for w in range(1, 31)
+        )
+        (tmp_path / "hi.csv").write_text("window_index,wlf,hi,alarm\n" + rows)
+        (tmp_path / "wear.csv").write_text(THREE_CUTS_CSV)
+        assert main(["eval", "--out", str(tmp_path)]) == 0
+        return json.loads((tmp_path / "metrics.json").read_text())
+
+    def test_each_window_is_located_once(self, tmp_path, monkeypatch):
+        calls = []
+        locate = WearTable.locate
+
+        def counting(self, window_indices):
+            calls.append(len(window_indices))
+            return locate(self, window_indices)
+
+        monkeypatch.setattr(WearTable, "locate", counting)
+        self.run(tmp_path, first_alarm=21)
+        assert calls == [30]
+
+    @pytest.mark.parametrize(
+        "first_alarm, deviation",
+        [(21, 35.18), (3, 14.39)],
+        ids=["above-limit-crossing", "early-alarm-below-limit"],
+    )
+    def test_deviation_is_the_first_alarms_wear_off_the_limit(
+        self, tmp_path, first_alarm, deviation
+    ):
+        """Window 21 lies in the 335.18 um cut, window 3 in the 285.61 um one."""
+        doc = self.run(tmp_path, first_alarm)
+        assert doc["first_alarm_window"] == first_alarm
+        assert doc["detection_deviation_um"] == pytest.approx(deviation, abs=1e-12)
+
+    def test_no_alarm_gives_null(self, tmp_path):
+        doc = self.run(tmp_path, first_alarm=None)
+        assert doc["first_alarm_window"] is None
+        assert doc["detection_deviation_um"] is None
+        assert doc["classification"]["counts"] == {"tp": 0, "tn": 10, "fp": 0, "fn": 20}
+
+
 MUTATION_TOKENS = [bytes([b]) for b in b"0123456789,.-+eE_ naif\t\r\n\x00\xff\xc3"] + [
     b"nan", b"inf", b"1e999", b"-0",
 ]
@@ -917,6 +971,31 @@ class TestChannelNames:
         assert err == "error: paths.init_checkpoint: checkpoint has patch_len=12, this run 8\n"
         assert not (tmp_path / "checkpoint.lorm").exists()
 
+    def test_train_refuses_an_init_checkpoint_of_other_context_len(
+        self, pipeline, tmp_path, capsys
+    ):
+        """The codebooks still fit, since window_len moves with context_len;
+        the refusal names context_len, which decides the patch rows, and a
+        context of the same patch count (59 at patch 12) is accepted."""
+        out = pipeline["out"]
+        sets = (
+            f"paths.signal={out / 'signal.csv'}", f"paths.codebooks={out / 'codebooks.json'}",
+            f"paths.init_checkpoint={out / 'pretrained.lorm'}",
+        )
+        rc, err = self.run(
+            pipeline, tmp_path, "train", *sets, "windowing.window_len=49",
+            "windowing.context_len=48", capsys=capsys,
+        )
+        assert rc == 2
+        assert err == "error: paths.init_checkpoint: checkpoint has context_len=60, this run 48\n"
+        assert not (tmp_path / "checkpoint.lorm").exists()
+        rc, err = self.run(
+            pipeline, tmp_path, "train", *sets, "windowing.window_len=60",
+            "windowing.context_len=59", capsys=capsys,
+        )
+        assert (rc, err) == (0, "")
+        assert load_checkpoint(str(tmp_path / "checkpoint.lorm")).context_len == 59
+
     def test_monitor_refuses_a_file_of_other_names(self, pipeline, tmp_path, capsys):
         signal = self.swapped_signal(pipeline, tmp_path)
         out = pipeline["out"]
@@ -1158,7 +1237,7 @@ def reference_calibrate_and_eval(records, wear, hi_path, wear_path, limit):
     window as the commands did before hi.csv was read as columns."""
     from dataclasses import asdict
 
-    from lorm.evaluation import compute_metrics, detection_deviation
+    from lorm.evaluation import compute_metrics
     from lorm.monitor import calibrate_threshold
 
     defined = np.array([r.hi is not None for r in records], dtype=bool)
@@ -1190,9 +1269,9 @@ def reference_calibrate_and_eval(records, wear, hi_path, wear_path, limit):
         return calibration, ValueError(
             f"{hi_path}: first alarm, window {first_alarm}, is outside {wear_path}"
         )
-    deviation = detection_deviation(first_alarm, wear, limit)
+    deviation = None if first is None else abs(float(wear.wear_um[positions[first]]) - limit)
     return calibration, {
-        "classification": report.to_dict(),
+        "classification": asdict(report),
         "detection_deviation_um": deviation,
         "first_alarm_window": first_alarm,
     }

@@ -1,6 +1,7 @@
-"""Wear tables, labelling, confusion metrics, detection deviation."""
+"""Wear tables, labelling, confusion metrics, metric output."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from lorm.evaluation import (
     ConfusionCounts,
     WearTable,
     compute_metrics,
-    detection_deviation,
     format_metrics_table,
     label_windows,
     write_metrics_json,
@@ -84,12 +84,6 @@ class TestWearTable:
         expected = [next((i for i, r in enumerate(rows) if r[2] <= w <= r[3]), -1) for w in windows]
         assert table.locate(windows).tolist() == expected
 
-    def test_uncovered_window_rejected(self):
-        with pytest.raises(ValueError, match="window 31 is not covered"):
-            label_windows(three_cut_table(), 300.0, [5, 31])
-        with pytest.raises(ValueError, match="window 0 is not covered"):
-            detection_deviation(0, three_cut_table(), 300.0)
-
     def test_rows_sorted_by_span(self):
         table = WearTable(cut_id=[2, 1], wear_um=[200.0, 100.0], first_window=[6, 1],
                           last_window=[9, 5])
@@ -144,13 +138,20 @@ class TestWearTable:
 class TestLabelWindows:
     def test_strictly_above_limit(self):
         table = three_cut_table()
-        labels = label_windows(table, 300.0, [5, 15, 25])
+        labels = label_windows(table, 300.0, table.locate([5, 15, 25]))
         # 285.61 <= 300 healthy, 301.21 > 300 abnormal, 335.18 > 300 abnormal
         assert labels.tolist() == [False, True, True]
 
     def test_exact_limit_is_healthy(self):
         table = WearTable(cut_id=[1], wear_um=[300.0], first_window=[1], last_window=[4])
-        assert label_windows(table, 300.0, [1, 2, 3, 4]).tolist() == [False] * 4
+        assert label_windows(table, 300.0, [0, 0, 0, 0]).tolist() == [False] * 4
+
+    def test_row_outside_the_table_refused(self):
+        """-1, locate's row for a window outside every cut, would otherwise
+        label it with the last cut's wear."""
+        table = three_cut_table()
+        with pytest.raises(ValueError, match="^row -1 names no cut: its window is outside"):
+            label_windows(table, 300.0, table.locate([5, 31]))
 
 
 class TestConfusionCounts:
@@ -215,7 +216,7 @@ class TestComputeMetrics:
         base = compute_metrics(pred, lab)
         order = rng.permutation(50)
         shuffled = compute_metrics(pred[order], lab[order])
-        assert shuffled.to_dict() == base.to_dict()
+        assert asdict(shuffled) == asdict(base)
 
     def test_metrics_recompute_from_counts(self):
         rng = np.random.default_rng(6)
@@ -238,23 +239,6 @@ class TestComputeMetrics:
         )
         p, r = report.precision, report.recall
         assert report.f1 == pytest.approx(2 * p * r / (p + r), abs=1e-12)
-
-
-class TestDetectionDeviation:
-    def test_above_limit_crossing(self):
-        # first alarm lands on the 335.18 um cut: deviation 35.18
-        table = three_cut_table()
-        dev = detection_deviation(21, table, 300.0)
-        assert dev == pytest.approx(35.18, abs=1e-12)
-
-    def test_early_alarm_below_limit(self):
-        # alarm during the 285.61 um cut: deviation 14.39
-        table = three_cut_table()
-        dev = detection_deviation(3, table, 300.0)
-        assert dev == pytest.approx(14.39, abs=1e-12)
-
-    def test_no_alarm_gives_none(self):
-        assert detection_deviation(None, three_cut_table(), 300.0) is None
 
 
 class TestFormatting:
