@@ -179,18 +179,29 @@ def partition_parameters(params: ModelParameters) -> ParameterPartition:
 
 
 # erf(x) = x + x * r(x^2) for |x| < 1, with r(z) = erf(sqrt(z)) / sqrt(z) - 1
-# fitted on z in [0, 1] by mpmath.chebyfit at 50 digits (12 coefficients,
-# highest degree first). The fit is within 7.4e-18 of r, far below float64
-# rounding.
-_ERF_SMALL = tuple(map(np.float64, (
-    -7.795898827002142e-10, 1.3720064546777686e-08, -1.6208483801871705e-07,
-    1.6447424703317362e-06, -1.492473690741966e-05, 0.00012055294904839707,
-    -0.0008548325975389692, 0.0052239776071164225, -0.02686617064323777,
-    0.11283791670945006, -0.37612638903183543, 0.12837916709551256,
-)))
+# on z in [0, 1], one Horner table per dtype (highest degree first), each
+# fitted by mpmath.chebyfit. float64: 12 coefficients at 50 digits, within
+# 7.4e-18 of r, far below float64 rounding. float32: 7 coefficients at 40
+# digits (within 1.24e-9 of r), each rounded to float32; evaluated in
+# float32, erf is then at most 1 ulp from the correctly rounded float32 erf
+# on every float32 in [0, 1), and exactly odd.
+_ERF_SMALL = {
+    np.dtype(np.float64): tuple(map(np.float64, (
+        -7.795898827002142e-10, 1.3720064546777686e-08, -1.6208483801871705e-07,
+        1.6447424703317362e-06, -1.492473690741966e-05, 0.00012055294904839707,
+        -0.0008548325975389692, 0.0052239776071164225, -0.02686617064323777,
+        0.11283791670945006, -0.37612638903183543, 0.12837916709551256,
+    ))),
+    np.dtype(np.float32): tuple(map(np.float32, (
+        7.875874871388078e-05, -0.000801686430349946, 0.005189087241888046,
+        -0.02685421146452427, 0.11283594369888306, -0.3761262595653534,
+        0.12837916612625122,
+    ))),
+}
 
-# elements per block: the three float64 scratch buffers (768 KB) stay in a
-# 2 MB L2 cache, and a block is large enough to amortise numpy's per-call cost
+# elements per block: x's block, its square and the Horner result (768 KB in
+# float64) stay in a 2 MB L2 cache, and a block is large enough to amortise
+# numpy's per-call cost
 _ERF_BLOCK = 32768
 
 
@@ -214,62 +225,68 @@ def _buffer(work: dict | None, key: str, shape: tuple[int, ...], dtype) -> np.nd
 
 
 def _erf(x: np.ndarray, out: np.ndarray | None = None, work: dict | None = None) -> np.ndarray:
-    """erf computed in float64 and returned in x's dtype.
+    """erf of a float32 or float64 array, computed in x's own dtype.
 
-    Float64 results are within one ulp of the exact erf; a float32 result is
-    that value rounded to float32, which is the correctly rounded erf for
-    every float32 input. The array is worked through in blocks of at most
-    ``_ERF_BLOCK`` elements, so that every Horner pass runs in cache (one
-    block for every monitoring input). Elements with |x| >= 1 (or NaN) take
-    the C library's erf (``math.erf``). ``out`` (C-contiguous, x's shape and
-    dtype) may be x itself; a workspace ``work`` lends the float64 scratch.
+    Float64 results are within one ulp of the exact erf. Float32 results
+    are within one ulp of the correctly rounded erf (the float64 result
+    rounded to float32), and exact for |x| >= 1. The array is worked
+    through in blocks of at most ``_ERF_BLOCK`` elements, so that every
+    Horner pass runs in cache (one block for every monitoring input).
+    Elements with |x| >= 1 (or NaN) take the C library's erf
+    (``math.erf``). The Horner passes write into ``out`` (C-contiguous, x's
+    shape and dtype); when ``out`` shares x's memory they go to a scratch
+    block, copied over at the end. A workspace ``work`` lends the scratch.
     """
+    coeffs = _ERF_SMALL[x.dtype]
     flat = x.reshape(-1)
     if out is None:
         out = np.empty(x.shape, x.dtype)
     dest = out.reshape(-1)
     size = min(flat.size, _ERF_BLOCK)
-    # three arrays: at B=1 each stays under glibc's 128 KB mmap threshold,
-    # where one 3n block would not
-    scratch = [_buffer(work, key, (size,), np.float64) for key in ("erf_a", "erf_z", "erf_r")]
+    z_buf = _buffer(work, "erf_z", (size,), x.dtype)
+    r_buf = _buffer(work, "erf_r", (size,), x.dtype) if np.may_share_memory(out, x) else None
     for start in range(0, flat.size, _ERF_BLOCK):
         block = dest[start:start + _ERF_BLOCK]
-        a, z, r = (buf[:block.size] for buf in scratch)
-        a[...] = flat[start:start + block.size]
+        a = flat[start:start + block.size]
+        z = z_buf[:block.size]
+        r = block if r_buf is None else r_buf[:block.size]
         # a + a * r(a * a) by Horner overflows or meets inf - inf for |x| >= 1,
         # whose elements math.erf then overwrites
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(a, a, out=z)
-            np.multiply(z, _ERF_SMALL[0], out=r)
-            for c in _ERF_SMALL[1:-1]:
+            np.multiply(z, coeffs[0], out=r)
+            for c in coeffs[1:-1]:
                 np.add(r, c, out=r)
                 np.multiply(r, z, out=r)
-            np.add(r, _ERF_SMALL[-1], out=r)
+            np.add(r, coeffs[-1], out=r)
             np.multiply(r, a, out=r)
             np.add(r, a, out=r)
         if not np.maximum.reduce(z, axis=None) < 1.0:  # True for NaN
             # about 1% of a trained model's FFN inputs, one at a time
             idx = np.flatnonzero(~(z < 1.0))
             r[idx] = list(map(math.erf, a[idx].tolist()))
-        # one cast copy: a float32 out= of the add above would be slower
-        block[...] = r
+        if r_buf is not None:
+            block[...] = r
     return out
 
 
 def gelu(
     x: np.ndarray, work: dict | None = None, cdf_key: str = "gelu.cdf", act_key: str = "gelu.act"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Gaussian-CDF GELU (not the tanh approximation).
+    """Exact Gaussian-CDF GELU (not the tanh approximation), in x's dtype.
 
     Returns (x * Phi(x), Phi(x)); pass Phi on to :func:`gelu_grad` so that
     the backward pass does not evaluate erf again. With a workspace ``work``
-    Phi is its buffer ``cdf_key`` and the output its buffer ``act_key``.
+    Phi is its buffer ``cdf_key`` and the output its buffer ``act_key``,
+    which holds x / sqrt(2) while :func:`_erf` writes Phi's erf straight
+    into ``cdf_key``.
     """
-    cdf = np.divide(x, np.sqrt(x.dtype.type(2.0)), out=_buffer(work, cdf_key, x.shape, x.dtype))
-    _erf(cdf, out=cdf, work=work)
+    cdf = _buffer(work, cdf_key, x.shape, x.dtype)
+    act = np.divide(x, np.sqrt(x.dtype.type(2.0)), out=_buffer(work, act_key, x.shape, x.dtype))
+    _erf(act, out=cdf, work=work)
     cdf += 1.0
     cdf *= 0.5
-    return np.multiply(x, cdf, out=_buffer(work, act_key, x.shape, x.dtype)), cdf
+    return np.multiply(x, cdf, out=act), cdf
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -288,8 +288,10 @@ def read_signal_csv(path: str) -> MultiChannelSeries:
 
 
 def write_signal_csv(series: MultiChannelSeries, path: str) -> None:
-    """Write the signal CSV format with full round-trip float precision (repr)."""
-    rows = "".join([",".join(map(repr, row)) + "\n" for row in series.samples.tolist()])
+    """Write the signal CSV format with full round-trip float precision (repr):
+    one ``%r`` row template, repeated per row, formats the flat sample list."""
+    n, c = series.samples.shape
+    rows = (",".join(["%r"] * c) + "\n") * n % tuple(series.samples.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(series.channel_names) + "\n" + rows)
 

@@ -318,14 +318,62 @@ class TestErf:
         pts = np.concatenate(pts + [np.array([np.inf], dtype=np.float32)])
         return np.concatenate([pts, -pts])
 
-    def test_float32_is_rounded_float64_erf(self):
+    @staticmethod
+    def _ulps(got, want):
+        """|got - want| in float32 ulps, by bit pattern; a sign difference
+        (+0.0 against -0.0 included) counts as more than 2**30 ulps."""
+        return np.abs(got.view(np.int32).astype(np.int64) - want.view(np.int32))
+
+    def test_float32_within_one_ulp_of_rounded_erf(self):
+        """Float32 erf is at most 1 ulp from float64's erf rounded to
+        float32, with its sign, and exact where |x| >= 1."""
         grid = np.linspace(-6.0, 6.0, 2_000_001).astype(np.float32)
         x = np.concatenate([grid, self._boundaries()])
         expected = ref_erf(x.astype(np.float64)).astype(np.float32)
         got = _erf(x)
         assert got.dtype == np.float32
-        assert np.count_nonzero(got != expected) == 0
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert self._ulps(got, expected).max() <= 1
+        tail = ~(np.abs(x) < 1.0)
+        assert got[tail].tobytes() == expected[tail].tobytes()
+
+    def test_float32_one_ulp_and_odd_on_every_257th_in_0_1(self):
+        """Every 257th float32 bit pattern in [0, 1), the polynomial's whole
+        range: within 1 ulp of the float64 path rounded to float32, and
+        erf(-x) == -erf(x) bit for bit."""
+        bits = np.arange(0, int(np.float32(1.0).view(np.uint32)), 257, dtype=np.uint32)
+        x = bits.view(np.float32)
+        got = _erf(x)
+        assert self._ulps(got, _erf(x.astype(np.float64)).astype(np.float32)).max() <= 1
+        assert _erf(-x).tobytes() == (-got).tobytes()
+
+    def test_float64_bytes_pinned(self):
+        """Float64 erf keeps its bytes: a fixed sha256 over a grid from
+        -8 to 8, tiny magnitudes down to 1e-300, +-0, +-1e300, +-inf, NaN."""
+        tiny = np.geomspace(1e-300, 1.0, 10_001)
+        x = np.concatenate([np.linspace(-8.0, 8.0, 400_001), tiny, -tiny,
+                            [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan]])
+        assert hashlib.sha256(_erf(x).tobytes()).hexdigest() == (
+            "b670cee30e123e875c98f943b6f79e5304a38f597c79f671c94fcf4be5ea2a62"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float32_overflowing_square_gives_sign(self):
+        """x * x overflows float32 above about 1.8e19: +-1e20, +-3.4e38 and
+        +-inf give +-1 and NaN gives NaN, without a numpy warning."""
+        x = np.array([1e20, -1e20, 3.4e38, -3.4e38, np.inf, -np.inf, np.nan], dtype=np.float32)
+        got = _erf(x)
+        assert got.dtype == np.float32
+        assert got[:-1].tolist() == [1.0, -1.0] * 3 and np.isnan(got[-1])
+
+    def test_float32_gelu_workspace_holds_float32_only(self):
+        """A float32 gelu and in-place erf borrow no float64 scratch."""
+        work = {}
+        x = np.random.default_rng(4).normal(0.0, 2.0, size=(2, 15_360)).astype(np.float32)
+        gelu(x, work)
+        inplace = x.copy()
+        _erf(inplace, out=inplace, work=work)
+        assert work and all(buf.dtype == np.float32 for buf in work.values())
 
     def test_float64_within_4e_16(self):
         x = np.concatenate([np.linspace(-8.0, 8.0, 400_001), self._boundaries().astype(np.float64)])
@@ -679,18 +727,19 @@ REFERENCE = dict(hidden_dim=64, num_layers=2, num_heads=4, ffn_dim=256, max_seq_
 
 
 def old_erf(x):
-    """_erf's float64 arithmetic as plain out-of-place expressions over the
-    whole array at once: the reference for its blocked, in-place passes."""
-    a = x.astype(np.float64)
-    z = a * a
+    """_erf's arithmetic, in x's dtype with that dtype's table, as plain
+    out-of-place expressions over the whole array at once: the reference for
+    its blocked, in-place passes."""
+    coeffs = _ERF_SMALL[x.dtype]
+    z = x * x
     with np.errstate(over="ignore", invalid="ignore"):
-        r = z * _ERF_SMALL[0]
-        for c in _ERF_SMALL[1:-1]:
+        r = z * coeffs[0]
+        for c in coeffs[1:-1]:
             r = (r + c) * z
-        r = (r + _ERF_SMALL[-1]) * a + a
+        r = (r + coeffs[-1]) * x + x
     tail = ~(z < 1.0)
-    r[tail] = ref_erf(a[tail])
-    return r.astype(x.dtype)
+    r[tail] = ref_erf(x[tail])
+    return r
 
 
 @pytest.mark.parametrize("n", [3, 7, 60, 64, 257])

@@ -583,6 +583,16 @@ class TestSignalCsvWriter:
             back = read_signal_csv(str(tmp_path / "new.csv"))
             assert np.array_equal(bits(back.samples), bits(series.samples))
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_template_matches_per_row_join(self, tmp_path, channels):
+        """The one-template writer puts out the bytes of one repr join per row."""
+        samples = np.array([-0.0, 5e-324, 1e16, 1e-5, 1e22, 0.1] * channels).reshape(-1, channels)
+        series = series_of(samples)
+        write_signal_csv(series, str(tmp_path / "new.csv"))
+        rows = "".join([",".join(map(repr, row)) + "\n" for row in samples.tolist()])
+        want = ",".join(series.channel_names) + "\n" + rows
+        assert (tmp_path / "new.csv").read_bytes() == want.encode("utf-8")
+
     @settings(max_examples=60, deadline=None)
     @given(samples=finite_samples)
     def test_arbitrary_series_match_reference(self, samples):
