@@ -23,13 +23,13 @@ from lorm import (
     TrainConfig,
     WindowingConfig,
     build_examples,
-    codebook_file_hash,
     compute_channel_stats,
     dataset_loss,
     fit_codebook_set,
     generate_run,
     gradient_check,
     init_model,
+    load_codebooks,
     normalize_window,
     num_patches,
     partition_parameters,
@@ -131,7 +131,7 @@ checkpoint = Checkpoint(
     window_len=61,
     context_len=60,
     channel_names=target_run.series.channel_names,
-    codebook_hash=codebook_file_hash(books_path),
+    codebook_hash=load_codebooks(books_path).file_hash,
 )
 save_checkpoint(os.path.join(workdir, "checkpoint.lorm"), checkpoint)
 print(f"wrote checkpoint + codebooks under {workdir}")

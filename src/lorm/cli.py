@@ -260,6 +260,11 @@ def _prepare_splits(cfg: RunConfig, series: MultiChannelSeries):
 
 
 def cmd_synth(cfg: RunConfig) -> int:
+    if cfg.synth.duration_samples < cfg.windowing.window_len:
+        raise ConfigError(
+            f"synth.duration_samples is {cfg.synth.duration_samples}, shorter than "
+            f"windowing.window_len {cfg.windowing.window_len}: the run would hold no window"
+        )
     run = generate_run(cfg.synth, cfg.windowing)
     write_signal_csv(run.series, cfg.out_path("signal.csv"))
     run.wear.to_csv(cfg.out_path("wear.csv"))

@@ -129,23 +129,6 @@ class ConfusionCounts:
         if min(self.tp, self.tn, self.fp, self.fn) < 0:
             raise ValueError("counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-    @classmethod
-    def from_pairs(cls, predictions: Sequence[bool], labels: Sequence[bool]) -> "ConfusionCounts":
-        if len(predictions) != len(labels):
-            raise ValueError("predictions and labels must have equal length")
-        pred = np.asarray(predictions, dtype=bool)
-        lab = np.asarray(labels, dtype=bool)
-        return cls(
-            tp=int(np.sum(pred & lab)),
-            tn=int(np.sum(~pred & ~lab)),
-            fp=int(np.sum(pred & ~lab)),
-            fn=int(np.sum(~pred & lab)),
-        )
-
 
 @dataclass
 class MetricReport:
@@ -184,9 +167,18 @@ def compute_metrics(predictions: Sequence[bool], labels: Sequence[bool]) -> Metr
     f1 = 2pr/(p+r), fpr = fp/(fp+tn); any zero denominator yields 0 and the
     metric's name in the degenerate list.
     """
-    c = ConfusionCounts.from_pairs(predictions, labels)
+    if len(predictions) != len(labels):
+        raise ValueError("predictions and labels must have equal length")
+    pred = np.asarray(predictions, dtype=bool)
+    lab = np.asarray(labels, dtype=bool)
+    c = ConfusionCounts(
+        tp=int(np.sum(pred & lab)),
+        tn=int(np.sum(~pred & ~lab)),
+        fp=int(np.sum(pred & ~lab)),
+        fn=int(np.sum(~pred & lab)),
+    )
     degenerate: list[str] = []
-    accuracy = _ratio(c.tp + c.tn, c.total, "accuracy", degenerate)
+    accuracy = _ratio(c.tp + c.tn, len(lab), "accuracy", degenerate)
     precision = _ratio(c.tp, c.tp + c.fp, "precision", degenerate)
     recall = _ratio(c.tp, c.tp + c.fn, "recall", degenerate)
     if precision + recall == 0.0:

@@ -199,9 +199,12 @@ _ERF_SMALL = {
     ))),
 }
 
-# elements per block: x's block, its square and the Horner result (768 KB in
-# float64) stay in a 2 MB L2 cache, and a block is large enough to amortise
-# numpy's per-call cost
+# elements per block: x's block, its square and the Horner result (3 x 128 KB
+# in float32, 768 KB in float64) stay in a 2 MB L2 cache, and a block is large
+# enough to amortise numpy's per-call cost. On a float32 (32, 60, 256) input
+# with about 1% of its elements in the tail, the blocked loop took 1.9 ms and
+# one unblocked pass 3.0 ms for the same bytes (best of 7 x 60 calls, one CPU
+# of a 2-core VM, one BLAS thread)
 _ERF_BLOCK = 32768
 
 
@@ -234,22 +237,19 @@ def _erf(x: np.ndarray, out: np.ndarray | None = None, work: dict | None = None)
     Horner pass runs in cache (one block for every monitoring input).
     Elements with |x| >= 1 (or NaN) take the C library's erf
     (``math.erf``). The Horner passes write into ``out`` (C-contiguous, x's
-    shape and dtype); when ``out`` shares x's memory they go to a scratch
-    block, copied over at the end. A workspace ``work`` lends the scratch.
+    shape and dtype, sharing no memory with x), or into a fresh array
+    without one. A workspace ``work`` lends the square's scratch block.
     """
     coeffs = _ERF_SMALL[x.dtype]
     flat = x.reshape(-1)
     if out is None:
         out = np.empty(x.shape, x.dtype)
     dest = out.reshape(-1)
-    size = min(flat.size, _ERF_BLOCK)
-    z_buf = _buffer(work, "erf_z", (size,), x.dtype)
-    r_buf = _buffer(work, "erf_r", (size,), x.dtype) if np.may_share_memory(out, x) else None
+    z_buf = _buffer(work, "erf_z", (min(flat.size, _ERF_BLOCK),), x.dtype)
     for start in range(0, flat.size, _ERF_BLOCK):
-        block = dest[start:start + _ERF_BLOCK]
-        a = flat[start:start + block.size]
-        z = z_buf[:block.size]
-        r = block if r_buf is None else r_buf[:block.size]
+        r = dest[start:start + _ERF_BLOCK]
+        a = flat[start:start + r.size]
+        z = z_buf[:r.size]
         # a + a * r(a * a) by Horner overflows or meets inf - inf for |x| >= 1,
         # whose elements math.erf then overwrites
         with np.errstate(over="ignore", invalid="ignore"):
@@ -265,8 +265,6 @@ def _erf(x: np.ndarray, out: np.ndarray | None = None, work: dict | None = None)
             # about 1% of a trained model's FFN inputs, one at a time
             idx = np.flatnonzero(~(z < 1.0))
             r[idx] = list(map(math.erf, a[idx].tolist()))
-        if r_buf is not None:
-            block[...] = r
     return out
 
 

@@ -115,10 +115,8 @@ def generate_run(cfg: SynthConfig, windowing: WindowingConfig) -> SynthRun:
     cut_index = np.minimum(cfg.cuts - 1, (mids / span).astype(np.int64))
     present, first, count = np.unique(cut_index, return_index=True, return_counts=True)
 
-    cut_mids = np.array([(j + 0.5) * span for j in range(cfg.cuts)])
-    wear_values = _wear_curve(cfg, cut_mids)
-
     # cuts without a window (more cuts than windows) get no row; ids and
     # window indices are 1-based
-    wear = WearTable(present + 1, wear_values[present], first + 1, first + count)
+    wear_values = _wear_curve(cfg, (present + 0.5) * span)
+    wear = WearTable(present + 1, wear_values, first + 1, first + count)
     return SynthRun(series=series, wear=wear)

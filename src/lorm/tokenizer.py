@@ -8,7 +8,6 @@ fitting different channels may run in parallel.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -259,11 +258,11 @@ def load_codebooks(path: str) -> CodebookSet:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
         raise ValueError(f"{path}: not a codebooks JSON document ({exc})") from None
     try:
-        return _codebooks_from_doc(doc, codebook_file_hash(path, data))
+        return _codebooks_from_doc(doc, codebook_file_hash(data))
     except KeyError as exc:
         raise ValueError(f"{path}: codebooks file lacks the {exc} field") from None
     except (TypeError, ValueError) as exc:
@@ -302,12 +301,9 @@ def _codebooks_from_doc(doc, file_hash: str) -> CodebookSet:
     return CodebookSet(np.stack(stack), [ch["name"] for ch in channels], file_hash)
 
 
-def codebook_file_hash(path: str, data: bytes | None = None) -> str:
-    """SHA-256 of the codebook file bytes, for checkpoint compatibility
-    checks; ``data`` holds those bytes where a caller already read them."""
+def codebook_file_hash(data: bytes) -> str:
+    """SHA-256 of a codebook file's bytes, for checkpoint compatibility
+    checks; :func:`load_codebooks` hashes the bytes it parses."""
     import hashlib  # only pretrain, train and monitor hash codebooks
 
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
     return hashlib.sha256(data).hexdigest()

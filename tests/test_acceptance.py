@@ -47,10 +47,10 @@ from lorm.signal_io import (
 from lorm.synth import SynthConfig, generate_run
 from lorm.tokenizer import (
     CodebookSet,
-    codebook_file_hash,
     fit_codebook_set,
     kmeans_plusplus_init,
     lloyd_kmeans,
+    load_codebooks,
     save_codebooks,
 )
 from lorm.train import (
@@ -172,7 +172,7 @@ def trained_stack(tmp_path_factory):
         window_len=WINDOWING.window_len,
         context_len=WINDOWING.context_len,
         channel_names=target.series.channel_names,
-        codebook_hash=codebook_file_hash(books_path),
+        codebook_hash=load_codebooks(books_path).file_hash,
     )
     save_checkpoint(ckpt_path, ckpt)
     return {

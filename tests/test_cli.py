@@ -275,6 +275,19 @@ def test_fit_codebooks_with_fewer_windows_than_tokens(tmp_path, capsys):
     assert not (tmp_path / "codebooks.json").exists()
 
 
+@pytest.mark.parametrize("samples", [100, 320])
+def test_synth_shorter_than_one_window(tmp_path, capsys, samples):
+    """A run shorter than one window of 321 is a config error naming both
+    settings, and synth writes no file."""
+    synth = [f"synth.duration_samples={samples}", "synth.degradation_onset=0"]
+    assert main(["synth", "--out", str(tmp_path)] + [a for s in synth for a in ("--set", s)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: synth.duration_samples is {samples}, shorter than windowing.window_len 321: "
+        "the run would hold no window\n"
+    )
+    assert not (tmp_path / "signal.csv").exists() and not (tmp_path / "wear.csv").exists()
+
+
 class TestSignalErrors:
     """A malformed signal file ends every reading command with exit code 1
     and a message naming the file and the record, never a traceback."""

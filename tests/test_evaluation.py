@@ -155,23 +155,23 @@ class TestLabelWindows:
 
 
 class TestConfusionCounts:
-    def test_from_pairs(self):
-        pred = [True, True, False, False, True]
-        lab = [True, False, True, False, True]
-        c = ConfusionCounts.from_pairs(pred, lab)
-        assert (c.tp, c.tn, c.fp, c.fn) == (2, 1, 1, 1)
-        assert c.total == 5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            ConfusionCounts.from_pairs([True], [True, False])
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ConfusionCounts(tp=-1, tn=0, fp=0, fn=0)
 
 
 class TestComputeMetrics:
+    def test_counts(self):
+        pred = [True, True, False, False, True]
+        lab = [True, False, True, False, True]
+        report = compute_metrics(pred, lab)
+        assert report.counts == ConfusionCounts(tp=2, tn=1, fp=1, fn=1)
+        assert report.accuracy == 3 / 5
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            compute_metrics([True], [True, False])
+
     def test_worked_example(self):
         # tp=5 tn=12 fp=1 fn=2 over 20 windows
         pred = [True] * 5 + [False] * 12 + [True] + [False] * 2
@@ -225,7 +225,8 @@ class TestComputeMetrics:
             lab = rng.random(30) > 0.6
             r = compute_metrics(pred, lab)
             c = r.counts
-            assert r.accuracy == pytest.approx((c.tp + c.tn) / c.total, abs=1e-12)
+            assert c.tp + c.tn + c.fp + c.fn == len(lab)
+            assert r.accuracy == pytest.approx((c.tp + c.tn) / len(lab), abs=1e-12)
             if c.tp + c.fp:
                 assert r.precision == pytest.approx(c.tp / (c.tp + c.fp), abs=1e-12)
             if c.tp + c.fn:

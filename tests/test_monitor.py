@@ -295,9 +295,7 @@ class TestDeployedModelFiles:
         )
         books_path = tmp_path / "codebooks.json"
         save_codebooks(books, str(books_path))
-        from lorm.tokenizer import codebook_file_hash
-
-        digest = codebook_file_hash(str(books_path))
+        digest = load_codebooks(str(books_path)).file_hash
         ckpt_path = tmp_path / "model.lorm"
         ckpt = Checkpoint(
             params=params,
@@ -365,9 +363,9 @@ class TestDeployedModelFiles:
 
         real = lorm.tokenizer.codebook_file_hash
         if tamper_first:
-            patched = lambda path, *data: (tamper(), real(path, *data))[1]
+            patched = lambda data: (tamper(), real(data))[1]
         else:
-            patched = lambda path, *data: (real(path, *data), tamper())[0]
+            patched = lambda data: (real(data), tamper())[0]
         monkeypatch.setattr(lorm.tokenizer, "codebook_file_hash", patched)
         deployed = DeployedModel.from_files(ckpt, books)
         assert b"-1.5" in Path(books).read_bytes()

@@ -7,6 +7,7 @@ from lorm.signal_io import WindowingConfig, segment_windows
 from lorm.synth import WEAR_END_UM, WEAR_START_UM, SynthConfig, generate_run
 
 WINDOWING = WindowingConfig(window_len=101, context_len=100, stride=50)
+WEAR_COLUMNS = ("cut_id", "wear_um", "first_window", "last_window")
 
 
 def small_cfg(**kw):
@@ -156,6 +157,58 @@ class TestWearTable:
         assert len(segment_windows(run.series, windowing)) == 4
         assert (run.wear.locate([1, 2, 3, 4]) >= 0).all()
         assert run.wear.last_window[-1] == 4
+
+    @pytest.mark.parametrize(
+        "kw, windowing",
+        [
+            (dict(degradation_rate=1e-3), WINDOWING),
+            (dict(degradation_rate=1e-3, cuts=7), WINDOWING),
+            (dict(degradation_rate=2e-4, degradation_onset=0, cuts=13),
+             WindowingConfig(window_len=33, context_len=32, stride=7)),
+            (dict(degradation_rate=0.0, cuts=3), WINDOWING),
+            (dict(degradation_rate=1e-3, degradation_onset=4000), WINDOWING),
+            (dict(degradation_rate=1e-3, cuts=1), WINDOWING),
+            (dict(degradation_rate=1e-3, duration_samples=500, degradation_onset=400, cuts=50),
+             WindowingConfig(window_len=101, context_len=100, stride=100)),
+            (dict(degradation_rate=1e-3, cuts=10**12), WINDOWING),
+        ],
+    )
+    def test_wear_table_is_the_per_cut_formula(self, kw, windowing):
+        """Each row holds the cut's windows and the linear wear at the cut's
+        midpoint, (j + 0.5) * span, as one formula per cut gives them."""
+        cfg = small_cfg(**kw)
+        run = generate_run(cfg, windowing)
+        got = {key: getattr(run.wear, key).tolist() for key in WEAR_COLUMNS}
+        assert got == reference_wear_table(cfg, windowing)
+
+    def test_one_cut_per_window_for_many_cuts(self):
+        run = generate_run(small_cfg(degradation_rate=1e-3, cuts=10**12), WINDOWING)
+        n_windows = len(segment_windows(run.series, WINDOWING))
+        windows = np.arange(1, n_windows + 1)
+        assert run.wear.first_window.tolist() == run.wear.last_window.tolist() == windows.tolist()
+
+
+def reference_wear_table(cfg, windowing):
+    """The wear table window by window in plain Python: a window belongs to
+    the cut that holds its midpoint, and cut j's wear is the linear curve at
+    (j + 0.5) * span; cuts without a window get no row."""
+    span = cfg.duration_samples / cfg.cuts
+    rows = {}
+    starts = range(0, cfg.duration_samples - windowing.window_len + 1, windowing.stride)
+    for k, start in enumerate(starts, start=1):
+        j = min(cfg.cuts - 1, int((start + windowing.window_len // 2) / span))
+        rows.setdefault(j, [k, k])[1] = k
+    table = {key: [] for key in WEAR_COLUMNS}
+    for j, (first, last) in rows.items():
+        wear = WEAR_START_UM
+        if cfg.degradation_rate != 0.0 and cfg.degradation_onset < cfg.duration_samples:
+            progress = ((j + 0.5) * span - cfg.degradation_onset) / (
+                cfg.duration_samples - cfg.degradation_onset
+            )
+            wear = WEAR_START_UM + (WEAR_END_UM - WEAR_START_UM) * min(max(progress, 0.0), 1.0)
+        for key, value in zip(table, (j + 1, wear, first, last)):
+            table[key].append(value)
+    return table
 
 
 class TestValidation:

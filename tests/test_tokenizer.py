@@ -326,10 +326,22 @@ class TestCodebookFiles:
         path = str(tmp_path / "books.json")
         save_codebooks(books, path)
         with open(path, "rb") as fh:
-            expected = hashlib.sha256(fh.read()).hexdigest()
-        assert codebook_file_hash(path) == expected
+            data = fh.read()
+        expected = hashlib.sha256(data).hexdigest()
+        assert codebook_file_hash(data) == expected
         assert load_codebooks(path).file_hash == expected
         assert books.file_hash == ""  # built in memory
+        with pytest.raises(TypeError):
+            codebook_file_hash(path)  # hashes bytes, never opens a file
+
+    @pytest.mark.parametrize("data", [b'{"version": 1, "K": \xff}', b"\xef\xbb\xbf{}"],
+                             ids=["non_utf8", "utf8_bom"])
+    def test_undecodable_bytes_name_file(self, tmp_path, data):
+        path = tmp_path / "codebooks.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load_codebooks(str(path))
+        assert str(err.value).startswith(f"{path}: not a codebooks JSON document (")
 
     def test_set_validation(self):
         with pytest.raises(ValueError):
